@@ -10,6 +10,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -1092,7 +1093,7 @@ func BenchmarkT9_Scrape(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := dc.Exposition(); err != nil { // warm buffers and caches
+		if _, err := dc.WriteExposition(io.Discard); err != nil { // warm buffers and caches
 			b.Fatal(err)
 		}
 		return dc
@@ -1106,11 +1107,11 @@ func BenchmarkT9_Scrape(b *testing.B) {
 			b.ResetTimer()
 			var bytesOut int
 			for i := 0; i < b.N; i++ {
-				out, err := dc.Exposition()
+				n, err := dc.WriteExposition(io.Discard)
 				if err != nil {
 					b.Fatal(err)
 				}
-				bytesOut = len(out)
+				bytesOut = n
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(bytesOut), "bytes/scrape")
@@ -1124,7 +1125,7 @@ func BenchmarkT9_Scrape(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := dc.Exposition(); err != nil {
+			if _, err := dc.WriteExposition(io.Discard); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1136,7 +1137,7 @@ func BenchmarkT9_Scrape(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				if _, err := dc.Exposition(); err != nil {
+				if _, err := dc.WriteExposition(io.Discard); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -367,7 +368,7 @@ func benchScrape(n int) scrapeStats {
 			Labels:    []string{"domain", "state"},
 		})
 		must(err)
-		_, err = dc.Exposition() // warm buffers and caches
+		_, err = dc.WriteExposition(io.Discard) // warm buffers and caches
 		must(err)
 		return dc
 	}
@@ -376,9 +377,9 @@ func benchScrape(n int) scrapeStats {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				out, err := dc.Exposition()
+				n, err := dc.WriteExposition(io.Discard)
 				must(err)
-				size = len(out)
+				size = n
 			}
 		})
 		return res.NsPerOp(), res.AllocsPerOp(), size

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -408,12 +409,11 @@ func domainMetrics(uriStr string, args []string) error {
 	if err != nil {
 		return err
 	}
-	out, err := dc.Exposition()
-	if err != nil {
-		return err
-	}
+	var w io.Writer = io.Discard // the table below is built from the swept rows
 	if prom {
-		_, err = os.Stdout.Write(out)
+		w = os.Stdout
+	}
+	if _, err := dc.WriteExposition(w); err != nil || prom {
 		return err
 	}
 	rows := dc.Rows()

@@ -2,6 +2,7 @@ package daemon_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -168,6 +169,72 @@ func TestNodeInventoryIntoOverWire(t *testing.T) {
 	for _, row := range inv.Domains {
 		if row.Name == "into-b" {
 			t.Fatal("undefined domain still present in reused sweep")
+		}
+	}
+}
+
+// TestBulkRepliesSteadyState: the two bulk monitoring replies of a
+// 2,000-domain host, each well above the pooled buffer size, cost a
+// fixed handful of objects per call once the daemon's retained reply
+// buffer and the connection's spare frame are in place — counted
+// process-wide, so the daemon's side of the call is included — and
+// every row still equals the per-domain answer.
+func TestBulkRepliesSteadyState(t *testing.T) {
+	const domains = 2000
+	sock, _, _ := startDaemon(t, daemon.ClientLimits{}, nil)
+	conn, err := core.Open(strings.Replace(unixURI(sock), "/default", "/empty", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < domains; i++ {
+		defineTestDomain(t, conn, fmt.Sprintf("steady-%04d", i), true)
+	}
+
+	var inv core.NodeInventory
+	var rows []core.NamedDomainInfo
+	inventory := func() {
+		if err := conn.NodeInventoryInto(&inv); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listing := func() {
+		if rows, err = conn.DomainListInfo(core.ListActive); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, call := range []struct {
+		name string
+		fn   func()
+	}{{"NodeInventory", inventory}, {"DomainListInfo", listing}} {
+		call.fn() // sizes the buffers
+		call.fn()
+		if got := testing.AllocsPerRun(10, call.fn); got > 40 && !raceEnabled {
+			t.Errorf("%s of %d domains: %.0f allocs per call in the steady state, want <= 40", call.name, domains, got)
+		}
+	}
+
+	if len(inv.Domains) != domains || len(rows) != domains {
+		t.Fatalf("inventory has %d rows, listing %d, want %d each", len(inv.Domains), len(rows), domains)
+	}
+	listed := make(map[string]core.DomainInfo, domains)
+	for _, row := range rows {
+		listed[row.Name] = row.Info
+	}
+	for _, row := range inv.Domains {
+		dom, err := conn.LookupDomain(row.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := dom.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from, bulk := range map[string]core.DomainInfo{"NodeInventory": row.Info, "DomainListInfo": listed[row.Name]} {
+			if bulk.State != single.State || bulk.MaxMemKiB != single.MaxMemKiB ||
+				bulk.MemKiB != single.MemKiB || bulk.VCPUs != single.VCPUs {
+				t.Fatalf("%s row for %q diverges from DomainInfo:\nbulk   %+v\nsingle %+v", from, row.Name, bulk, single)
+			}
 		}
 	}
 }

@@ -819,7 +819,7 @@ func nodeInfoToWire(ni core.NodeInfo) wire.NodeInfoReply {
 }
 
 func marshal(v interface{}) ([]byte, error) {
-	out, err := rpc.AppendMarshal(getReplyBuf(), v)
+	out, err := rpc.AppendMarshal(replyBufFor(v), v)
 	if err != nil {
 		putReplyBuf(out)
 		return nil, core.Errorf(core.ErrInternal, "marshal reply: %v", err)

@@ -20,19 +20,44 @@ import (
 
 // replyBufPool recycles reply payload buffers between a Program's
 // Dispatch and the post-write release in serveClient, so steady-state
-// replies — including multi-kilobyte bulk monitoring payloads — reuse
-// one buffer instead of allocating per call.
+// replies reuse one buffer instead of allocating per call. It holds
+// buffers up to maxPooledReply only: a sync.Pool keeps what it is given
+// per processor and through two collections, which is right for a few
+// kilobytes and wrong for a bulk listing.
 var replyBufPool = sync.Pool{
 	New: func() interface{} { b := make([]byte, 0, 512); return &b },
 }
 
+const maxPooledReply = 64 << 10
+
+// jumboReply retains the process's one reply buffer above
+// maxPooledReply — the inventory or listing of a host with thousands of
+// domains, whose size is the same on the next monitoring sweep — for as
+// long as such replies keep coming (see rpc.JumboSpare). A second bulk
+// reply marshalled at the same time allocates its own; only the larger
+// of the two is kept.
+var jumboReply rpc.JumboSpare
+
 func getReplyBuf() []byte { return (*replyBufPool.Get().(*[]byte))[:0] }
 
-func putReplyBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > 64<<10 {
-		return
+// replyBufFor returns the buffer to marshal v into, chosen by v's
+// encoded size.
+func replyBufFor(v interface{}) []byte {
+	if n := rpc.MarshalSize(v); n > maxPooledReply {
+		return jumboReply.Take(n)
 	}
-	replyBufPool.Put(&b)
+	return getReplyBuf()
+}
+
+func putReplyBuf(b []byte) {
+	switch {
+	case cap(b) == 0:
+	case cap(b) > maxPooledReply:
+		jumboReply.Put(b)
+	default:
+		jumboReply.Idle()
+		replyBufPool.Put(&b)
+	}
 }
 
 // Program dispatches the procedures of one protocol program.

@@ -44,6 +44,7 @@ type Client struct {
 	shards [pendingShards]pendingShard
 
 	closed  atomic.Bool
+	done    chan struct{} // closed when closed first turns true; stops keepalive at once
 	errMu   sync.Mutex
 	readErr error
 
@@ -110,6 +111,7 @@ func NewClientKeepalive(nc net.Conn, program uint32, onEvent EventHandler, ka Ke
 		program: program,
 		conn:    NewConn(nc),
 		onEvent: onEvent,
+		done:    make(chan struct{}),
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[uint32]chan reply)
@@ -134,6 +136,7 @@ func (c *Client) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
+	close(c.done)
 	return c.conn.Close()
 }
 
@@ -276,7 +279,9 @@ func (c *Client) failAll(err error) {
 		c.readErr = err
 	}
 	c.errMu.Unlock()
-	c.closed.Store(true)
+	if !c.closed.Swap(true) {
+		close(c.done)
+	}
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()

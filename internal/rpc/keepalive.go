@@ -17,13 +17,19 @@ type KeepaliveConfig struct {
 // Valid reports whether the configuration enables keepalive.
 func (k KeepaliveConfig) Valid() bool { return k.Interval > 0 && k.Count > 0 }
 
-// startKeepalive runs the probing loop; it exits when the client closes.
+// startKeepalive runs the probing loop; it exits as soon as the client
+// closes, not at the tick after.
 func (c *Client) startKeepalive(cfg KeepaliveConfig) {
 	go func() {
 		ticker := time.NewTicker(cfg.Interval)
 		defer ticker.Stop()
 		var missed int
-		for range ticker.C {
+		for {
+			select {
+			case <-c.done:
+				return
+			case <-ticker.C:
+			}
 			if c.closed.Load() {
 				return
 			}

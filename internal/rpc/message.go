@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultpoint"
 )
@@ -59,10 +60,65 @@ const frameOverhead = 4 + headerLen
 // MaxMessageLen bounds a whole framed message (length word included).
 const MaxMessageLen = 16 * 1024 * 1024
 
-// maxPooledFrame caps the buffer capacity retained in the frame pool;
-// occasional jumbo frames (domain XML documents) are let go to the GC
-// rather than pinning megabytes per idle connection.
+// maxPooledFrame caps the buffer capacity retained in the frame pool.
+// A jumbo frame's buffer never enters it: the pool is process-wide and
+// keeps what it is given through two collections, so one XML dump would
+// pin megabytes per processor. Jumbo buffers go to the one JumboSpare
+// of the connection that read them instead, where a sweep of thousands
+// of domains finds the same buffer again on its next reply.
 const maxPooledFrame = 64 * 1024
+
+// jumboIdleRun is how many messages in a row may pass without needing
+// a JumboSpare's buffer before it is let go to the GC.
+const jumboIdleRun = 64
+
+// JumboSpare retains at most one buffer larger than the pooled size for
+// an owner whose large messages recur — a connection reading bulk
+// replies, a daemon marshalling them. The choice between it and the
+// small pools is the owner's, made from the message length. The buffer
+// is kept only while large messages keep coming: after jumboIdleRun
+// messages that did not need it (Idle) it is dropped, and one handed
+// back later than that is not kept, so an idle owner pins nothing. The
+// zero value is ready to use; all methods may be called concurrently.
+type JumboSpare struct {
+	ttl atomic.Int32 // messages left before the buffer is dropped
+	mu  sync.Mutex
+	buf []byte
+}
+
+// Take returns an empty buffer with room for n bytes: the retained one
+// if it is large enough, else a new one with an eighth to spare so a
+// slowly growing listing does not reallocate on every call.
+func (s *JumboSpare) Take(n int) []byte {
+	s.ttl.Store(jumboIdleRun)
+	s.mu.Lock()
+	b := s.buf
+	s.buf = nil
+	s.mu.Unlock()
+	if cap(b) >= n {
+		return b[:0]
+	}
+	return make([]byte, 0, n+n/8)
+}
+
+// Put hands a buffer back once its message has been consumed.
+func (s *JumboSpare) Put(b []byte) {
+	s.mu.Lock()
+	if s.ttl.Load() > 0 && cap(b) > cap(s.buf) {
+		s.buf = b
+	}
+	s.mu.Unlock()
+}
+
+// Idle notes one message that did not need the buffer. It takes no
+// lock unless it is the one that ends the run.
+func (s *JumboSpare) Idle() {
+	if s.ttl.Load() > 0 && s.ttl.Add(-1) == 0 {
+		s.mu.Lock()
+		s.buf = nil
+		s.mu.Unlock()
+	}
+}
 
 // ErrorPayload carries a failure across the wire. RetryAfterMs is the
 // server's backoff hint on overload rejections (0 = none); it travels
@@ -99,6 +155,7 @@ type Frame struct {
 	Header  Header
 	Payload []byte
 	buf     []byte
+	spare   *JumboSpare // where a jumbo buf goes on Release; nil = the GC
 }
 
 var framePool = sync.Pool{New: func() interface{} { return new(Frame) }}
@@ -112,11 +169,22 @@ func (f *Frame) Release() {
 		return
 	}
 	if cap(f.buf) > maxPooledFrame {
+		if f.spare != nil {
+			f.spare.Put(f.buf)
+		}
 		f.buf = nil
 	}
+	f.spare = nil
 	f.Payload = nil
 	f.Header = Header{}
 	framePool.Put(f)
+}
+
+// discard releases a frame whose read failed: its buffer, if jumbo, is
+// not kept for a connection that is about to go away.
+func (f *Frame) discard() {
+	f.spare = nil
+	f.Release()
 }
 
 // grow returns b truncated to zero length with capacity for at least n
@@ -145,6 +213,11 @@ type Conn struct {
 	rmu sync.Mutex
 	wmu sync.Mutex
 	c   net.Conn
+	w   io.Writer // c, or bw once coalescing is on; guarded by wmu
+
+	// rspare holds the buffer of the last jumbo frame read, between its
+	// Release and the next jumbo frame.
+	rspare JumboSpare
 
 	// Write coalescing, nil/inactive by default. All three fields are
 	// guarded by wmu except flushCh/stopCh signalling.
@@ -156,7 +229,7 @@ type Conn struct {
 }
 
 // NewConn wraps a stream connection.
-func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
+func NewConn(c net.Conn) *Conn { return &Conn{c: c, w: c} }
 
 // EnableWriteCoalescing switches the connection to buffered writes of up
 // to size bytes with a flush-on-idle goroutine: each write signals the
@@ -174,6 +247,7 @@ func (c *Conn) EnableWriteCoalescing(size int) {
 		return
 	}
 	c.bw = bufio.NewWriterSize(c.c, size)
+	c.w = c.bw
 	c.flushCh = make(chan struct{}, 1)
 	c.stopCh = make(chan struct{})
 	go c.flushLoop()
@@ -219,23 +293,23 @@ func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 func (c *Conn) LocalAddr() net.Addr { return c.c.LocalAddr() }
 
 // writeFrame sends one fully built frame under the write lock, through
-// the coalescing writer when enabled.
-func (c *Conn) writeFrame(buf []byte) error {
+// the coalescing writer when enabled. A non-empty tail is the rest of
+// the frame, written behind buf under the same hold of the lock.
+func (c *Conn) writeFrame(buf, tail []byte) error {
 	c.wmu.Lock()
 	if c.writeErr != nil {
 		err := c.writeErr
 		c.wmu.Unlock()
 		return err
 	}
-	var n int
-	var err error
-	if c.bw != nil {
-		n, err = c.bw.Write(buf)
-		if err != nil {
-			c.writeErr = err
-		}
-	} else {
-		n, err = c.c.Write(buf)
+	n, err := c.w.Write(buf)
+	if err == nil && len(tail) > 0 {
+		var m int
+		m, err = c.w.Write(tail)
+		n += m
+	}
+	if err != nil && c.bw != nil {
+		c.writeErr = err
 	}
 	flushCh := c.flushCh
 	c.wmu.Unlock()
@@ -266,7 +340,8 @@ func putFrameHeader(buf []byte, total uint32, h Header) {
 }
 
 // WriteMessage frames and sends one message. The frame is assembled in
-// a pooled buffer, so the steady-state write path allocates nothing.
+// a pooled buffer, so the steady-state write path allocates nothing; a
+// jumbo payload is not copied behind its header but sent after it.
 // The "rpc.send" faultpoint can drop the frame (reported as sent — the
 // bytes just never leave, as on a lossy network), corrupt its payload,
 // or fail the write outright.
@@ -291,10 +366,16 @@ func (c *Conn) WriteMessage(h Header, payload []byte) error {
 		return fmt.Errorf("rpc: message of %d exceeds limit", total)
 	}
 	f := getFrame()
-	buf := grow(f.buf, total)[:frameOverhead]
+	var buf, tail []byte
+	if total > maxPooledFrame {
+		// A jumbo payload is sent as it stands, behind a header-only
+		// buffer: copying it would cost a second frame-sized buffer.
+		buf, tail = grow(f.buf, frameOverhead)[:frameOverhead], payload
+	} else {
+		buf = append(grow(f.buf, total)[:frameOverhead], payload...)
+	}
 	putFrameHeader(buf, uint32(total), h)
-	buf = append(buf, payload...)
-	err := c.writeFrame(buf)
+	err := c.writeFrame(buf, tail)
 	f.buf = buf
 	f.Release()
 	return err
@@ -345,17 +426,19 @@ func (c *Conn) WriteMarshal(h Header, args interface{}) error {
 			return fmt.Errorf("rpc: injected send fault")
 		}
 	}
-	err := c.writeFrame(buf)
+	err := c.writeFrame(buf, nil)
 	f.buf = buf
 	f.Release()
 	return err
 }
 
-// ReadFrame receives one framed message into a pooled buffer. The
+// ReadFrame receives one framed message into a pooled buffer, or, for a
+// frame above the pooled size, into the connection's one spare. The
 // caller owns the returned frame and must Release it once the payload
-// has been consumed. The "rpc.recv" faultpoint can drop a received
-// frame (the read loops on to the next one, as if the frame were lost
-// in flight), corrupt its payload, or fail the read.
+// has been consumed; a frame whose read failed keeps no buffer. The
+// "rpc.recv" faultpoint can drop a received frame (the read loops on to
+// the next one, as if the frame were lost in flight), corrupt its
+// payload, or fail the read.
 func (c *Conn) ReadFrame() (*Frame, error) {
 	c.rmu.Lock()
 	defer c.rmu.Unlock()
@@ -363,18 +446,27 @@ func (c *Conn) ReadFrame() (*Frame, error) {
 	for {
 		var lenBuf [4]byte
 		if _, err := io.ReadFull(c.c, lenBuf[:]); err != nil {
-			f.Release()
+			f.discard()
 			return nil, err
 		}
 		total := binary.BigEndian.Uint32(lenBuf[:])
 		if total < frameOverhead || total > MaxMessageLen {
-			f.Release()
+			f.discard()
 			return nil, fmt.Errorf("rpc: invalid message length %d", total)
 		}
-		rest := grow(f.buf, int(total)-4)[:int(total)-4]
+		n := int(total) - 4
+		if n <= maxPooledFrame {
+			c.rspare.Idle()
+		} else {
+			f.spare = &c.rspare
+			if cap(f.buf) < n {
+				f.buf = c.rspare.Take(n)
+			}
+		}
+		rest := grow(f.buf, n)[:n]
 		f.buf = rest
 		if _, err := io.ReadFull(c.c, rest); err != nil {
-			f.Release()
+			f.discard()
 			return nil, err
 		}
 		f.Header = Header{
@@ -397,7 +489,7 @@ func (c *Conn) ReadFrame() (*Frame, error) {
 				corruptInPlace(payload) // the buffer is ours; flip in place
 				faultsCorrupted.Inc()
 			case faultpoint.ModeError:
-				f.Release()
+				f.discard()
 				if spec.Err != nil {
 					return nil, spec.Err
 				}

@@ -70,6 +70,27 @@ func AppendMarshal(buf []byte, v interface{}) ([]byte, error) {
 	return e.buf, nil
 }
 
+// MarshalSize returns the exact number of bytes AppendMarshal appends
+// for a pointer to a struct that runs on a compiled plan, so a caller
+// keeping buffers of different sizes can pick one before encoding. It
+// returns 0 for anything else (the reflective fallback sizes nothing in
+// advance): such a caller then starts small and lets append grow.
+func MarshalSize(v interface{}) int {
+	if v == nil {
+		return 0
+	}
+	t := reflect.TypeOf(v)
+	if t.Kind() != reflect.Ptr || t.Elem().Kind() != reflect.Struct {
+		return 0
+	}
+	p := planFor(t.Elem())
+	rv := reflect.ValueOf(v)
+	if p == nil || rv.IsNil() {
+		return 0
+	}
+	return planSize(p.ops, rv.UnsafePointer())
+}
+
 // appendPlanned runs the encode ops. A buffer without spare capacity is
 // sized exactly by a pre-pass so a bare Marshal allocates once; a reused
 // buffer (frame pool, reply pool) skips the sizing walk and relies on

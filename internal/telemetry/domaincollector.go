@@ -16,16 +16,26 @@
 //     counter, and a label allowlist so high-churn labels (uuid, state)
 //     can be dropped at the source.
 //
-// Cost model: a scrape inside the staleness window is one mutex
-// acquisition and zero allocations — it returns the retained rendered
-// buffer. A sweep re-renders once and allocates one fresh output buffer
-// (readers may still hold the previous one), keeping allocs-per-scrape
-// amortised O(1/scrapers-per-window). BenchmarkT9_Scrape and
-// TestScrapeAllocsRegression gate this.
+// Cost model: the collector retains exactly one rendered body, for as
+// long as it lives, because its size is set by the host's domain count
+// and that does not change from one sweep to the next. A scrape inside
+// the staleness window is two mutex acquisitions and zero allocations:
+// it takes a counted lease on the retained body, writes it out and lets
+// go. A sweep renders into that same body in place when no lease is
+// outstanding — the steady state, O(1) allocations however many domains
+// — and only a sweep that finds a reader still writing the last body
+// out allocates a fresh one, leaving the old one to that reader and
+// then to the collector. The body is sized a sixty-fourth above the
+// last render, so uptime and CPU-time values gaining digits do not
+// regrow it, and is re-sized rather than left at whatever append grew
+// it to when they do. No exported method hands out the bare slice.
+// BenchmarkT9_Scrape, TestScrapeAllocsRegression and
+// TestColdScrapeSteadyState gate this.
 package telemetry
 
 import (
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,7 +148,7 @@ type DomainCollectorConfig struct {
 // DomainCollectorStats is a point-in-time view of the collector's own
 // counters.
 type DomainCollectorStats struct {
-	Scrapes     uint64 // Exposition calls
+	Scrapes     uint64 // WriteExposition calls and handler scrapes
 	Coalesced   uint64 // scrapes that waited on another scraper's sweep
 	Sweeps      uint64 // bulk sweeps actually executed
 	SweepErrors uint64
@@ -169,7 +179,7 @@ type DomainCollector struct {
 	cond     *sync.Cond
 	sweeping bool
 	sweptAt  time.Time
-	rendered []byte // last good exposition; readers must not mutate
+	cur      *exposition // last good render; nil before the first
 	lastErr  error
 	pubRows  []DomainRow // published copy of rows for Rows()
 
@@ -218,19 +228,34 @@ func NewDriverDomainCollector(d core.DriverConn, cfg DomainCollectorConfig) (*Do
 	return NewDomainCollector(driverSource{d: d}, cfg)
 }
 
-// Exposition returns the per-domain metrics in Prometheus text format.
-// Within the staleness window it serves the retained render without
-// sweeping; otherwise exactly one caller sweeps while concurrent
-// scrapers wait for (and share) its result. The returned slice is
-// owned by the collector — write it out, do not mutate it.
-func (c *DomainCollector) Exposition() ([]byte, error) {
+// exposition is one rendered scrape body and the number of readers
+// still writing it out. A sweep may overwrite body only at zero leases.
+type exposition struct {
+	body   []byte
+	leases int // guarded by DomainCollector.mu
+}
+
+// WriteExposition writes the per-domain metrics in Prometheus text
+// format to w. Within the staleness window it serves the retained
+// render without sweeping; otherwise exactly one caller sweeps while
+// concurrent scrapers wait for (and share) its result. A failed sweep
+// is returned before any byte is written.
+func (c *DomainCollector) WriteExposition(w io.Writer) (int, error) {
+	e, err := c.acquire()
+	if err != nil {
+		return 0, err
+	}
+	defer c.release(e)
+	return w.Write(e.body)
+}
+
+// acquire returns the current exposition, sweeping first when it is
+// stale, with a lease that keeps later sweeps off its body until
+// release. New leases are only granted while no sweep runs, so a body
+// the sweeper finds unleased stays unleased while it renders.
+func (c *DomainCollector) acquire() (*exposition, error) {
 	c.scrapes.Add(1)
 	c.mu.Lock()
-	if c.lastErr == nil && !c.sweptAt.IsZero() && c.now().Sub(c.sweptAt) < c.stale {
-		out := c.rendered
-		c.mu.Unlock()
-		return out, nil
-	}
 	if c.sweeping {
 		// Single-flight: a sweep is already running; its result is the
 		// freshest answer we can give, so take it when it lands rather
@@ -239,19 +264,35 @@ func (c *DomainCollector) Exposition() ([]byte, error) {
 		for c.sweeping {
 			c.cond.Wait()
 		}
-		out, err := c.rendered, c.lastErr
+		e, err := c.cur, c.lastErr
+		if err == nil {
+			e.leases++
+		}
 		c.mu.Unlock()
-		return out, err
+		return e, err
+	}
+	if c.lastErr == nil && !c.sweptAt.IsZero() && c.now().Sub(c.sweptAt) < c.stale {
+		e := c.cur
+		e.leases++
+		c.mu.Unlock()
+		return e, nil
 	}
 	c.sweeping = true
 	c.mu.Unlock()
 
 	start := time.Now()
 	err := c.src.SweepInventory(&c.inv)
-	var out []byte
+	var e *exposition
 	if err == nil {
 		c.buildRows(c.now())
-		out = c.render()
+		c.mu.Lock()
+		if e = c.cur; e == nil || e.leases > 0 {
+			// A reader is still writing the last body out: it keeps
+			// that one, this sweep and the ones after it get a new one.
+			e = new(exposition)
+		}
+		c.mu.Unlock()
+		c.renderInto(e)
 	}
 	c.sweeps.Add(1)
 	c.lastSweepNs.Store(int64(time.Since(start)))
@@ -264,19 +305,24 @@ func (c *DomainCollector) Exposition() ([]byte, error) {
 	c.sweptAt = c.now()
 	c.lastErr = err
 	if err == nil {
-		c.rendered = out
+		e.leases++
+		c.cur = e
 		c.pubRows = append(c.pubRows[:0], c.rows...)
 	}
 	c.cond.Broadcast()
 	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e, err
+}
+
+// release ends a lease taken by acquire.
+func (c *DomainCollector) release(e *exposition) {
+	c.mu.Lock()
+	e.leases--
+	c.mu.Unlock()
 }
 
 // Rows returns a copy of the rows behind the last successful sweep.
-// Call Exposition first to have one.
+// Scrape first to have one.
 func (c *DomainCollector) Rows() []DomainRow {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -370,16 +416,25 @@ func (c *DomainCollector) pruneCaches() {
 	}
 }
 
-// render produces a fresh exposition buffer for the current rows. A new
-// slice per sweep keeps previously returned buffers immutable for
-// readers still writing them out.
-func (c *DomainCollector) render() []byte {
-	out := make([]byte, 0, c.sizeHint+512)
+// bodyCap is the capacity a body gets for a render of n bytes: a
+// sixty-fourth above it, room for every row's uptime and CPU time to
+// gain digits, not the quarter more append leaves behind when it grows.
+func bodyCap(n int) int { return n + n/64 + 512 }
+
+// renderInto writes the current rows into e.body, which no reader holds.
+func (c *DomainCollector) renderInto(e *exposition) {
+	if want := bodyCap(c.sizeHint); e.body == nil || cap(e.body) > 2*want {
+		e.body = make([]byte, 0, want) // a new body, or the host shrank
+	}
 	set := DomainRowSet{Extra: c.extra, Rows: c.rows, Truncated: c.truncated.Load()}
-	out = AppendDomainExposition(out, []DomainRowSet{set}, c.labels)
+	out := AppendDomainExposition(e.body[:0], []DomainRowSet{set}, c.labels)
 	out = c.appendCollectorStats(out)
 	c.sizeHint = len(out)
-	return out
+	if cap(out) != cap(e.body) {
+		// First render, or the host grew: append regrew the body.
+		out = append(make([]byte, 0, bodyCap(len(out))), out...)
+	}
+	e.body = out
 }
 
 // appendCollectorStats renders the collector's self-measurement

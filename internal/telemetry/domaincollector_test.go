@@ -1,8 +1,13 @@
 package telemetry
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,6 +54,13 @@ func (f *fakeSource) setErr(err error) {
 	f.mu.Lock()
 	f.err = err
 	f.mu.Unlock()
+}
+
+// scrape returns a copy of what one WriteExposition call writes.
+func scrape(c *DomainCollector) ([]byte, error) {
+	var b bytes.Buffer
+	_, err := c.WriteExposition(&b)
+	return b.Bytes(), err
 }
 
 // fakeRows builds n running domains.
@@ -105,7 +117,7 @@ func TestDomainCollectorSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = c.Exposition()
+			outs[i], errs[i] = scrape(c)
 		}(i)
 	}
 	// One scraper is blocked inside the sweep; wait until the other
@@ -160,7 +172,7 @@ func TestDomainCollectorStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := c.Exposition(); err != nil {
+		if _, err := scrape(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,14 +180,14 @@ func TestDomainCollectorStaleness(t *testing.T) {
 		t.Fatalf("sweeps within window = %d, want 1", st.Sweeps)
 	}
 	clk.Advance(999 * time.Millisecond) // still inside
-	if _, err := c.Exposition(); err != nil {
+	if _, err := scrape(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Sweeps != 1 {
 		t.Fatalf("sweeps at window edge = %d, want 1", st.Sweeps)
 	}
 	clk.Advance(2 * time.Millisecond) // crosses the bound
-	if _, err := c.Exposition(); err != nil {
+	if _, err := scrape(c); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Sweeps != 2 {
@@ -191,7 +203,7 @@ func TestDomainCollectorZeroStaleness(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Exposition(); err != nil {
+		if _, err := scrape(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +220,7 @@ func TestDomainCollectorTruncation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Exposition()
+	out, err := scrape(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +246,7 @@ func TestDomainCollectorLabelAllowlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Exposition()
+	out, err := scrape(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +273,14 @@ func TestDomainCollectorUUIDCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Exposition()
+	out, err := scrape(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(out), `uuid="uuid-a"`) {
 		t.Fatalf("uuid label missing:\n%s", out)
 	}
-	if _, err := c.Exposition(); err != nil { // staleness 0: second sweep
+	if _, err := scrape(c); err != nil { // staleness 0: second sweep
 		t.Fatal(err)
 	}
 	if got := src.lookups.Load(); got != 2 {
@@ -285,11 +297,11 @@ func TestDomainCollectorUptime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exposition(); err != nil {
+	if _, err := scrape(c); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(90 * time.Second)
-	if _, err := c.Exposition(); err != nil {
+	if _, err := scrape(c); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Rows()[0].UptimeNs; got != uint64(90*time.Second) {
@@ -298,7 +310,7 @@ func TestDomainCollectorUptime(t *testing.T) {
 	src.mu.Lock()
 	src.rows[0].Info.State = core.DomainShutoff
 	src.mu.Unlock()
-	if _, err := c.Exposition(); err != nil {
+	if _, err := scrape(c); err != nil {
 		t.Fatal(err)
 	}
 	if got := c.Rows()[0].UptimeNs; got != 0 {
@@ -315,11 +327,11 @@ func TestDomainCollectorSweepError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Exposition(); err == nil {
+	if _, err := scrape(c); err == nil {
 		t.Fatal("sweep error not surfaced")
 	}
 	src.setErr(nil)
-	out, err := c.Exposition()
+	out, err := scrape(c)
 	if err != nil {
 		t.Fatalf("retry after error: %v", err)
 	}
@@ -353,11 +365,11 @@ func TestScrapeAllocsRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cached.Exposition(); err != nil {
+	if _, err := cached.WriteExposition(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := cached.Exposition(); err != nil {
+		if _, err := cached.WriteExposition(io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}); got != 0 {
@@ -368,15 +380,196 @@ func TestScrapeAllocsRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweeping.Exposition(); err != nil {
+	if _, err := sweeping.WriteExposition(io.Discard); err != nil {
 		t.Fatal(err) // warm the buffers and caches
 	}
-	// Steady-state sweep: one render buffer plus bounded bookkeeping.
+	// Steady-state sweep: the body is rendered in place.
 	if got := testing.AllocsPerRun(200, func() {
-		if _, err := sweeping.Exposition(); err != nil {
+		if _, err := sweeping.WriteExposition(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 8 {
-		t.Fatalf("sweeping scrape allocates %.1f objects, want <= 8", got)
+	}); got > 2 {
+		t.Fatalf("sweeping scrape allocates %.1f objects, want <= 2", got)
+	}
+}
+
+// bodyArray identifies the collector's retained body: the address of
+// its backing array and its capacity.
+func bodyArray(c *DomainCollector) (*byte, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.cur.body
+	return &b[:1][0], cap(b)
+}
+
+// heldWriter is a slow scraper: it sits inside Write, lease held,
+// re-reading the body it was given until told to go on.
+type heldWriter struct {
+	entered chan struct{}
+	resume  chan struct{}
+	first   []byte // what the body held on entry
+	changed bool   // the body stopped matching first while held
+}
+
+func (w *heldWriter) Write(p []byte) (int, error) {
+	w.first = bytes.Clone(p)
+	close(w.entered)
+	for held := true; held; {
+		select {
+		case <-w.resume:
+			held = false
+		default:
+		}
+		if !bytes.Equal(p, w.first) {
+			w.changed = true
+		}
+	}
+	return len(p), nil
+}
+
+// TestDomainCollectorLeaseSafety: a reader still writing scrape N out
+// sees its bytes unchanged while sweeps N+1 and N+2 render (run under
+// -race: a sweep rendering into the held body is a data race), and
+// once it lets go the collector is back to one body rendered in place.
+func TestDomainCollectorLeaseSafety(t *testing.T) {
+	src := &fakeSource{rows: fakeRows(200)}
+	c, err := NewDomainCollector(src, DomainCollectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &heldWriter{entered: make(chan struct{}), resume: make(chan struct{})}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.WriteExposition(w)
+		done <- err
+	}()
+	<-w.entered
+	held, _ := bodyArray(c)
+
+	var later [2][]byte
+	for i := range later {
+		src.mu.Lock()
+		for j := range src.rows {
+			src.rows[j].Info.CPUTimeNs += 1_000_000_000
+		}
+		src.mu.Unlock()
+		if later[i], err = scrape(c); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(later[i], w.first) {
+			t.Fatalf("sweep N+%d rendered the same bytes as sweep N; the test shows nothing", i+1)
+		}
+	}
+	if now, _ := bodyArray(c); now == held {
+		t.Fatal("a sweep rendered into the body a reader still holds")
+	}
+	close(w.resume)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if w.changed {
+		t.Fatal("the held body changed under its reader")
+	}
+
+	// Every lease is back: sweeps reuse the one body from here on.
+	before, _ := bodyArray(c)
+	if got := testing.AllocsPerRun(5, func() {
+		if _, err := c.WriteExposition(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 2 {
+		t.Fatalf("a sweep with no reader allocates %.1f objects, want <= 2", got)
+	}
+	if after, _ := bodyArray(c); after != before {
+		t.Fatal("a sweep with no reader moved to another body")
+	}
+	c.mu.Lock()
+	leases := c.cur.leases
+	c.mu.Unlock()
+	if leases != 0 {
+		t.Fatalf("%d leases outstanding with no reader", leases)
+	}
+}
+
+// TestDomainCollectorBodyOutgrowsNoDigits: uptime and CPU-time values
+// of 2,000 rows gaining digits sweep after sweep stay inside the body's
+// headroom — the body is not reallocated.
+func TestDomainCollectorBodyOutgrowsNoDigits(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(2000, 0)}
+	src := &fakeSource{rows: fakeRows(2000)}
+	c, err := NewDomainCollector(src, DomainCollectorConfig{Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.WriteExposition(io.Discard); err != nil { // uptime "0"
+		t.Fatal(err)
+	}
+	array, size := bodyArray(c)
+	// 9.5 s, then across 10 s, then across 100 s; CPU time moves with it.
+	for _, step := range []time.Duration{9500 * time.Millisecond, time.Second, 90 * time.Second} {
+		clk.Advance(step)
+		src.mu.Lock()
+		for j := range src.rows {
+			src.rows[j].Info.CPUTimeNs += uint64(step)
+		}
+		src.mu.Unlock()
+		n, err := c.WriteExposition(io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, s := bodyArray(c); a != array || s != size {
+			t.Fatalf("after %v: body reallocated (%d bytes rendered, capacity %d -> %d)", step, n, size, s)
+		}
+	}
+}
+
+// discardResponse is a reusable http.ResponseWriter that keeps nothing.
+type discardResponse struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(code int)        { d.status = code }
+func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return len(p), nil }
+
+// TestColdScrapeSteadyState is the monitoring cycle's allocation gate: a
+// cold scrape (staleness 0, so every one sweeps and renders) of 2,000
+// domains through the handler costs a fixed handful of small objects,
+// not a body-sized buffer and a string per sample.
+func TestColdScrapeSteadyState(t *testing.T) {
+	dc, err := NewDomainCollector(&fakeSource{rows: fakeRows(2000)}, DomainCollectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	reg.Counter("calls_total").Inc()
+	reg.Gauge("clients").Set(1)
+	reg.Histogram("lat_seconds").Observe(time.Millisecond)
+	h := HandlerWith(reg, dc)
+	rec := &discardResponse{header: http.Header{}}
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	cycle := func() {
+		rec.status, rec.n = http.StatusOK, 0
+		h.ServeHTTP(rec, req)
+		if rec.status != http.StatusOK || rec.n < 2000*7*40 {
+			t.Fatalf("scrape: status %d, %d bytes", rec.status, rec.n)
+		}
+	}
+	// The first cycle sizes the scratch and renders every uptime as "0",
+	// the shortest a body gets; the second re-sizes it for real values.
+	cycle()
+	cycle()
+
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, cycle)
+	runtime.ReadMemStats(&m1)
+	// AllocsPerRun makes one warm-up call besides the counted ones.
+	perCycle := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1)
+	if allocs > 100 || perCycle > 64<<10 {
+		t.Fatalf("cold scrape of 2,000 domains: %.0f allocs and %d B per cycle, want <= 100 and <= 64 KiB", allocs, perCycle)
 	}
 }

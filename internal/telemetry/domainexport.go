@@ -152,7 +152,7 @@ func appendUint(dst []byte, v uint64) []byte {
 }
 
 // appendSeconds renders nanoseconds as a decimal seconds literal with
-// no float artefacts, allocation-free (the append form of formatSeconds).
+// no float artefacts (1_000 ns → "0.000001"), allocation-free.
 func appendSeconds(dst []byte, ns uint64) []byte {
 	whole := ns / 1_000_000_000
 	frac := ns % 1_000_000_000

@@ -92,7 +92,7 @@ func TestExpositionRegistryFormat(t *testing.T) {
 	r.Counter("calls_total{" + Labels("proc", "plain") + "}").Inc()
 	r.Gauge("clients").Set(-2)
 	r.Histogram("lat_seconds").Observe(time.Millisecond)
-	text := r.Snapshot().Prometheus()
+	text := string(r.Snapshot().AppendPrometheus(nil))
 	lintExposition(t, text)
 	if !strings.Contains(text, `proc="we\"ird\\name\n"`) {
 		t.Fatalf("label escaping wrong:\n%s", text)
@@ -112,7 +112,7 @@ func TestExpositionDomainFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := c.Exposition()
+	out, err := scrape(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +128,10 @@ func TestExpositionDomainFormat(t *testing.T) {
 func TestExpositionCombinedEndpoint(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("daemon_dispatch_total{" + Labels("program", "remote", "proc", "GetHostname") + "}").Inc()
+	r.GaugeFunc("daemon_pool_workers", func() int64 { return 2 })
+	r.Gauge("daemon_pool_queue_depth{" + Labels("lane", "prio") + "}").Set(-1)
+	r.Histogram("daemon_queue_wait_seconds").Observe(time.Millisecond)
+	r.Histogram("daemon_dispatch_seconds{" + Labels("proc", "GetHostname") + "}").Observe(time.Second)
 	src := &fakeSource{rows: fakeRows(2)}
 	dc, err := NewDomainCollector(src, DomainCollectorConfig{})
 	if err != nil {
@@ -186,6 +190,17 @@ func TestEscapeLabelValue(t *testing.T) {
 		`quo"te`:       `quo\"te`,
 		"new\nline":    `new\nline`,
 		`all\"` + "\n": `all\\\"\n`,
+		// Escapes at the start, at the end, and nothing but escapes: the
+		// bulk-appended runs between them are empty.
+		`"lead`:           `\"lead`,
+		"\nlead":          `\nlead`,
+		`trail\`:          `trail\\`,
+		"trail\n":         `trail\n`,
+		`\`:               `\\`,
+		`\"` + "\n" + `\`: `\\\"\n\\`,
+		`""`:              `\"\"`,
+		`a"b\c` + "\nd":   `a\"b\\c\nd`,
+		"":                "",
 	}
 	for in, want := range cases {
 		if got := EscapeLabelValue(in); got != want {
@@ -241,5 +256,5 @@ func TestInstrumentFaultpoints(t *testing.T) {
 	if got := reg.Counter(name).Value(); got != 3 {
 		t.Fatalf("%s = %d, want 3", name, got)
 	}
-	lintExposition(t, reg.Snapshot().Prometheus())
+	lintExposition(t, string(reg.Snapshot().AppendPrometheus(nil)))
 }

@@ -1,9 +1,9 @@
 package telemetry
 
 import (
-	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -22,47 +22,24 @@ func splitName(name string) (base, labels string) {
 	return name[:i], strings.TrimSuffix(name[i+1:], "}")
 }
 
-// joinLabels merges two label clauses, either of which may be empty.
-func joinLabels(a, b string) string {
-	switch {
-	case a == "":
-		return b
-	case b == "":
-		return a
-	default:
-		return a + "," + b
-	}
-}
-
-// metricLine renders one sample with an optional label clause.
-func metricLine(w *strings.Builder, base, labels, value string) {
-	w.WriteString(base)
-	if labels != "" {
-		w.WriteByte('{')
-		w.WriteString(labels)
-		w.WriteByte('}')
-	}
-	w.WriteByte(' ')
-	w.WriteString(value)
-	w.WriteByte('\n')
-}
-
 // appendEscapedLabelValue appends s with the label-value escapes the
 // exposition format requires: backslash, double quote and newline.
 func appendEscapedLabelValue(dst []byte, s string) []byte {
+	start := 0 // beginning of the run not yet appended
 	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\\':
-			dst = append(dst, '\\', '\\')
-		case '"':
-			dst = append(dst, '\\', '"')
+		esc := s[i]
+		switch esc {
+		case '\\', '"':
 		case '\n':
-			dst = append(dst, '\\', 'n')
+			esc = 'n'
 		default:
-			dst = append(dst, c)
+			continue
 		}
+		dst = append(dst, s[start:i]...)
+		dst = append(dst, '\\', esc)
+		start = i + 1
 	}
-	return dst
+	return append(dst, s[start:]...)
 }
 
 // EscapeLabelValue escapes a label value for the text exposition format
@@ -187,6 +164,7 @@ func SetMetricHelp(base, help string) {
 
 // metricHelp returns the HELP docstring for a family, generating a
 // placeholder for unregistered names so the exposition never lacks one.
+// The placeholder is registered, so it is built once, not per scrape.
 func metricHelp(base string) string {
 	helpMu.RLock()
 	h, ok := helpText[base]
@@ -194,61 +172,94 @@ func metricHelp(base string) string {
 	if ok {
 		return h
 	}
-	return "Metric " + base + "."
+	helpMu.Lock()
+	defer helpMu.Unlock()
+	if h, ok = helpText[base]; !ok {
+		h = "Metric " + base + "."
+		helpText[base] = h
+	}
+	return h
 }
 
-// Prometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4): every family introduced by `# HELP`/`# TYPE`
-// exactly once, samples grouped per family. Histograms are emitted in
-// seconds, following the Prometheus base-unit convention; internal
-// nanosecond names ending in `_seconds` are expected from callers.
-func (s Snapshot) Prometheus() string {
-	var b strings.Builder
-	headerSeen := make(map[string]bool)
-	writeHeader := func(base, kind string) {
+// AppendPrometheus appends the snapshot in the Prometheus text
+// exposition format (version 0.0.4) to dst: every family introduced by
+// `# HELP`/`# TYPE` exactly once, samples grouped per family.
+// Histograms are emitted in seconds, following the Prometheus base-unit
+// convention; internal nanosecond names ending in `_seconds` are
+// expected from callers.
+func (s Snapshot) AppendPrometheus(dst []byte) []byte {
+	return s.appendPrometheus(dst, make(map[string]bool))
+}
+
+// appendPrometheus is AppendPrometheus with the caller's (empty) set of
+// families already introduced. Sorted names put `a_total_more` between
+// `a_total` and `a_total{x="1"}`, so the set cannot be replaced by
+// comparing each base name with the one before it.
+func (s Snapshot) appendPrometheus(dst []byte, headerSeen map[string]bool) []byte {
+	sample := func(base, suffix, labels string) {
+		dst = append(dst, base...)
+		dst = append(dst, suffix...)
+		if labels != "" {
+			dst = append(dst, '{')
+			dst = append(dst, labels...)
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ' ')
+	}
+	family := func(name, kind string) (base, labels string) {
+		base, labels = splitName(name)
 		if !headerSeen[base] {
 			headerSeen[base] = true
-			fmt.Fprintf(&b, "# HELP %s %s\n", base, escapeHelp(metricHelp(base)))
-			fmt.Fprintf(&b, "# TYPE %s %s\n", base, kind)
+			dst = appendFamilyHeader(dst, base, kind, metricHelp(base))
 		}
+		return base, labels
 	}
 	for _, c := range s.Counters {
-		base, labels := splitName(c.Name)
-		writeHeader(base, "counter")
-		metricLine(&b, base, labels, fmt.Sprintf("%d", c.Value))
+		base, labels := family(c.Name, "counter")
+		sample(base, "", labels)
+		dst = append(appendUint(dst, c.Value), '\n')
 	}
 	for _, g := range s.Gauges {
-		base, labels := splitName(g.Name)
-		writeHeader(base, "gauge")
-		metricLine(&b, base, labels, fmt.Sprintf("%d", g.Value))
+		base, labels := family(g.Name, "gauge")
+		sample(base, "", labels)
+		dst = append(strconv.AppendInt(dst, g.Value, 10), '\n')
 	}
 	for _, h := range s.Histograms {
-		base, labels := splitName(h.Name)
-		writeHeader(base, "histogram")
+		base, labels := family(h.Name, "histogram")
 		for _, bucket := range h.Buckets {
-			le := "+Inf"
-			if bucket.UpperNs != 0 {
-				le = formatSeconds(bucket.UpperNs)
+			dst = append(dst, base...)
+			dst = append(dst, "_bucket{"...)
+			if labels != "" {
+				dst = append(dst, labels...)
+				dst = append(dst, ',')
 			}
-			metricLine(&b, base+"_bucket", joinLabels(labels, fmt.Sprintf("le=%q", le)),
-				fmt.Sprintf("%d", bucket.Cumulative))
+			dst = append(dst, `le="`...)
+			if bucket.UpperNs != 0 {
+				dst = appendSeconds(dst, bucket.UpperNs)
+			} else {
+				dst = append(dst, "+Inf"...)
+			}
+			dst = append(dst, `"} `...)
+			dst = append(appendUint(dst, bucket.Cumulative), '\n')
 		}
-		metricLine(&b, base+"_sum", labels, formatSeconds(h.SumNs))
-		metricLine(&b, base+"_count", labels, fmt.Sprintf("%d", h.Count))
+		sample(base, "_sum", labels)
+		dst = append(appendSeconds(dst, h.SumNs), '\n')
+		sample(base, "_count", labels)
+		dst = append(appendUint(dst, h.Count), '\n')
 	}
-	return b.String()
+	return dst
 }
 
-// formatSeconds renders nanoseconds as a decimal seconds literal without
-// float artefacts (1_000 ns → "0.000001").
-func formatSeconds(ns uint64) string {
-	whole := ns / 1_000_000_000
-	frac := ns % 1_000_000_000
-	if frac == 0 {
-		return fmt.Sprintf("%d", whole)
-	}
-	s := fmt.Sprintf("%d.%09d", whole, frac)
-	return strings.TrimRight(s, "0")
+// registryScratch is what one render of a registry snapshot needs and
+// the next can reuse: the output buffer, a few tens of kilobytes sized
+// by the number of registered series, and the set of families seen.
+type registryScratch struct {
+	buf  []byte
+	seen map[string]bool
+}
+
+var registryScratchPool = sync.Pool{
+	New: func() interface{} { return &registryScratch{seen: make(map[string]bool)} },
 }
 
 // Handler serves the registry in Prometheus text format — the daemon
@@ -263,20 +274,27 @@ func Handler(r *Registry) http.Handler {
 // failed sweep becomes a clean 503 the scraper can see.
 func HandlerWith(r *Registry, dc *DomainCollector) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var domain []byte
+		var domain *exposition
 		if dc != nil {
 			var err error
-			domain, err = dc.Exposition()
+			domain, err = dc.acquire()
 			if err != nil {
 				http.Error(w, "domain metrics sweep failed: "+err.Error(),
 					http.StatusServiceUnavailable)
 				return
 			}
+			// The lease keeps the next sweep off the body until it is
+			// written out.
+			defer dc.release(domain)
 		}
 		w.Header().Set("Content-Type", ContentType)
-		_, _ = fmt.Fprint(w, r.Snapshot().Prometheus())
-		if len(domain) > 0 {
-			_, _ = w.Write(domain)
+		sc := registryScratchPool.Get().(*registryScratch)
+		sc.buf = r.Snapshot().appendPrometheus(sc.buf[:0], sc.seen)
+		_, _ = w.Write(sc.buf)
+		clear(sc.seen)
+		registryScratchPool.Put(sc)
+		if domain != nil && len(domain.body) > 0 {
+			_, _ = w.Write(domain.body)
 		}
 	})
 }

@@ -123,7 +123,7 @@ func TestPrometheusRendering(t *testing.T) {
 	r.Counter(`calls_total{proc="GetHostname"}`).Add(2)
 	r.Gauge("clients").Set(4)
 	r.Histogram(`lat_seconds{proc="DomainGetInfo"}`).Observe(1500 * time.Microsecond)
-	text := r.Snapshot().Prometheus()
+	text := string(r.Snapshot().AppendPrometheus(nil))
 
 	for _, want := range []string{
 		"# TYPE calls_total counter",

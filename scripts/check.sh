@@ -34,7 +34,20 @@ echo "== qos gate: admission control, ACLs, noisy-tenant isolation"
 go test -race -run 'TestQoS|TestChaosNoisyTenant' ./...
 
 echo "== exposition lint: Prometheus format + scrape allocation gates"
-go test -race -run 'TestExposition|TestScrapeAllocs|TestDomainCollector' ./internal/telemetry
+go test -race -run 'TestExposition|TestScrapeAllocs|TestColdScrape|TestDomainCollector' ./internal/telemetry
+
+echo "== monitoring-cycle count gate: monitor-sweep bytes_per_op <= 350000, allocs_per_op <= 400"
+# Both counts repeat to under half a percent; the cycle read 3.5 MB and
+# 2,777 objects before its buffers were retained (EXPERIMENTS.md T9).
+line=$(go run ./bench --workload monitor-sweep --seed 1 --seconds 2 --trace 0 | tail -n 1)
+count() { printf '%s\n' "$line" | sed -n "s/.*\"$1\":{\"unit\":\"[A-Za-z]*\",\"value\":\([0-9.e+]*\)}.*/\1/p"; }
+bytes=$(count bytes_per_op)
+allocs=$(count allocs_per_op)
+echo "   bytes_per_op=$bytes allocs_per_op=$allocs"
+awk -v b="$bytes" -v a="$allocs" 'BEGIN { exit !(b + 0 > 0 && b <= 350000 && a + 0 > 0 && a <= 400) }' || {
+	echo "monitor-sweep allocates more per cycle than the gate allows" >&2
+	exit 1
+}
 
 echo "== bench smoke: every benchmark runs once (-benchtime=1x)"
 go test . -run 'XXX' -bench . -benchtime=1x >/dev/null
