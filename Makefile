@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check build test race vet bench report
+.PHONY: check build test race vet bench
 
-check: ## vet + build + race-enabled tests (the repo's verify gate)
+check: ## vet + gofmt + build + race-enabled tests + smokes (the repo's verify gate)
 	sh scripts/check.sh
 
 vet:
@@ -18,7 +18,4 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	$(GO) test -bench=. -benchmem
-
-report:
-	$(GO) run ./cmd/benchreport
+	$(GO) test -run '^$$' -bench=. -benchmem

@@ -2,9 +2,7 @@
 // figure of the reconstructed evaluation (see DESIGN.md, Experiment
 // index) plus the ablations. Run with:
 //
-//	go test -bench=. -benchmem
-//
-// cmd/benchreport renders the same experiments as paper-style tables.
+//	go test -run '^$' -bench=. -benchmem
 package repro
 
 import (
@@ -1255,125 +1253,108 @@ func BenchmarkT8_MegaFleet(b *testing.B) {
 // BenchmarkT10_WatchPropagation measures the watch-stream reconcile
 // loop (Table T10) on a 64-daemon fleet: how fast a lifecycle change on
 // a daemon lands in the registry's cached summaries, and what the fleet
-// costs at steady state. The watch tier runs with polling effectively
-// off (hour-long interval), so any propagation it records is carried by
-// event push alone — the sub-benchmark fails if a sweep contributed.
-// The poll tier disables watch mode for the legacy baseline: its event
-// bridge pokes the host, so propagation latency is comparable — but
-// every change costs full inventory sweeps, and an idle fleet keeps
-// interval-sweeping anyway. The benchmark's story is the sweeps/op and
-// idle sweeps-per-s columns, not the latency delta.
+// costs at steady state. Polling is effectively off (hour-long
+// interval), so any propagation recorded is carried by event push alone
+// — the benchmark fails if a sweep contributed. Its story is the
+// sweeps/op and idle sweeps-per-s columns, both zero.
 func BenchmarkT10_WatchPropagation(b *testing.B) {
-	const hosts = 64
-	for _, tier := range []struct {
-		name         string
-		disableWatch bool
-		poll         time.Duration
-	}{
-		{"watch", false, time.Hour},
-		{"poll-100ms", true, 100 * time.Millisecond},
-	} {
-		b.Run(tier.name, func(b *testing.B) {
-			core.ResetRegistryForTest()
-			drvtest.Register(quiet)
-			remote.Register()
-			f, err := scale.Launch(scale.Options{
-				Hosts:          hosts,
-				DomainsPerHost: 10,
-				PollInterval:   tier.poll,
-				DisableWatch:   tier.disableWatch,
-				Log:            quiet,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() {
-				f.Close()
-				core.ResetRegistryForTest()
-			})
-			if err := f.SeedDomains(); err != nil {
-				b.Fatal(err)
-			}
-			host := f.Names[0]
-			conn, err := f.Reg.Host(host)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dom, err := conn.LookupDomain("d0000-0000")
-			if err != nil {
-				b.Fatal(err)
-			}
-			active := func() int {
-				for _, s := range f.Reg.Summaries() {
-					if s.Host == host {
-						return s.ActiveDomains
-					}
-				}
-				return -1
-			}
-			waitActive := func(b *testing.B, want int) time.Duration {
-				t0 := time.Now()
-				for active() != want {
-					if time.Since(t0) > 30*time.Second {
-						b.Fatalf("summary stuck: active=%d, want %d", active(), want)
-					}
-					time.Sleep(100 * time.Microsecond)
-				}
-				return time.Since(t0)
-			}
-			time.Sleep(300 * time.Millisecond) // drain seeding events and owed turns
-			base := active()
-			if base != 10 {
-				b.Fatalf("host 0 settled at %d active domains, want 10", base)
-			}
-
-			b.Run("propagate", func(b *testing.B) {
-				st0 := f.Reg.WatchStats()
-				lats := make([]time.Duration, 0, b.N)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := dom.Destroy(); err != nil {
-						b.Fatal(err)
-					}
-					lats = append(lats, waitActive(b, base-1))
-					b.StopTimer()
-					if err := dom.Create(); err != nil {
-						b.Fatal(err)
-					}
-					waitActive(b, base)
-					b.StartTimer()
-				}
-				b.StopTimer()
-				st1 := f.Reg.WatchStats()
-				b.ReportMetric(float64(scale.Percentile(lats, 50))/1e6, "p50-ms")
-				b.ReportMetric(float64(scale.Percentile(lats, 99))/1e6, "p99-ms")
-				b.ReportMetric(float64(st1.Sweeps-st0.Sweeps)/float64(b.N), "sweeps/op")
-				if !tier.disableWatch && st1.Sweeps != st0.Sweeps {
-					b.Fatalf("watch tier propagated via %d sweeps, want pure event push",
-						st1.Sweeps-st0.Sweeps)
-				}
-			})
-
-			b.Run("idle", func(b *testing.B) {
-				// The timed body is a trivial cached read; the payload of
-				// this sub-benchmark is the sweep-rate metric over a fixed
-				// quiesced window after it.
-				for i := 0; i < b.N; i++ {
-					_ = f.Domains()
-				}
-				b.StopTimer()
-				const window = 500 * time.Millisecond
-				st0 := f.Reg.WatchStats()
-				time.Sleep(window)
-				st1 := f.Reg.WatchStats()
-				b.ReportMetric(float64(st1.Sweeps-st0.Sweeps)/window.Seconds(), "sweeps-per-s")
-				if !tier.disableWatch && st1.Sweeps != st0.Sweeps {
-					b.Fatalf("idle watch fleet performed %d sweeps over %v",
-						st1.Sweeps-st0.Sweeps, window)
-				}
-			})
-		})
+	core.ResetRegistryForTest()
+	drvtest.Register(quiet)
+	remote.Register()
+	f, err := scale.Launch(scale.Options{
+		Hosts:          64,
+		DomainsPerHost: 10,
+		PollInterval:   time.Hour,
+		Log:            quiet,
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Cleanup(func() {
+		f.Close()
+		core.ResetRegistryForTest()
+	})
+	if err := f.SeedDomains(); err != nil {
+		b.Fatal(err)
+	}
+	host := f.Names[0]
+	conn, err := f.Reg.Host(host)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dom, err := conn.LookupDomain("d0000-0000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	active := func() int {
+		for _, s := range f.Reg.Summaries() {
+			if s.Host == host {
+				return s.ActiveDomains
+			}
+		}
+		return -1
+	}
+	waitActive := func(b *testing.B, want int) time.Duration {
+		t0 := time.Now()
+		for active() != want {
+			if time.Since(t0) > 30*time.Second {
+				b.Fatalf("summary stuck: active=%d, want %d", active(), want)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		return time.Since(t0)
+	}
+	time.Sleep(300 * time.Millisecond) // drain seeding events and owed turns
+	base := active()
+	if base != 10 {
+		b.Fatalf("host 0 settled at %d active domains, want 10", base)
+	}
+
+	b.Run("propagate", func(b *testing.B) {
+		st0 := f.Reg.WatchStats()
+		lats := make([]time.Duration, 0, b.N)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := dom.Destroy(); err != nil {
+				b.Fatal(err)
+			}
+			lats = append(lats, waitActive(b, base-1))
+			b.StopTimer()
+			if err := dom.Create(); err != nil {
+				b.Fatal(err)
+			}
+			waitActive(b, base)
+			b.StartTimer()
+		}
+		b.StopTimer()
+		st1 := f.Reg.WatchStats()
+		b.ReportMetric(float64(scale.Percentile(lats, 50))/1e6, "p50-ms")
+		b.ReportMetric(float64(scale.Percentile(lats, 99))/1e6, "p99-ms")
+		b.ReportMetric(float64(st1.Sweeps-st0.Sweeps)/float64(b.N), "sweeps/op")
+		if st1.Sweeps != st0.Sweeps {
+			b.Fatalf("propagated via %d sweeps, want pure event push",
+				st1.Sweeps-st0.Sweeps)
+		}
+	})
+
+	b.Run("idle", func(b *testing.B) {
+		// The timed body is a trivial cached read; the payload of
+		// this sub-benchmark is the sweep-rate metric over a fixed
+		// quiesced window after it.
+		for i := 0; i < b.N; i++ {
+			_ = f.Domains()
+		}
+		b.StopTimer()
+		const window = 500 * time.Millisecond
+		st0 := f.Reg.WatchStats()
+		time.Sleep(window)
+		st1 := f.Reg.WatchStats()
+		b.ReportMetric(float64(st1.Sweeps-st0.Sweeps)/window.Seconds(), "sweeps-per-s")
+		if st1.Sweeps != st0.Sweeps {
+			b.Fatalf("idle watch fleet performed %d sweeps over %v",
+				st1.Sweeps-st0.Sweeps, window)
+		}
+	})
 }
 
 // startQoSBenchDaemon brings up a daemon whose unix listener requires

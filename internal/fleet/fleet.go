@@ -93,12 +93,6 @@ type Config struct {
 	Seed   int64
 	Policy Policy // placement policy (default Spread())
 	Log    *logging.Logger
-	// DisableWatch forces the registry back to pure interval polling:
-	// every host is swept each PollInterval and lifecycle events only
-	// pull the next sweep forward. By default the registry rides
-	// server-push watch streams instead (see watch.go): events patch the
-	// cached inventory directly and steady-state sweeps stop entirely.
-	DisableWatch bool
 }
 
 func (c *Config) applyDefaults() {

@@ -1,7 +1,7 @@
 package fleet
 
-// Watch-driven reconciliation. In its default mode the registry does
-// not poll: each host connection opens a server-push watch stream
+// Watch-driven reconciliation. The registry does not poll a host whose
+// driver can push: each host connection opens a server-push watch stream
 // (core.Connect.WatchEvents) and lifecycle events patch the cached
 // inventory and summary directly, so a change on a daemon is visible to
 // the scheduler one event-hop later with no RPC issued. The periodic
@@ -45,30 +45,20 @@ func (r *Registry) WatchStats() WatchStats {
 	}
 }
 
-// startWatch attaches the host's event feed to a fresh connection.
-//
-// Default mode opens a watch stream whose events patch the cached
-// inventory in place; frame loss and queue overflow surface through the
-// handler's gap flag and are answered with one bulk resync. With
-// Config.DisableWatch the legacy bus subscription merely pulls the next
-// sweep forward. Either way the subscription error is checked (it used
-// to be silently dropped): ErrNoSupport degrades to plain interval
-// polling, anything else is returned so the caller tears the connection
-// down and retries with backoff instead of running blind.
+// startWatch opens the host's watch stream on a fresh connection.
+// Events patch the cached inventory in place; frame loss and queue
+// overflow surface through the handler's gap flag and are answered with
+// one bulk resync. A driver that answers ErrNoSupport delivers no events
+// at all: the host stays un-watched and Registry.service sweeps it every
+// PollInterval. Any other error is returned so the caller tears the
+// connection down and retries with backoff instead of running blind.
 func (r *Registry) startWatch(h *host, conn *core.Connect) error {
-	if r.cfg.DisableWatch {
-		_, err := conn.SubscribeEvents("", nil, func(events.Event) { r.pokeHost(h) })
-		if err != nil && !core.IsCode(err, core.ErrNoSupport) {
-			return err
-		}
-		return nil
-	}
 	handle, err := conn.WatchEvents("", nil, func(ev events.Event, gap bool) {
 		r.onWatchEvent(h, ev, gap)
 	})
 	if err != nil {
 		if core.IsCode(err, core.ErrNoSupport) {
-			return nil // driver delivers no events; polling covers it
+			return nil
 		}
 		return err
 	}

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"strings"
@@ -71,10 +72,62 @@ func TestXDRAlignment(t *testing.T) {
 	}
 }
 
-func TestXDRErrors(t *testing.T) {
-	if _, err := Marshal(struct{ C chan int }{}); err == nil {
-		t.Fatal("unsupported kind accepted")
+// recursive reaches itself through a slice, the only way a Go struct can.
+type recursive struct {
+	ID   uint32
+	Kids []recursive
+}
+
+// TestXDRNoPlan: a value with no codec plan is refused by every entry
+// point with the typed error naming the type and the compile reason —
+// no panic, nothing appended to the caller's buffer.
+func TestXDRNoPlan(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		value  interface{} // for Marshal, AppendMarshal, MarshalSize
+		target interface{} // for Unmarshal
+		want   string
+	}{
+		{"nil", nil, nil, "xdr: no codec plan for <nil>: nil value"},
+		{"non-struct", uint32(7), new(uint32), "xdr: no codec plan for uint32: not a struct"},
+		{"chan field", struct{ C chan int }{}, &struct{ C chan int }{},
+			"xdr: no codec plan for struct { C chan int }: unsupported kind chan at .C"},
+		{"recursive", recursive{ID: 1}, &recursive{},
+			"xdr: no codec plan for rpc.recursive: recursive type rpc.recursive"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			check := func(op string, err error) {
+				t.Helper()
+				var np *NoPlanError
+				if !errors.As(err, &np) || err.Error() != c.want {
+					t.Fatalf("%s: got %v, want NoPlanError %q", op, err, c.want)
+				}
+			}
+			out, err := Marshal(c.value)
+			check("Marshal", err)
+			if out != nil {
+				t.Fatalf("Marshal returned %d bytes beside the error", len(out))
+			}
+			buf := append(make([]byte, 0, 64), "head"...)
+			out, err = AppendMarshal(buf, c.value)
+			check("AppendMarshal", err)
+			if out != nil || string(buf) != "head" {
+				t.Fatalf("AppendMarshal touched the caller's buffer: out=%q buf=%q", out, buf)
+			}
+			check("Unmarshal", Unmarshal([]byte{0, 0, 0, 7}, c.target))
+			if n := MarshalSize(c.value); n != 0 {
+				t.Fatalf("MarshalSize = %d, want 0", n)
+			}
+			if c.target != nil {
+				if n := MarshalSize(c.target); n != 0 {
+					t.Fatalf("MarshalSize(pointer) = %d, want 0", n)
+				}
+			}
+		})
 	}
+}
+
+func TestXDRErrors(t *testing.T) {
 	var nilPtr *sample
 	if _, err := Marshal(nilPtr); err == nil {
 		t.Fatal("nil pointer accepted")

@@ -9,16 +9,17 @@ import (
 	"unsafe"
 )
 
-// Compiled codec plans. The reflective walk in xdr.go visits every field
-// through reflect.Value on every call; steady-state RPC traffic encodes
-// the same handful of wire structs millions of times, so the per-field
-// dispatch dominates small-call cost. A plan compiles a struct type once
-// into a flat list of ops — accumulated field offset plus primitive kind
-// — and executes it with direct unsafe loads/stores. Nested structs
-// flatten into the parent's op list; only slices keep a sub-plan, run
-// per element. Types the compiler cannot express (pointers, maps,
-// interfaces, recursion) fall back to the reflective path, which remains
-// the semantic reference.
+// Compiled codec plans. Steady-state RPC traffic encodes the same
+// handful of wire structs millions of times, and walking each field
+// through reflect.Value on every call dominated small-call cost. A plan
+// compiles a struct type once into a flat list of ops — accumulated
+// field offset plus primitive kind — and executes it with direct unsafe
+// loads/stores. Nested structs flatten into the parent's op list; only
+// slices keep a sub-plan, run per element. Types the compiler cannot
+// express (pointers, maps, channels, interfaces, recursion) have no wire
+// encoding: planFor refuses them with a *NoPlanError. The reflective
+// walk the plans replaced lives on in xdr_reflect_test.go as the
+// reference the differential tests compare against.
 
 type opKind uint8
 
@@ -116,28 +117,32 @@ type sliceHeader struct {
 	cap  int
 }
 
-// planCache maps reflect.Type → *codecPlan. A stored nil marks a type
-// the compiler rejected, so the fallback decision is also one lookup.
+// planCache maps reflect.Type → *codecPlan, or → *NoPlanError for a type
+// the compiler rejected, so the refusal and its reason are also one
+// lookup.
 var planCache sync.Map
 
-// planFor returns the compiled plan for a struct type, or nil when the
-// type needs the reflective path.
-func planFor(t reflect.Type) *codecPlan {
-	if v, ok := planCache.Load(t); ok {
-		p, _ := v.(*codecPlan)
-		return p
+// planFor returns the compiled plan for a struct type, or the
+// *NoPlanError saying why it has none.
+func planFor(t reflect.Type) (*codecPlan, error) {
+	v, ok := planCache.Load(t)
+	if !ok {
+		if p, err := compilePlan(t); err != nil {
+			v = &NoPlanError{Type: t, Reason: err.Error()}
+		} else {
+			v = p
+		}
+		planCache.Store(t, v)
 	}
-	p, err := compilePlan(t)
-	if err != nil {
-		p = nil
+	if p, ok := v.(*codecPlan); ok {
+		return p, nil
 	}
-	planCache.Store(t, p)
-	return p
+	return nil, v.(*NoPlanError)
 }
 
 func compilePlan(t reflect.Type) (*codecPlan, error) {
 	if t.Kind() != reflect.Struct {
-		return nil, fmt.Errorf("xdr: plan: not a struct: %s", t)
+		return nil, fmt.Errorf("not a struct")
 	}
 	p := &codecPlan{}
 	if err := addStructOps(p, t, 0, t.Name(), map[reflect.Type]bool{}); err != nil {
@@ -149,17 +154,17 @@ func compilePlan(t reflect.Type) (*codecPlan, error) {
 
 // addStructOps flattens a struct's exported fields into the plan with
 // offsets accumulated from base. inProgress guards against recursive
-// types (reachable only through slices), which fall back to reflection.
+// types (reachable only through slices), which have no plan.
 func addStructOps(p *codecPlan, t reflect.Type, base uintptr, prefix string, inProgress map[reflect.Type]bool) error {
 	if inProgress[t] {
-		return fmt.Errorf("xdr: plan: recursive type %s", t)
+		return fmt.Errorf("recursive type %s", t)
 	}
 	inProgress[t] = true
 	defer delete(inProgress, t)
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() {
-			continue // matches the reflective walk
+			continue
 		}
 		if err := addFieldOp(p, f.Type, base+f.Offset, prefix+"."+f.Name, inProgress); err != nil {
 			return err
@@ -207,7 +212,7 @@ func addFieldOp(p *codecPlan, t reflect.Type, off uintptr, name string, inProgre
 	case reflect.Struct:
 		return addStructOps(p, t, off, name, inProgress)
 	default:
-		return fmt.Errorf("xdr: plan: unsupported kind %s at %s", t.Kind(), name)
+		return fmt.Errorf("unsupported kind %s at %s", t.Kind(), name)
 	}
 	return nil
 }
@@ -389,8 +394,8 @@ func (a *byteArena) alloc(n, remaining int) []byte {
 }
 
 // decodePlan executes the decode ops into the struct at base, returning
-// the new read position. Semantics mirror the reflective decoder
-// exactly (bool > 1 rejected, empty strings/bytes decode to non-nil
+// the new read position. Semantics mirror the reference decoder in
+// xdr_reflect_test.go exactly (bool > 1 rejected, empty strings/bytes decode to non-nil
 // zero-length values, limits enforced before allocation).
 func decodePlan(buf []byte, pos int, ops []planOp, base unsafe.Pointer, a *byteArena) (int, error) {
 	for i := range ops {

@@ -32,11 +32,7 @@ type Options struct {
 	Workers        int           // registry poll worker fan-out (default: registry default)
 	SeedFanout     int           // concurrent hosts while seeding (default 32)
 	Policy         string        // placement policy name (default "spread")
-	// DisableWatch runs the registry in legacy interval-polling mode
-	// instead of the default watch-stream reconcile loop; benchmarks use
-	// it to measure the poll-vs-push traffic difference.
-	DisableWatch bool
-	Log          *logging.Logger
+	Log            *logging.Logger
 }
 
 func (o *Options) applyDefaults() {
@@ -120,7 +116,6 @@ func Launch(opts Options) (*Fleet, error) {
 		PollInterval: opts.PollInterval,
 		Workers:      opts.Workers,
 		Policy:       policy,
-		DisableWatch: opts.DisableWatch,
 		Log:          opts.Log,
 	})
 	if err != nil {
