@@ -69,7 +69,6 @@ func init() {
 		{"vol-clone", "clone a storage volume within its pool", "vol-clone <pool> <volume> <new-name>", 3, cmdVolClone},
 		{"attach-device", "hot-plug a device from an XML file", "attach-device <domain> <file.xml>", 2, cmdAttachDevice},
 		{"detach-device", "remove a device described by an XML file", "detach-device <domain> <file.xml>", 2, cmdDetachDevice},
-		{"event", "watch lifecycle events for a duration", "event [seconds]", 0, cmdEvent},
 		{"watch", "tail a sequenced watch stream (gap-detecting)", "watch [seconds [domain]]", 0, cmdWatch},
 		{"net-list", "list virtual networks", "net-list", 0, cmdNetList},
 		{"net-define", "define a network from an XML file", "net-define <file.xml>", 1, cmdNetDefine},
@@ -569,31 +568,9 @@ func cmdManagedSaveRemove(conn *core.Connect, args []string) error {
 	return nil
 }
 
-func cmdEvent(conn *core.Connect, args []string) error {
-	secs := 2
-	if len(args) > 0 {
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n <= 0 {
-			return fmt.Errorf("bad duration %q", args[0])
-		}
-		secs = n
-	}
-	id, err := conn.SubscribeEvents("", nil, func(ev events.Event) {
-		fmt.Printf("event %-10s domain %s (%s)\n", ev.Type, ev.Domain, ev.Detail)
-	})
-	if err != nil {
-		return err
-	}
-	defer conn.UnsubscribeEvents(id) //nolint:errcheck
-	fmt.Printf("watching events for %ds...\n", secs)
-	time.Sleep(time.Duration(secs) * time.Second)
-	return nil
-}
-
-// cmdWatch tails a server-push watch stream: unlike "event" it rides
-// the sequenced EventSubscribe protocol when the connection is remote,
-// so dropped or coalesced frames are visible as flagged gaps instead of
-// silently missing lines.
+// cmdWatch tails a watch stream: on a remote connection it rides the
+// sequenced EventSubscribe protocol, so dropped or coalesced frames are
+// visible as flagged gaps instead of silently missing lines.
 func cmdWatch(conn *core.Connect, args []string) error {
 	secs := 2
 	if len(args) > 0 {

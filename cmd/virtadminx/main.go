@@ -288,8 +288,8 @@ func splitMetricName(full string) (base, labels string) {
 	return full, ""
 }
 
-// labelValue extracts one key's value from a label clause such as
-// `program="remote",proc="GetHostname"`.
+// labelValue extracts one key's value from a label clause
+// (`key="value",key="value"`).
 func labelValue(labels, key string) string {
 	for _, part := range strings.Split(labels, ",") {
 		if kv := strings.SplitN(part, "=", 2); len(kv) == 2 && kv[0] == key {

@@ -52,8 +52,9 @@ func main() {
 	// Subscribe to lifecycle events on every host before starting
 	// anything, so the monitor sees the whole story.
 	collector := events.NewCollector()
+	record := collector.Callback()
 	for _, h := range fleet {
-		if _, err := h.conn.SubscribeEvents("", nil, collector.Callback()); err != nil {
+		if _, err := h.conn.WatchEvents("", nil, func(ev events.Event, _ bool) { record(ev) }); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -455,9 +455,36 @@ func TestAdminWorksWhileWorkersBusy(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("admin call starved by busy management workers")
 	}
+	// The eight workers pick their jobs up on their own schedule.
+	for dl := time.Now().Add(5 * time.Second); mgmtSrv.Pool().Stats().Busy < 8 && time.Now().Before(dl); {
+		time.Sleep(time.Millisecond)
+	}
 	params, _ := td.adm.ThreadpoolParams("govirtd")
 	free, _ := params.GetUInt(admin.FieldFreeWorkers)
 	if free != 0 {
 		t.Fatalf("free workers %d while all wedged", free)
+	}
+}
+
+// TestProcTableComplete holds the admin handler slice against Procs:
+// every row has a unique name and a handler, and no handler sits on a
+// number without a row.
+func TestProcTableComplete(t *testing.T) {
+	names := make(map[string]int)
+	for num := 0; num < len(admin.Procs) || num < admin.NumHandlers(); num++ {
+		var name string
+		if num < len(admin.Procs) {
+			name = admin.Procs[num].Name
+		}
+		if has := admin.HasHandler(uint32(num)); has != (name != "") {
+			t.Errorf("procedure %d: row %q, handler present = %v", num, name, has)
+		}
+		if prev, dup := names[name]; dup && name != "" {
+			t.Errorf("procedures %d and %d share the name %s", prev, num, name)
+		}
+		names[name] = num
+	}
+	if len(names) != 21 { // 20 procedures and the blank row 0
+		t.Errorf("%d distinct rows, the admin protocol has 20 procedures", len(names)-1)
 	}
 }

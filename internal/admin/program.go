@@ -9,9 +9,7 @@ import (
 	"repro/internal/typedparams"
 )
 
-// Program dispatches the admin protocol against a daemon. Every admin
-// procedure is a priority operation: none of them depend on a hypervisor
-// answering, so a daemon wedged on guest operations stays administrable.
+// Program dispatches the admin protocol against a daemon.
 type Program struct {
 	d *daemon.Daemon
 }
@@ -22,8 +20,8 @@ func NewProgram(d *daemon.Daemon) *Program { return &Program{d: d} }
 // ID implements daemon.Program.
 func (p *Program) ID() uint32 { return rpc.ProgramAdmin }
 
-// IsPriority implements daemon.Program.
-func (p *Program) IsPriority(uint32) bool { return true }
+// Procs implements daemon.Program.
+func (p *Program) Procs() []rpc.Proc { return Procs }
 
 // ClientClosed implements daemon.Program; the admin program keeps no
 // per-client state.
@@ -31,83 +29,88 @@ func (p *Program) ClientClosed(*daemon.Client) {}
 
 // Dispatch implements daemon.Program.
 func (p *Program) Dispatch(c *daemon.Client, proc uint32, payload []byte) ([]byte, error) {
-	switch proc {
-	case ProcConnectOpen:
-		return marshal(&struct{}{})
-	case ProcServerList:
-		return marshal(&ServerListReply{Servers: p.d.Servers()})
-	case ProcServerLookup:
-		srv, err := p.server(payload)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&ServerListReply{Servers: []string{srv.Name()}})
-	case ProcThreadpoolGet:
-		return p.threadpoolGet(payload)
-	case ProcThreadpoolSet:
-		return p.threadpoolSet(payload)
-	case ProcClientLimitsGet:
-		return p.clientLimitsGet(payload)
-	case ProcClientLimitsSet:
-		return p.clientLimitsSet(payload)
-	case ProcClientList:
-		return p.clientList(payload)
-	case ProcClientInfo:
-		return p.clientInfo(payload)
-	case ProcClientDisconnect:
-		return p.clientDisconnect(c, payload)
-	case ProcLogLevelGet:
-		return marshal(&LevelReply{Level: uint32(p.d.Log().Level())})
-	case ProcLogLevelSet:
-		var args LevelArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		if err := p.d.Log().SetLevel(logging.Priority(args.Level)); err != nil {
-			return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-		}
-		return marshal(&struct{}{})
-	case ProcLogFiltersGet:
-		return marshal(&StringReply{Value: p.d.Log().FiltersString()})
-	case ProcLogFiltersSet:
-		var args StringArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		if err := p.d.Log().DefineFilters(args.Value); err != nil {
-			return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-		}
-		return marshal(&struct{}{})
-	case ProcLogOutputsGet:
-		return marshal(&StringReply{Value: p.d.Log().OutputsString()})
-	case ProcLogOutputsSet:
-		var args StringArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		if err := p.d.Log().DefineOutputs(args.Value); err != nil {
-			return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-		}
-		return marshal(&struct{}{})
-	case ProcServerMetrics:
-		return p.serverMetrics()
-	case ProcServerSlowCalls:
-		return p.serverSlowCalls()
-	case ProcQoSGet:
-		return p.qosGet(payload)
-	case ProcQoSSet:
-		return p.qosSet(payload)
-	default:
+	if uint64(proc) >= uint64(len(handlers)) || handlers[proc] == nil {
 		return nil, core.Errorf(core.ErrNoSupport, "unknown admin procedure %d", proc)
+	}
+	return handlers[proc](p, c, payload)
+}
+
+// handler executes one admin procedure on behalf of the calling client.
+type handler func(p *Program, caller *daemon.Client, payload []byte) ([]byte, error)
+
+// noArgs adapts a procedure that never reads its payload.
+func noArgs(fn func(p *Program) ([]byte, error)) handler {
+	return func(p *Program, _ *daemon.Client, _ []byte) ([]byte, error) { return fn(p) }
+}
+
+// withArgs adapts a procedure whose payload decodes into an A.
+func withArgs[A any](fn func(p *Program, caller *daemon.Client, args *A) ([]byte, error)) handler {
+	return func(p *Program, caller *daemon.Client, payload []byte) ([]byte, error) {
+		var args A
+		if err := rpc.Unmarshal(payload, &args); err != nil {
+			return nil, core.Errorf(core.ErrInvalidArg, "decode arguments: %v", err)
+		}
+		return fn(p, caller, &args)
 	}
 }
 
-func (p *Program) server(payload []byte) (*daemon.Server, error) {
-	var args ServerArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
-	return p.serverByName(args.Server)
+// onServer adapts a procedure whose only argument names a server.
+func onServer(fn func(srv *daemon.Server) ([]byte, error)) handler {
+	return withArgs(func(p *Program, _ *daemon.Client, a *ServerArgs) ([]byte, error) {
+		srv, err := p.serverByName(a.Server)
+		if err != nil {
+			return nil, err
+		}
+		return fn(srv)
+	})
+}
+
+// logSet adapts the three logging setters: decode an A, apply it, and
+// report what the logging subsystem refuses as an invalid argument.
+func logSet[A any](set func(log *logging.Logger, args *A) error) handler {
+	return withArgs(func(p *Program, _ *daemon.Client, a *A) ([]byte, error) {
+		if err := set(p.d.Log(), a); err != nil {
+			return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
+		}
+		return marshal(&struct{}{})
+	})
+}
+
+// handlers holds the implementation of every row of Procs, indexed by
+// procedure number like the table itself.
+var handlers = []handler{
+	ProcConnectOpen: noArgs(func(*Program) ([]byte, error) { return marshal(&struct{}{}) }),
+	ProcServerList: noArgs(func(p *Program) ([]byte, error) {
+		return marshal(&ServerListReply{Servers: p.d.Servers()})
+	}),
+	ProcServerLookup: onServer(func(srv *daemon.Server) ([]byte, error) {
+		return marshal(&ServerListReply{Servers: []string{srv.Name()}})
+	}),
+	ProcThreadpoolGet:    onServer(threadpoolGet),
+	ProcThreadpoolSet:    withArgs((*Program).threadpoolSet),
+	ProcClientLimitsGet:  onServer(clientLimitsGet),
+	ProcClientLimitsSet:  withArgs((*Program).clientLimitsSet),
+	ProcClientList:       onServer(clientList),
+	ProcClientInfo:       withArgs((*Program).clientInfo),
+	ProcClientDisconnect: withArgs((*Program).clientDisconnect),
+	ProcLogLevelGet: noArgs(func(p *Program) ([]byte, error) {
+		return marshal(&LevelReply{Level: uint32(p.d.Log().Level())})
+	}),
+	ProcLogLevelSet: logSet(func(log *logging.Logger, a *LevelArgs) error {
+		return log.SetLevel(logging.Priority(a.Level))
+	}),
+	ProcLogFiltersGet: noArgs(func(p *Program) ([]byte, error) {
+		return marshal(&StringReply{Value: p.d.Log().FiltersString()})
+	}),
+	ProcLogFiltersSet: logSet(func(log *logging.Logger, a *StringArgs) error { return log.DefineFilters(a.Value) }),
+	ProcLogOutputsGet: noArgs(func(p *Program) ([]byte, error) {
+		return marshal(&StringReply{Value: p.d.Log().OutputsString()})
+	}),
+	ProcLogOutputsSet:   logSet(func(log *logging.Logger, a *StringArgs) error { return log.DefineOutputs(a.Value) }),
+	ProcServerMetrics:   noArgs((*Program).serverMetrics),
+	ProcServerSlowCalls: noArgs((*Program).serverSlowCalls),
+	ProcQoSGet:          onServer(qosGet),
+	ProcQoSSet:          withArgs((*Program).qosSet),
 }
 
 func (p *Program) serverByName(name string) (*daemon.Server, error) {
@@ -118,11 +121,7 @@ func (p *Program) serverByName(name string) (*daemon.Server, error) {
 	return srv, nil
 }
 
-func (p *Program) threadpoolGet(payload []byte) ([]byte, error) {
-	srv, err := p.server(payload)
-	if err != nil {
-		return nil, err
-	}
+func threadpoolGet(srv *daemon.Server) ([]byte, error) {
 	params := srv.Pool().Params()
 	l := typedparams.NewList()
 	l.AddUInt(FieldMinWorkers, uint32(params.MinWorkers))       //nolint:errcheck
@@ -134,11 +133,7 @@ func (p *Program) threadpoolGet(payload []byte) ([]byte, error) {
 	return marshal(&ParamsReply{Params: ParamsToWire(l)})
 }
 
-func (p *Program) threadpoolSet(payload []byte) ([]byte, error) {
-	var args SetParamsArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
+func (p *Program) threadpoolSet(_ *daemon.Client, args *SetParamsArgs) ([]byte, error) {
 	srv, err := p.serverByName(args.Server)
 	if err != nil {
 		return nil, err
@@ -167,11 +162,7 @@ func (p *Program) threadpoolSet(payload []byte) ([]byte, error) {
 	return marshal(&struct{}{})
 }
 
-func (p *Program) clientLimitsGet(payload []byte) ([]byte, error) {
-	srv, err := p.server(payload)
-	if err != nil {
-		return nil, err
-	}
+func clientLimitsGet(srv *daemon.Server) ([]byte, error) {
 	limits, cur, unauth := srv.Limits()
 	l := typedparams.NewList()
 	l.AddUInt(FieldMaxClients, uint32(limits.MaxClients))             //nolint:errcheck
@@ -181,11 +172,7 @@ func (p *Program) clientLimitsGet(payload []byte) ([]byte, error) {
 	return marshal(&ParamsReply{Params: ParamsToWire(l)})
 }
 
-func (p *Program) clientLimitsSet(payload []byte) ([]byte, error) {
-	var args SetParamsArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
+func (p *Program) clientLimitsSet(_ *daemon.Client, args *SetParamsArgs) ([]byte, error) {
 	srv, err := p.serverByName(args.Server)
 	if err != nil {
 		return nil, err
@@ -210,11 +197,7 @@ func (p *Program) clientLimitsSet(payload []byte) ([]byte, error) {
 	return marshal(&struct{}{})
 }
 
-func (p *Program) clientList(payload []byte) ([]byte, error) {
-	srv, err := p.server(payload)
-	if err != nil {
-		return nil, err
-	}
+func clientList(srv *daemon.Server) ([]byte, error) {
 	clients := srv.Clients()
 	out := ClientListReply{Clients: make([]ClientRecord, len(clients))}
 	for i, c := range clients {
@@ -232,11 +215,7 @@ func clientRecord(c *daemon.Client) ClientRecord {
 	}
 }
 
-func (p *Program) clientInfo(payload []byte) ([]byte, error) {
-	var args ClientArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
+func (p *Program) clientInfo(_ *daemon.Client, args *ClientArgs) ([]byte, error) {
 	srv, err := p.serverByName(args.Server)
 	if err != nil {
 		return nil, err
@@ -263,11 +242,7 @@ func (p *Program) clientInfo(payload []byte) ([]byte, error) {
 	return marshal(&ClientInfoReply{Record: clientRecord(client), Params: ParamsToWire(l)})
 }
 
-func (p *Program) clientDisconnect(self *daemon.Client, payload []byte) ([]byte, error) {
-	var args ClientArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
+func (p *Program) clientDisconnect(self *daemon.Client, args *ClientArgs) ([]byte, error) {
 	srv, err := p.serverByName(args.Server)
 	if err != nil {
 		return nil, err
@@ -342,11 +317,7 @@ func (p *Program) serverSlowCalls() ([]byte, error) {
 	return marshal(&out)
 }
 
-func (p *Program) qosGet(payload []byte) ([]byte, error) {
-	srv, err := p.server(payload)
-	if err != nil {
-		return nil, err
-	}
+func qosGet(srv *daemon.Server) ([]byte, error) {
 	eng := srv.QoS()
 	if eng == nil {
 		return marshal(&QoSReply{})
@@ -371,11 +342,7 @@ func (p *Program) qosGet(payload []byte) ([]byte, error) {
 	return marshal(&out)
 }
 
-func (p *Program) qosSet(payload []byte) ([]byte, error) {
-	var args QoSSetArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
+func (p *Program) qosSet(_ *daemon.Client, args *QoSSetArgs) ([]byte, error) {
 	srv, err := p.serverByName(args.Server)
 	if err != nil {
 		return nil, err
@@ -401,10 +368,6 @@ func marshal(v interface{}) ([]byte, error) {
 		return nil, core.Errorf(core.ErrInternal, "marshal reply: %v", err)
 	}
 	return out, nil
-}
-
-func badArgs(err error) error {
-	return core.Errorf(core.ErrInvalidArg, "decode arguments: %v", err)
 }
 
 var _ daemon.Program = (*Program)(nil)

@@ -35,29 +35,33 @@ const (
 	ProcQoSSet
 )
 
-func init() {
-	rpc.RegisterProcNames(rpc.ProgramAdmin, map[uint32]string{
-		ProcConnectOpen:      "ConnectOpen",
-		ProcServerList:       "ServerList",
-		ProcServerLookup:     "ServerLookup",
-		ProcThreadpoolGet:    "ThreadpoolGet",
-		ProcThreadpoolSet:    "ThreadpoolSet",
-		ProcClientLimitsGet:  "ClientLimitsGet",
-		ProcClientLimitsSet:  "ClientLimitsSet",
-		ProcClientList:       "ClientList",
-		ProcClientInfo:       "ClientInfo",
-		ProcClientDisconnect: "ClientDisconnect",
-		ProcLogLevelGet:      "LogLevelGet",
-		ProcLogLevelSet:      "LogLevelSet",
-		ProcLogFiltersGet:    "LogFiltersGet",
-		ProcLogFiltersSet:    "LogFiltersSet",
-		ProcLogOutputsGet:    "LogOutputsGet",
-		ProcLogOutputsSet:    "LogOutputsSet",
-		ProcServerMetrics:    "ServerMetrics",
-		ProcServerSlowCalls:  "ServerSlowCalls",
-		ProcQoSGet:           "QoSGet",
-		ProcQoSSet:           "QoSSet",
-	})
+// Procs is the admin program's procedure table, indexed by procedure
+// number. Every admin procedure is a priority operation: none of them
+// depend on a hypervisor answering, so a daemon wedged on guest
+// operations stays administrable. None is callable before
+// authentication. The object of a procedure that addresses a server is
+// that server's name.
+var Procs = []rpc.Proc{
+	ProcConnectOpen:      {Name: "ConnectOpen", Priority: true},
+	ProcServerList:       {Name: "ServerList", Priority: true},
+	ProcServerLookup:     {Name: "ServerLookup", Priority: true, Object: true},
+	ProcThreadpoolGet:    {Name: "ThreadpoolGet", Priority: true, Object: true},
+	ProcThreadpoolSet:    {Name: "ThreadpoolSet", Priority: true, Object: true},
+	ProcClientLimitsGet:  {Name: "ClientLimitsGet", Priority: true, Object: true},
+	ProcClientLimitsSet:  {Name: "ClientLimitsSet", Priority: true, Object: true},
+	ProcClientList:       {Name: "ClientList", Priority: true, Object: true},
+	ProcClientInfo:       {Name: "ClientInfo", Priority: true, Object: true},
+	ProcClientDisconnect: {Name: "ClientDisconnect", Priority: true, Object: true},
+	ProcLogLevelGet:      {Name: "LogLevelGet", Priority: true},
+	ProcLogLevelSet:      {Name: "LogLevelSet", Priority: true},
+	ProcLogFiltersGet:    {Name: "LogFiltersGet", Priority: true},
+	ProcLogFiltersSet:    {Name: "LogFiltersSet", Priority: true},
+	ProcLogOutputsGet:    {Name: "LogOutputsGet", Priority: true},
+	ProcLogOutputsSet:    {Name: "LogOutputsSet", Priority: true},
+	ProcServerMetrics:    {Name: "ServerMetrics", Priority: true},
+	ProcServerSlowCalls:  {Name: "ServerSlowCalls", Priority: true},
+	ProcQoSGet:           {Name: "QoSGet", Priority: true, Object: true},
+	ProcQoSSet:           {Name: "QoSSet", Priority: true, Object: true},
 }
 
 // Typed-parameter field names of the threadpool interface. Read-only

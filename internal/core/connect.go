@@ -222,35 +222,6 @@ func (c *Connect) CreateDomainXML(xmlDesc string) (*Domain, error) {
 	return dom, nil
 }
 
-// SubscribeEvents registers a lifecycle callback; domain filters to one
-// name ("" for all). It returns a subscription id, or an error when the
-// driver cannot deliver events.
-func (c *Connect) SubscribeEvents(domain string, types []events.Type, cb events.Callback) (int, error) {
-	d, err := c.conn()
-	if err != nil {
-		return 0, err
-	}
-	src, ok := d.(EventSource)
-	if !ok {
-		return 0, Errorf(ErrNoSupport, "driver %q does not deliver events", d.Type())
-	}
-	return src.EventBus().Subscribe(domain, types, cb), nil
-}
-
-// UnsubscribeEvents removes a previously registered callback.
-func (c *Connect) UnsubscribeEvents(id int) error {
-	d, err := c.conn()
-	if err != nil {
-		return err
-	}
-	src, ok := d.(EventSource)
-	if !ok {
-		return Errorf(ErrNoSupport, "driver %q does not deliver events", d.Type())
-	}
-	src.EventBus().Unsubscribe(id)
-	return nil
-}
-
 // WatchEvents opens a watch stream: sequenced lifecycle events filtered
 // to one domain name ("" for all) and an event-type set (nil for all),
 // with loss surfaced through the handler's gap flag. Remote connections

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/events"
 	"repro/internal/uri"
 )
 
@@ -193,11 +194,8 @@ func TestOptionalInterfacesAbsent(t *testing.T) {
 	if _, err := conn.ListStoragePools(); !IsCode(err, ErrNoSupport) {
 		t.Fatalf("storage: %v", err)
 	}
-	if _, err := conn.SubscribeEvents("", nil, nil); !IsCode(err, ErrNoSupport) {
+	if _, err := conn.WatchEvents("", nil, func(events.Event, bool) {}); !IsCode(err, ErrNoSupport) {
 		t.Fatalf("events: %v", err)
-	}
-	if err := conn.UnsubscribeEvents(1); !IsCode(err, ErrNoSupport) {
-		t.Fatalf("unsubscribe: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	drvtest "repro/internal/drivers/test"
 	"repro/internal/events"
 	"repro/internal/logging"
+	"repro/internal/telemetry"
 	"repro/internal/uri"
 )
 
@@ -255,53 +257,98 @@ func TestClientLimitRejectsConnections(t *testing.T) {
 	c3.Close()
 }
 
+// TestEventsDeliveredOverWire runs one lifecycle under the one event
+// API, WatchEvents, on the test driver opened locally and through the
+// daemon: the same events in the same order, never a gap. Each step
+// waits for its event, so the watch stream has nothing queued to
+// coalesce.
 func TestEventsDeliveredOverWire(t *testing.T) {
+	sock, _, _ := startDaemon(t, daemon.ClientLimits{}, nil)
+	type seen struct {
+		Type           events.Type
+		Domain, Detail string
+	}
+	run := func(t *testing.T, uri string) []seen {
+		conn, err := core.Open(uri)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		arrived := make(chan seen, 8) // the handler must never block the reader
+		w, err := conn.WatchEvents("", nil, func(ev events.Event, gap bool) {
+			if gap {
+				t.Errorf("gap before %v", ev)
+			}
+			arrived <- seen{ev.Type, ev.Domain, ev.Detail}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		dom, err := conn.LookupDomain("test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []seen
+		for _, step := range []func() error{dom.Suspend, dom.Resume, dom.Destroy} {
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case ev := <-arrived:
+				got = append(got, ev)
+			case <-time.After(5 * time.Second):
+				t.Fatalf("no event after step %d", len(got)+1)
+			}
+		}
+		return got
+	}
+	local := run(t, "test:///default")
+	want := []events.Type{events.EventSuspended, events.EventResumed, events.EventStopped}
+	for i, ev := range local {
+		if ev.Type != want[i] || ev.Domain != "test" {
+			t.Fatalf("local event %d: %+v", i, ev)
+		}
+	}
+	if remote := run(t, unixURI(sock)); !reflect.DeepEqual(remote, local) {
+		t.Fatalf("over unix %+v, locally %+v", remote, local)
+	}
+}
+
+// TestNoEventFramesUnasked: a connection that never subscribed receives
+// replies and nothing else while it churns lifecycles — every frame the
+// process receives is a call arriving at the daemon or its reply
+// arriving at the client.
+func TestNoEventFramesUnasked(t *testing.T) {
 	sock, _, _ := startDaemon(t, daemon.ClientLimits{}, nil)
 	conn, err := core.Open(unixURI(sock))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-
-	var mu sync.Mutex
-	var got []events.Event
-	if _, err := conn.SubscribeEvents("", nil, func(ev events.Event) {
-		mu.Lock()
-		got = append(got, ev)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
 	dom, err := conn.LookupDomain("test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dom.Suspend(); err != nil {
+	before := counters(telemetry.Default)
+	for i := 0; i < 20; i++ {
+		if err := dom.Suspend(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dom.Resume(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// One more round trip: the reply queues behind any frame the 40
+	// lifecycle steps would have pushed.
+	if _, err := conn.Hostname(); err != nil {
 		t.Fatal(err)
 	}
-	if err := dom.Resume(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(got)
-		mu.Unlock()
-		if n >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d events arrived", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if got[0].Type != events.EventSuspended || got[0].Domain != "test" {
-		t.Fatalf("first event %+v", got[0])
-	}
-	if got[1].Type != events.EventResumed {
-		t.Fatalf("second event %+v", got[1])
+	after := counters(telemetry.Default)
+	calls := after["remote_calls_total"] - before["remote_calls_total"]
+	rx := after["rpc_rx_frames_total"] - before["rpc_rx_frames_total"]
+	if calls != 41 || rx != 2*calls {
+		t.Fatalf("%d calls moved %d frames, want 41 calls and a call plus a reply each", calls, rx)
 	}
 }
 

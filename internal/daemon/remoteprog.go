@@ -19,22 +19,14 @@ import (
 // sweeps.
 var invPool = sync.Pool{New: func() interface{} { return new(core.NodeInventory) }}
 
-// isAuthProc reports whether a procedure is allowed before
-// authentication completes.
-func isAuthProc(proc uint32) bool {
-	return proc == wire.ProcAuthList || proc == wire.ProcAuthSASLStart
-}
-
 // remoteState is the per-client state of the remote program. Dispatch
 // runs on workerpool goroutines and ClientClosed on the reader, so all
 // fields are guarded: an in-flight job must never race the teardown.
 type remoteState struct {
-	mu        sync.Mutex
-	conn      *core.Connect
-	callbacks map[int32]int // client callback id -> bus subscription id
-	nextCB    int32
-	watches   map[int32]*watchSub // subscription id -> watch stream
-	nextSub   int32
+	mu      sync.Mutex
+	conn    *core.Connect
+	watches map[int32]*watchSub // subscription id -> watch stream
+	nextSub int32
 }
 
 // watchSub ties one watch subscriber queue to its bus subscription.
@@ -58,23 +50,8 @@ func NewRemoteProgram(srv *Server) *RemoteProgram {
 // ID implements Program.
 func (p *RemoteProgram) ID() uint32 { return rpc.ProgramRemote }
 
-// IsPriority implements Program: procedures that never wait on a
-// hypervisor may run on priority workers.
-func (p *RemoteProgram) IsPriority(proc uint32) bool {
-	switch proc {
-	case wire.ProcConnectOpen, wire.ProcConnectClose, wire.ProcGetType,
-		wire.ProcGetHostname, wire.ProcDomainList, wire.ProcDomainLookupByName,
-		wire.ProcDomainLookupByUUID, wire.ProcEventRegister, wire.ProcEventDeregister,
-		wire.ProcEventSubscribe, wire.ProcEventUnsubscribe,
-		wire.ProcAuthList, wire.ProcAuthSASLStart,
-		// Migration control and post-copy demand-fault pulls must not
-		// queue behind a flood of background page chunks: the pull
-		// stream is what bounds guest stalls after switch-over.
-		wire.ProcMigratePrepare, wire.ProcMigratePagePull, wire.ProcMigrateFinish:
-		return true
-	}
-	return false
-}
+// Procs implements Program.
+func (p *RemoteProgram) Procs() []rpc.Proc { return wire.Procs }
 
 // ClientClosed implements Program: release the driver connection and
 // event subscriptions.
@@ -83,16 +60,11 @@ func (p *RemoteProgram) ClientClosed(c *Client) {
 	st.mu.Lock()
 	conn := st.conn
 	st.conn = nil
-	callbacks := st.callbacks
-	st.callbacks = make(map[int32]int)
 	watches := st.watches
 	st.watches = make(map[int32]*watchSub)
 	st.mu.Unlock()
 	if conn != nil {
 		if src, ok := conn.Driver().(core.EventSource); ok {
-			for _, subID := range callbacks {
-				src.EventBus().Unsubscribe(subID)
-			}
 			for _, ws := range watches {
 				src.EventBus().Unsubscribe(ws.busID)
 			}
@@ -106,10 +78,7 @@ func (p *RemoteProgram) ClientClosed(c *Client) {
 
 func (p *RemoteProgram) state(c *Client) *remoteState {
 	return c.ProgState(rpc.ProgramRemote, func() interface{} {
-		return &remoteState{
-			callbacks: make(map[int32]int),
-			watches:   make(map[int32]*watchSub),
-		}
+		return &remoteState{watches: make(map[int32]*watchSub)}
 	}).(*remoteState)
 }
 
@@ -126,92 +95,126 @@ func (p *RemoteProgram) conn(c *Client) (*core.Connect, error) {
 
 // Dispatch implements Program.
 func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte, error) {
-	switch proc {
-	case wire.ProcAuthList:
-		return marshal(&wire.AuthListReply{Mechanisms: p.mechanisms()})
-	case wire.ProcAuthSASLStart:
-		return p.saslStart(c, payload)
-	case wire.ProcConnectOpen:
-		return p.connectOpen(c, payload)
-	case wire.ProcConnectClose:
+	if uint64(proc) >= uint64(len(handlers)) || handlers[proc] == nil {
+		return nil, core.Errorf(core.ErrNoSupport, "unknown procedure %d", proc)
+	}
+	return handlers[proc](p, c, payload)
+}
+
+// handler executes one procedure for a client and returns the
+// marshalled reply.
+type handler func(p *RemoteProgram, c *Client, payload []byte) ([]byte, error)
+
+// noArgs adapts a procedure that takes nothing: it runs on the client's
+// open driver connection and never reads the payload.
+func noArgs(fn func(conn *core.Connect) ([]byte, error)) handler {
+	return func(p *RemoteProgram, c *Client, _ []byte) ([]byte, error) {
+		conn, err := p.conn(c)
+		if err != nil {
+			return nil, err
+		}
+		return fn(conn)
+	}
+}
+
+// withArgs adapts a procedure whose payload decodes into an A.
+func withArgs[A any](fn func(conn *core.Connect, args *A) ([]byte, error)) handler {
+	return func(p *RemoteProgram, c *Client, payload []byte) ([]byte, error) {
+		conn, err := p.conn(c)
+		if err != nil {
+			return nil, err
+		}
+		var args A
+		if err := rpc.Unmarshal(payload, &args); err != nil {
+			return nil, badArgs(err)
+		}
+		return fn(conn, &args)
+	}
+}
+
+// withSupport is withArgs for procedures served by an optional driver
+// interface I; a driver lacking it answers ErrNoSupport.
+func withSupport[I, A any](what string, fn func(sup I, args *A) ([]byte, error)) handler {
+	return withArgs(func(conn *core.Connect, args *A) ([]byte, error) {
+		sup, ok := conn.Driver().(I)
+		if !ok {
+			return nil, core.Errorf(core.ErrNoSupport, "driver does not support %s", what)
+		}
+		return fn(sup, args)
+	})
+}
+
+// nameOp adapts an operation on one named object that returns nothing.
+func nameOp(op func(conn *core.Connect, name string) error) handler {
+	return withArgs(func(conn *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return voidReply(op(conn, a.Name))
+	})
+}
+
+// onDriver lets nameOp take a core.DriverConn method expression.
+func onDriver(op func(core.DriverConn, string) error) func(*core.Connect, string) error {
+	return func(conn *core.Connect, name string) error { return op(conn.Driver(), name) }
+}
+
+// migratePages serves both page-chunk procedures; pull marks the
+// post-copy demand faults that ride the priority workers.
+func migratePages(pull bool) handler {
+	return withSupport("inbound migration", func(ms core.MigrationSink, a *wire.MigratePagesArgs) ([]byte, error) {
+		return voidReply(ms.MigratePages(&core.MigrateChunk{
+			Cookie:   a.Cookie,
+			Stream:   int(a.Stream),
+			Round:    int(a.Round),
+			Pages:    a.Pages,
+			Priority: pull,
+			Data:     a.Data,
+		}))
+	})
+}
+
+// handlers holds the implementation of every row of wire.Procs, indexed
+// by procedure number like the table itself: adding a procedure is a
+// row there, an entry here and a method on remote.Conn
+// (TestProcTablesComplete fails on a row without an entry or the
+// reverse).
+var handlers = []handler{
+	wire.ProcConnectOpen: (*RemoteProgram).connectOpen,
+	wire.ProcConnectClose: func(p *RemoteProgram, c *Client, _ []byte) ([]byte, error) {
 		p.ClientClosed(c)
-		return marshal(&struct{}{})
-	}
-	conn, err := p.conn(c)
-	if err != nil {
-		return nil, err
-	}
-	switch proc {
-	case wire.ProcGetType:
-		t, err := conn.Type()
-		return stringReply(t, err)
-	case wire.ProcGetVersion:
-		v, err := conn.Version()
-		return stringReply(v, err)
-	case wire.ProcGetHostname:
-		h, err := conn.Hostname()
-		return stringReply(h, err)
-	case wire.ProcGetCapabilities:
-		x, err := conn.CapabilitiesXML()
-		return stringReply(x, err)
-	case wire.ProcNodeGetInfo:
-		ni, err := conn.NodeInfo()
+		return voidReply(nil)
+	},
+	wire.ProcGetType:         noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.Type()) }),
+	wire.ProcGetVersion:      noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.Version()) }),
+	wire.ProcGetHostname:     noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.Hostname()) }),
+	wire.ProcGetCapabilities: noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.CapabilitiesXML()) }),
+	wire.ProcNodeGetInfo: noArgs(func(c *core.Connect) ([]byte, error) {
+		ni, err := c.NodeInfo()
 		if err != nil {
 			return nil, err
 		}
 		reply := nodeInfoToWire(ni)
 		return marshal(&reply)
-	case wire.ProcDomainList:
-		var args wire.DomainListArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		names, err := conn.Driver().ListDomains(core.ListFlags(args.Flags))
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.NameListReply{Names: names})
-	case wire.ProcDomainLookupByName:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		meta, err := conn.Driver().LookupDomain(args.Name)
-		return metaReply(meta, err)
-	case wire.ProcDomainLookupByUUID:
-		var args wire.UUIDArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		meta, err := conn.Driver().LookupDomainByUUID(args.UUID)
-		return metaReply(meta, err)
-	case wire.ProcDomainDefine:
-		var args wire.XMLArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		meta, err := conn.Driver().DefineDomain(args.XML)
-		return metaReply(meta, err)
-	case wire.ProcDomainUndefine:
-		return p.nameOp(payload, conn.Driver().UndefineDomain)
-	case wire.ProcDomainCreate:
-		return p.nameOp(payload, conn.Driver().CreateDomain)
-	case wire.ProcDomainDestroy:
-		return p.nameOp(payload, conn.Driver().DestroyDomain)
-	case wire.ProcDomainShutdown:
-		return p.nameOp(payload, conn.Driver().ShutdownDomain)
-	case wire.ProcDomainReboot:
-		return p.nameOp(payload, conn.Driver().RebootDomain)
-	case wire.ProcDomainSuspend:
-		return p.nameOp(payload, conn.Driver().SuspendDomain)
-	case wire.ProcDomainResume:
-		return p.nameOp(payload, conn.Driver().ResumeDomain)
-	case wire.ProcDomainGetInfo:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		info, err := conn.Driver().DomainInfo(args.Name)
+	}),
+	wire.ProcDomainList: withArgs(func(c *core.Connect, a *wire.DomainListArgs) ([]byte, error) {
+		return namesReply(c.Driver().ListDomains(core.ListFlags(a.Flags)))
+	}),
+	wire.ProcDomainLookupByName: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return metaReply(c.Driver().LookupDomain(a.Name))
+	}),
+	wire.ProcDomainLookupByUUID: withArgs(func(c *core.Connect, a *wire.UUIDArgs) ([]byte, error) {
+		return metaReply(c.Driver().LookupDomainByUUID(a.UUID))
+	}),
+	wire.ProcDomainDefine: withArgs(func(c *core.Connect, a *wire.XMLArgs) ([]byte, error) {
+		return metaReply(c.Driver().DefineDomain(a.XML))
+	}),
+	wire.ProcDomainUndefine: nameOp(onDriver(core.DriverConn.UndefineDomain)),
+	wire.ProcDomainCreate:   nameOp(onDriver(core.DriverConn.CreateDomain)),
+	wire.ProcDomainDestroy:  nameOp(onDriver(core.DriverConn.DestroyDomain)),
+	wire.ProcDomainShutdown: nameOp(onDriver(core.DriverConn.ShutdownDomain)),
+	wire.ProcDomainReboot:   nameOp(onDriver(core.DriverConn.RebootDomain)),
+	wire.ProcDomainSuspend:  nameOp(onDriver(core.DriverConn.SuspendDomain)),
+	wire.ProcDomainResume:   nameOp(onDriver(core.DriverConn.ResumeDomain)),
+	wire.ProcDomainGetInfo: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		info, err := c.Driver().DomainInfo(a.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -219,12 +222,9 @@ func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte
 			State: uint32(info.State), MaxMemKiB: info.MaxMemKiB,
 			MemKiB: info.MemKiB, VCPUs: uint32(info.VCPUs), CPUTimeNs: info.CPUTimeNs,
 		})
-	case wire.ProcDomainGetStats:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		st, err := conn.Driver().DomainStats(args.Name)
+	}),
+	wire.ProcDomainGetStats: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		st, err := c.Driver().DomainStats(a.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -235,66 +235,31 @@ func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte
 			RxBytes: st.RxBytes, TxBytes: st.TxBytes, RxPkts: st.RxPkts, TxPkts: st.TxPkts,
 			DirtyPages: st.DirtyPages,
 		})
-	case wire.ProcDomainGetXML:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		x, err := conn.Driver().DomainXML(args.Name)
-		return stringReply(x, err)
-	case wire.ProcDomainSetMemory:
-		var args wire.SetMemoryArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		return voidReply(conn.Driver().SetDomainMemory(args.Name, args.MemKiB))
-	case wire.ProcDomainSetVCPUs:
-		var args wire.SetVCPUsArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		return voidReply(conn.Driver().SetDomainVCPUs(args.Name, int(args.VCPUs)))
-	case wire.ProcNetworkList:
-		names, err := conn.ListNetworks()
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.NameListReply{Names: names})
-	case wire.ProcNetworkDefine:
-		var args wire.XMLArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		return voidReply(conn.DefineNetwork(args.XML))
-	case wire.ProcNetworkUndefine:
-		return p.nameOp(payload, conn.UndefineNetwork)
-	case wire.ProcNetworkStart:
-		return p.nameOp(payload, conn.StartNetwork)
-	case wire.ProcNetworkStop:
-		return p.nameOp(payload, conn.StopNetwork)
-	case wire.ProcNetworkGetXML:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		x, err := conn.NetworkXML(args.Name)
-		return stringReply(x, err)
-	case wire.ProcNetworkIsActive:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		active, err := conn.NetworkIsActive(args.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.BoolReply{Value: active})
-	case wire.ProcNetworkDHCPLeases:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		leases, err := conn.NetworkDHCPLeases(args.Name)
+	}),
+	wire.ProcDomainGetXML: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return stringReply(c.Driver().DomainXML(a.Name))
+	}),
+	wire.ProcDomainSetMemory: withArgs(func(c *core.Connect, a *wire.SetMemoryArgs) ([]byte, error) {
+		return voidReply(c.Driver().SetDomainMemory(a.Name, a.MemKiB))
+	}),
+	wire.ProcDomainSetVCPUs: withArgs(func(c *core.Connect, a *wire.SetVCPUsArgs) ([]byte, error) {
+		return voidReply(c.Driver().SetDomainVCPUs(a.Name, int(a.VCPUs)))
+	}),
+	wire.ProcNetworkList: noArgs(func(c *core.Connect) ([]byte, error) { return namesReply(c.ListNetworks()) }),
+	wire.ProcNetworkDefine: withArgs(func(c *core.Connect, a *wire.XMLArgs) ([]byte, error) {
+		return voidReply(c.DefineNetwork(a.XML))
+	}),
+	wire.ProcNetworkUndefine: nameOp((*core.Connect).UndefineNetwork),
+	wire.ProcNetworkStart:    nameOp((*core.Connect).StartNetwork),
+	wire.ProcNetworkStop:     nameOp((*core.Connect).StopNetwork),
+	wire.ProcNetworkGetXML: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return stringReply(c.NetworkXML(a.Name))
+	}),
+	wire.ProcNetworkIsActive: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return boolReply(c.NetworkIsActive(a.Name))
+	}),
+	wire.ProcNetworkDHCPLeases: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		leases, err := c.NetworkDHCPLeases(a.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -303,37 +268,19 @@ func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte
 			out.Leases[i] = wire.DHCPLease{MAC: l.MAC, IP: l.IP, Hostname: l.Hostname}
 		}
 		return marshal(&out)
-	case wire.ProcPoolList:
-		names, err := conn.ListStoragePools()
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.NameListReply{Names: names})
-	case wire.ProcPoolDefine:
-		var args wire.XMLArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		return voidReply(conn.DefineStoragePool(args.XML))
-	case wire.ProcPoolUndefine:
-		return p.nameOp(payload, conn.UndefineStoragePool)
-	case wire.ProcPoolStart:
-		return p.nameOp(payload, conn.StartStoragePool)
-	case wire.ProcPoolStop:
-		return p.nameOp(payload, conn.StopStoragePool)
-	case wire.ProcPoolGetXML:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		x, err := conn.StoragePoolXML(args.Name)
-		return stringReply(x, err)
-	case wire.ProcPoolGetInfo:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		info, err := conn.StoragePoolInfo(args.Name)
+	}),
+	wire.ProcPoolList: noArgs(func(c *core.Connect) ([]byte, error) { return namesReply(c.ListStoragePools()) }),
+	wire.ProcPoolDefine: withArgs(func(c *core.Connect, a *wire.XMLArgs) ([]byte, error) {
+		return voidReply(c.DefineStoragePool(a.XML))
+	}),
+	wire.ProcPoolUndefine: nameOp((*core.Connect).UndefineStoragePool),
+	wire.ProcPoolStart:    nameOp((*core.Connect).StartStoragePool),
+	wire.ProcPoolStop:     nameOp((*core.Connect).StopStoragePool),
+	wire.ProcPoolGetXML: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return stringReply(c.StoragePoolXML(a.Name))
+	}),
+	wire.ProcPoolGetInfo: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		info, err := c.StoragePoolInfo(a.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -341,144 +288,55 @@ func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte
 			Active: info.Active, CapacityKiB: info.CapacityKiB,
 			AllocationKiB: info.AllocationKiB, AvailableKiB: info.AvailableKiB,
 		})
-	case wire.ProcVolList:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		names, err := conn.ListVolumes(args.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.NameListReply{Names: names})
-	case wire.ProcVolCreate:
-		var args wire.VolCreateArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		return voidReply(conn.CreateVolume(args.Pool, args.XML))
-	case wire.ProcVolDelete:
-		var args wire.VolArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		return voidReply(conn.DeleteVolume(args.Pool, args.Name))
-	case wire.ProcVolGetXML:
-		var args wire.VolArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		x, err := conn.VolumeXML(args.Pool, args.Name)
-		return stringReply(x, err)
-	case wire.ProcEventRegister:
-		return p.eventRegister(c, payload)
-	case wire.ProcEventDeregister:
-		return p.eventDeregister(c, payload)
-	case wire.ProcEventSubscribe:
-		return p.eventSubscribe(c, payload)
-	case wire.ProcEventUnsubscribe:
-		return p.eventUnsubscribe(c, payload)
-	case wire.ProcSnapshotCreate:
-		var args wire.SnapshotCreateArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ss, err := snapshotDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		name, err := ss.CreateSnapshot(args.Domain, args.XML)
-		return stringReply(name, err)
-	case wire.ProcSnapshotList:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ss, err := snapshotDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		names, err := ss.ListSnapshots(args.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.NameListReply{Names: names})
-	case wire.ProcSnapshotGetXML:
-		var args wire.SnapshotArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ss, err := snapshotDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		x, err := ss.SnapshotXML(args.Domain, args.Name)
-		return stringReply(x, err)
-	case wire.ProcSnapshotRevert:
-		var args wire.SnapshotArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ss, err := snapshotDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		return voidReply(ss.RevertSnapshot(args.Domain, args.Name))
-	case wire.ProcSnapshotDelete:
-		var args wire.SnapshotArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ss, err := snapshotDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		return voidReply(ss.DeleteSnapshot(args.Domain, args.Name))
-	case wire.ProcManagedSave:
-		ms, err := managedSaveDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		return p.nameOp(payload, ms.ManagedSave)
-	case wire.ProcHasManagedSave:
-		var args wire.NameArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ms, err := managedSaveDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		has, err := ms.HasManagedSave(args.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.BoolReply{Value: has})
-	case wire.ProcManagedSaveRemove:
-		ms, err := managedSaveDrv(conn)
-		if err != nil {
-			return nil, err
-		}
-		return p.nameOp(payload, ms.ManagedSaveRemove)
-	case wire.ProcDeviceAttach, wire.ProcDeviceDetach:
-		var args wire.DeviceArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ds, ok := conn.Driver().(core.DeviceSupport)
-		if !ok {
-			return nil, core.Errorf(core.ErrNoSupport, "driver does not support device hot-plug")
-		}
-		if proc == wire.ProcDeviceAttach {
-			return voidReply(ds.AttachDevice(args.Domain, args.XML))
-		}
-		return voidReply(ds.DetachDevice(args.Domain, args.XML))
-	case wire.ProcDomainListInfo:
-		var args wire.DomainListInfoArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		rows, err := core.ListDomainInfo(conn.Driver(), core.ListFlags(args.Flags), args.Names)
+	}),
+	wire.ProcVolList: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+		return namesReply(c.ListVolumes(a.Name))
+	}),
+	wire.ProcVolCreate: withArgs(func(c *core.Connect, a *wire.VolCreateArgs) ([]byte, error) {
+		return voidReply(c.CreateVolume(a.Pool, a.XML))
+	}),
+	wire.ProcVolDelete: withArgs(func(c *core.Connect, a *wire.VolArgs) ([]byte, error) {
+		return voidReply(c.DeleteVolume(a.Pool, a.Name))
+	}),
+	wire.ProcVolGetXML: withArgs(func(c *core.Connect, a *wire.VolArgs) ([]byte, error) {
+		return stringReply(c.VolumeXML(a.Pool, a.Name))
+	}),
+	wire.ProcAuthList: func(p *RemoteProgram, _ *Client, _ []byte) ([]byte, error) {
+		return marshal(&wire.AuthListReply{Mechanisms: p.mechanisms()})
+	},
+	wire.ProcAuthSASLStart: (*RemoteProgram).saslStart,
+	wire.ProcSnapshotCreate: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotCreateArgs) ([]byte, error) {
+		return stringReply(ss.CreateSnapshot(a.Domain, a.XML))
+	}),
+	wire.ProcSnapshotList: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.NameArgs) ([]byte, error) {
+		return namesReply(ss.ListSnapshots(a.Name))
+	}),
+	wire.ProcSnapshotGetXML: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotArgs) ([]byte, error) {
+		return stringReply(ss.SnapshotXML(a.Domain, a.Name))
+	}),
+	wire.ProcSnapshotRevert: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotArgs) ([]byte, error) {
+		return voidReply(ss.RevertSnapshot(a.Domain, a.Name))
+	}),
+	wire.ProcSnapshotDelete: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotArgs) ([]byte, error) {
+		return voidReply(ss.DeleteSnapshot(a.Domain, a.Name))
+	}),
+	wire.ProcManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a *wire.NameArgs) ([]byte, error) {
+		return voidReply(ms.ManagedSave(a.Name))
+	}),
+	wire.ProcHasManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a *wire.NameArgs) ([]byte, error) {
+		return boolReply(ms.HasManagedSave(a.Name))
+	}),
+	wire.ProcManagedSaveRemove: withSupport("managed save", func(ms core.ManagedSaveSupport, a *wire.NameArgs) ([]byte, error) {
+		return voidReply(ms.ManagedSaveRemove(a.Name))
+	}),
+	wire.ProcDeviceAttach: withSupport("device hot-plug", func(ds core.DeviceSupport, a *wire.DeviceArgs) ([]byte, error) {
+		return voidReply(ds.AttachDevice(a.Domain, a.XML))
+	}),
+	wire.ProcDeviceDetach: withSupport("device hot-plug", func(ds core.DeviceSupport, a *wire.DeviceArgs) ([]byte, error) {
+		return voidReply(ds.DetachDevice(a.Domain, a.XML))
+	}),
+	wire.ProcDomainListInfo: withArgs(func(c *core.Connect, a *wire.DomainListInfoArgs) ([]byte, error) {
+		rows, err := core.ListDomainInfo(c.Driver(), core.ListFlags(a.Flags), a.Names)
 		if err != nil {
 			return nil, err
 		}
@@ -486,88 +344,36 @@ func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte
 		// widths are pinned by TestDomainInfoRowMatchesCore), so bulk
 		// replies skip the per-row conversion copy.
 		return marshal(&struct{ Domains []core.NamedDomainInfo }{rows})
-	case wire.ProcNodeInventory:
+	}),
+	wire.ProcNodeInventory: noArgs(func(c *core.Connect) ([]byte, error) {
 		// The inventory is pooled across requests: a driver supporting
 		// BulkMonitorInto rebuilds the rows inside the retained slice,
 		// so steady-state monitoring traffic allocates almost nothing
 		// daemon-side. The payload is fully encoded before the Put.
 		inv := invPool.Get().(*core.NodeInventory)
 		defer invPool.Put(inv)
-		if err := core.CollectInventoryInto(conn.Driver(), inv); err != nil {
+		if err := core.CollectInventoryInto(c.Driver(), inv); err != nil {
 			return nil, err
 		}
 		return marshal(&struct {
 			Node    wire.NodeInfoReply
 			Domains []core.NamedDomainInfo
 		}{nodeInfoToWire(inv.Node), inv.Domains})
-	case wire.ProcMigratePrepare:
-		var args wire.MigratePrepareArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ms, err := migrationSink(conn)
-		if err != nil {
-			return nil, err
-		}
-		cookie, err := ms.MigratePrepare(args.Domain, args.TotalPages, int(args.Streams))
+	}),
+	wire.ProcEventSubscribe:   (*RemoteProgram).eventSubscribe,
+	wire.ProcEventUnsubscribe: (*RemoteProgram).eventUnsubscribe,
+	wire.ProcMigratePrepare: withSupport("inbound migration", func(ms core.MigrationSink, a *wire.MigratePrepareArgs) ([]byte, error) {
+		cookie, err := ms.MigratePrepare(a.Domain, a.TotalPages, int(a.Streams))
 		if err != nil {
 			return nil, err
 		}
 		return marshal(&wire.MigratePrepareReply{Cookie: cookie})
-	case wire.ProcMigratePages, wire.ProcMigratePagePull:
-		var args wire.MigratePagesArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ms, err := migrationSink(conn)
-		if err != nil {
-			return nil, err
-		}
-		return voidReply(ms.MigratePages(&core.MigrateChunk{
-			Cookie:   args.Cookie,
-			Stream:   int(args.Stream),
-			Round:    int(args.Round),
-			Pages:    args.Pages,
-			Priority: proc == wire.ProcMigratePagePull,
-			Data:     args.Data,
-		}))
-	case wire.ProcMigrateFinish:
-		var args wire.MigrateFinishArgs
-		if err := rpc.Unmarshal(payload, &args); err != nil {
-			return nil, badArgs(err)
-		}
-		ms, err := migrationSink(conn)
-		if err != nil {
-			return nil, err
-		}
-		return voidReply(ms.MigrateFinish(args.Cookie, args.Commit))
-	default:
-		return nil, core.Errorf(core.ErrNoSupport, "unknown procedure %d", proc)
-	}
-}
-
-func snapshotDrv(conn *core.Connect) (core.SnapshotSupport, error) {
-	ss, ok := conn.Driver().(core.SnapshotSupport)
-	if !ok {
-		return nil, core.Errorf(core.ErrNoSupport, "driver does not support snapshots")
-	}
-	return ss, nil
-}
-
-func managedSaveDrv(conn *core.Connect) (core.ManagedSaveSupport, error) {
-	ms, ok := conn.Driver().(core.ManagedSaveSupport)
-	if !ok {
-		return nil, core.Errorf(core.ErrNoSupport, "driver does not support managed save")
-	}
-	return ms, nil
-}
-
-func migrationSink(conn *core.Connect) (core.MigrationSink, error) {
-	ms, ok := conn.Driver().(core.MigrationSink)
-	if !ok {
-		return nil, core.Errorf(core.ErrNoSupport, "driver does not support inbound migration")
-	}
-	return ms, nil
+	}),
+	wire.ProcMigratePages:    migratePages(false),
+	wire.ProcMigratePagePull: migratePages(true),
+	wire.ProcMigrateFinish: withSupport("inbound migration", func(ms core.MigrationSink, a *wire.MigrateFinishArgs) ([]byte, error) {
+		return voidReply(ms.MigrateFinish(a.Cookie, a.Commit))
+	}),
 }
 
 // connectOpen opens the server-side driver connection for a client. The
@@ -600,80 +406,6 @@ func (p *RemoteProgram) connectOpen(c *Client, payload []byte) ([]byte, error) {
 	}
 	st.conn = conn
 	st.mu.Unlock()
-	return marshal(&struct{}{})
-}
-
-func (p *RemoteProgram) eventRegister(c *Client, payload []byte) ([]byte, error) {
-	var args wire.EventRegisterArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
-	conn, err := p.conn(c)
-	if err != nil {
-		return nil, err
-	}
-	src, ok := conn.Driver().(core.EventSource)
-	if !ok {
-		return nil, core.Errorf(core.ErrNoSupport, "driver does not deliver events")
-	}
-	st := p.state(c)
-	st.mu.Lock()
-	st.nextCB++
-	cbID := st.nextCB
-	st.mu.Unlock()
-	subID := src.EventBus().Subscribe(args.Domain, nil, func(ev events.Event) {
-		payload, err := rpc.Marshal(&wire.LifecycleEvent{
-			CallbackID: cbID,
-			Type:       uint32(ev.Type),
-			Domain:     ev.Domain,
-			UUID:       ev.UUID,
-			Detail:     ev.Detail,
-			Seq:        ev.Seq,
-		})
-		if err != nil {
-			return
-		}
-		c.Send(rpc.Header{ //nolint:errcheck // client may be gone
-			Program:   rpc.ProgramRemote,
-			Version:   rpc.ProtocolVersion,
-			Procedure: wire.ProcEventLifecycle,
-			Type:      uint32(rpc.TypeEvent),
-		}, payload)
-	})
-	st.mu.Lock()
-	// A teardown that raced the subscribe must not leak it.
-	if st.conn == nil {
-		st.mu.Unlock()
-		src.EventBus().Unsubscribe(subID)
-		return nil, core.Errorf(core.ErrNoConnect, "connection closed during registration")
-	}
-	st.callbacks[cbID] = subID
-	st.mu.Unlock()
-	return marshal(&wire.EventRegisterReply{CallbackID: cbID})
-}
-
-func (p *RemoteProgram) eventDeregister(c *Client, payload []byte) ([]byte, error) {
-	var args wire.EventDeregisterArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
-	conn, err := p.conn(c)
-	if err != nil {
-		return nil, err
-	}
-	st := p.state(c)
-	st.mu.Lock()
-	subID, ok := st.callbacks[args.CallbackID]
-	if ok {
-		delete(st.callbacks, args.CallbackID)
-	}
-	st.mu.Unlock()
-	if !ok {
-		return nil, core.Errorf(core.ErrInvalidArg, "no callback %d", args.CallbackID)
-	}
-	if src, ok := conn.Driver().(core.EventSource); ok {
-		src.EventBus().Unsubscribe(subID)
-	}
 	return marshal(&struct{}{})
 }
 
@@ -801,14 +533,6 @@ func (p *RemoteProgram) saslStart(c *Client, payload []byte) ([]byte, error) {
 	return marshal(&wire.SASLStartReply{Complete: true})
 }
 
-func (p *RemoteProgram) nameOp(payload []byte, op func(string) error) ([]byte, error) {
-	var args wire.NameArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
-		return nil, badArgs(err)
-	}
-	return voidReply(op(args.Name))
-}
-
 // nodeInfoToWire converts the core node summary to its wire form.
 func nodeInfoToWire(ni core.NodeInfo) wire.NodeInfoReply {
 	return wire.NodeInfoReply{
@@ -832,6 +556,20 @@ func stringReply(s string, err error) ([]byte, error) {
 		return nil, err
 	}
 	return marshal(&wire.StringReply{Value: s})
+}
+
+func namesReply(names []string, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return marshal(&wire.NameListReply{Names: names})
+}
+
+func boolReply(v bool, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return marshal(&wire.BoolReply{Value: v})
 }
 
 func voidReply(err error) ([]byte, error) {

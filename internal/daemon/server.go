@@ -69,12 +69,34 @@ type Program interface {
 	// The server owns the returned payload and recycles it once the
 	// reply is written (see putReplyBuf): implementations must return a
 	// buffer they neither retain nor share.
+	// The server only passes procedure numbers that have a row in Procs.
 	Dispatch(c *Client, proc uint32, payload []byte) ([]byte, error)
-	// IsPriority reports whether the procedure is guaranteed to finish
-	// without hypervisor involvement and may run on priority workers.
-	IsPriority(proc uint32) bool
+	// Procs returns the program's procedure table, indexed by procedure
+	// number. The server's read loop takes everything it decides before
+	// dispatch from the row: whether the number exists at all, the name
+	// for metrics, traces and QoS ACL rules, priority-worker routing,
+	// the pre-authentication allowance and the ACL object rule.
+	Procs() []rpc.Proc
 	// ClientClosed releases any per-client state the program holds.
 	ClientClosed(c *Client)
+}
+
+// program is a registered Program beside what the read loop derives
+// from its table once, at AddProgram.
+type program struct {
+	Program
+	name  string // symbolic program name: metric label, trace field
+	procs []rpc.Proc
+	stats []atomic.Pointer[procStat] // row for row beside procs; nil when uninstrumented
+}
+
+// row returns the table row of a procedure number, nil when the program
+// has none.
+func (pg *program) row(proc uint32) *rpc.Proc {
+	if uint64(proc) >= uint64(len(pg.procs)) || pg.procs[proc].Name == "" {
+		return nil
+	}
+	return &pg.procs[proc]
 }
 
 // ServiceConfig describes one listening socket of a server.
@@ -104,10 +126,9 @@ type Server struct {
 	log  *logging.Logger
 	pool *Workerpool
 
-	metrics       *telemetry.Registry // nil = uninstrumented
-	tracer        *telemetry.Tracer   // nil = untraced
-	dispatchStats sync.Map            // uint64(program)<<32|proc → *procStat
-	callTimeout   atomic.Int64        // per-call dispatch deadline in nanos; 0 = none
+	metrics     *telemetry.Registry // nil = uninstrumented
+	tracer      *telemetry.Tracer   // nil = untraced
+	callTimeout atomic.Int64        // per-call dispatch deadline in nanos; 0 = none
 
 	// Watch-stream subscriber bounds handed to every new subscription
 	// (see internal/watch). Resolved values: depth >= 1, coalesce >= 0
@@ -123,7 +144,7 @@ type Server struct {
 	clients    map[uint64]*Client
 	nextClient uint64
 	limits     ClientLimits
-	programs   map[uint32]Program
+	programs   map[uint32]*program
 	listeners  []net.Listener
 	closed     bool
 	rejected   uint64
@@ -141,7 +162,7 @@ func newServer(name string, pool *Workerpool, limits ClientLimits, log *logging.
 		pool:     pool,
 		clients:  make(map[uint64]*Client),
 		limits:   limits,
-		programs: make(map[uint32]Program),
+		programs: make(map[uint32]*program),
 		creds:    make(map[string]string),
 	}
 	s.eventQueueDepth.Store(watch.DefaultDepth)
@@ -204,9 +225,13 @@ func (s *Server) Pool() *Workerpool { return s.pool }
 
 // AddProgram registers a protocol program.
 func (s *Server) AddProgram(p Program) {
+	pg := &program{Program: p, name: rpc.ProgramName(p.ID()), procs: p.Procs()}
+	if s.metrics != nil {
+		pg.stats = make([]atomic.Pointer[procStat], len(pg.procs))
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.programs[p.ID()] = p
+	s.programs[p.ID()] = pg
 }
 
 // SetCredentials installs the SASL user database for authenticating
@@ -432,10 +457,23 @@ func (s *Server) serveClient(c *Client) {
 			s.replyError(c, h, core.Errorf(core.ErrNoSupport, "unsupported protocol version %d", h.Version))
 			continue
 		}
+		// One indexed lookup yields everything decided before dispatch.
+		// The auth gate runs first, so an unauthenticated client cannot
+		// probe which numbers exist; an unknown number then costs one
+		// error reply — no admission token, no queue slot, no series.
+		row := prog.row(h.Procedure)
 		authed, saslUser := c.authState()
-		if !authed && !isAuthProc(h.Procedure) {
+		if !authed && (row == nil || !row.PreAuth) {
 			f.Release()
 			s.replyError(c, h, core.Errorf(core.ErrAuthFailed, "authentication required"))
+			continue
+		}
+		if row == nil {
+			f.Release()
+			if s.metrics != nil {
+				s.metrics.Counter("daemon_dispatch_unknown_total").Inc()
+			}
+			s.replyError(c, h, core.Errorf(core.ErrNoSupport, "unknown procedure %d", h.Procedure))
 			continue
 		}
 		// Admission control: resolve the client's class and apply
@@ -447,7 +485,7 @@ func (s *Server) serveClient(c *Client) {
 				qsEng, qsUser = eng, saslUser
 				qs = eng.Resolve(saslUser)
 			}
-			if aerr := qosAdmit(qs, h, f.Payload); aerr != nil {
+			if aerr := qosAdmit(qs, row, f.Payload); aerr != nil {
 				f.Release()
 				s.replyError(c, h, aerr)
 				continue
@@ -465,10 +503,10 @@ func (s *Server) serveClient(c *Client) {
 		}
 		hdr := h
 		frame := f
-		st := s.dispatchStat(h.Program, h.Procedure)
+		st := s.dispatchStat(prog, h.Procedure)
 		var span *telemetry.Span
 		if st != nil {
-			span = s.tracer.Start(st.program, st.proc, c.id, hdr.Serial)
+			span = s.tracer.Start(prog.name, row.Name, c.id, hdr.Serial)
 		}
 		// The dispatch deadline starts now, so time spent queued counts
 		// against it — a wedged pool times calls out just like a wedged
@@ -548,7 +586,7 @@ func (s *Server) serveClient(c *Client) {
 			}
 			putReplyBuf(reply)
 		}
-		priority := prog.IsPriority(hdr.Procedure)
+		priority := row.Priority
 		shedPrio := int8(5)
 		var maxWait time.Duration
 		if cqs != nil {
@@ -579,16 +617,18 @@ func (s *Server) serveClient(c *Client) {
 // qosAdmit applies the resolved class's checks to one decoded call, in
 // authorization-then-throttle order: ACL (auth handshake procedures are
 // exempt, they gate everything else), token-bucket rate limit, inflight
-// quota. On admission the inflight slot is held; every downstream path
-// must release it via EndCall.
-func qosAdmit(qs *qos.ClientState, h rpc.Header, payload []byte) error {
-	if qs.HasACL() && !isAuthProc(h.Procedure) {
+// quota. An ACL object pattern is matched against the leading name of
+// procedures whose row says the payload has one, and against no object
+// otherwise. On admission the inflight slot is held; every downstream
+// path must release it via EndCall.
+func qosAdmit(qs *qos.ClientState, row *rpc.Proc, payload []byte) error {
+	if qs.HasACL() && !row.PreAuth {
 		var obj []byte
-		if qs.NeedObject() {
+		if row.Object && qs.NeedObject() {
 			obj, _ = rpc.PeekString(payload)
 		}
-		if name := rpc.ProcName(h.Program, h.Procedure); !qs.Allow(name, obj) {
-			return qs.RejectACL(name)
+		if !qs.Allow(row.Name, obj) {
+			return qs.RejectACL(row.Name)
 		}
 	}
 	if retry, ok := qs.TakeToken(time.Now()); !ok {
@@ -630,7 +670,7 @@ func (s *Server) removeClient(c *Client) {
 	s.mu.Lock()
 	_, present := s.clients[c.id]
 	delete(s.clients, c.id)
-	programs := make([]Program, 0, len(s.programs))
+	programs := make([]*program, 0, len(s.programs))
 	for _, p := range s.programs {
 		programs = append(programs, p)
 	}

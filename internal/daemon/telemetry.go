@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/rpc"
 	"repro/internal/telemetry"
 )
 
@@ -14,35 +13,28 @@ const slowCallRing = 64
 // procStat caches the metric handles of one (program, procedure) pair so
 // the dispatch hot path touches only atomics after the first call.
 type procStat struct {
-	program string
-	proc    string
 	calls   *telemetry.Counter
 	errors  *telemetry.Counter
 	latency *telemetry.Histogram
 }
 
-// dispatchStat returns the cached per-procedure stat, creating it on
-// first dispatch. Returns nil when the server is uninstrumented.
-func (s *Server) dispatchStat(program, proc uint32) *procStat {
-	if s.metrics == nil {
+// dispatchStat returns the metric handles of one table row, building
+// them on the procedure's first dispatch so that a procedure nobody
+// calls adds no series. Returns nil when the server is uninstrumented.
+func (s *Server) dispatchStat(pg *program, proc uint32) *procStat {
+	if pg.stats == nil {
 		return nil
 	}
-	key := uint64(program)<<32 | uint64(proc)
-	if v, ok := s.dispatchStats.Load(key); ok {
-		return v.(*procStat)
+	if st := pg.stats[proc].Load(); st != nil {
+		return st
 	}
-	progName := rpc.ProgramName(program)
-	procName := rpc.ProcName(program, proc)
-	labels := fmt.Sprintf("{program=%q,proc=%q}", progName, procName)
-	st := &procStat{
-		program: progName,
-		proc:    procName,
+	labels := fmt.Sprintf("{program=%q,proc=%q}", pg.name, pg.procs[proc].Name)
+	pg.stats[proc].CompareAndSwap(nil, &procStat{
 		calls:   s.metrics.Counter("daemon_dispatch_total" + labels),
 		errors:  s.metrics.Counter("daemon_dispatch_errors_total" + labels),
 		latency: s.metrics.Histogram("daemon_dispatch_seconds" + labels),
-	}
-	actual, _ := s.dispatchStats.LoadOrStore(key, st)
-	return actual.(*procStat)
+	})
+	return pg.stats[proc].Load()
 }
 
 // registerServerMetrics installs the per-server function metrics: client

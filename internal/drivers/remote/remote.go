@@ -42,8 +42,6 @@ const DefaultOverloadRetryCap = 100 * time.Millisecond
 // Conn is the remote driver connection.
 type Conn struct {
 	client        *rpc.Client
-	bus           *events.Bus
-	cbID          int32         // server-side callback id, 0 when unregistered
 	overloadRetry time.Duration // retry-after honor cap; 0 = never retry
 
 	wmu     sync.Mutex
@@ -52,7 +50,6 @@ type Conn struct {
 
 var (
 	_ core.DriverConn     = (*Conn)(nil)
-	_ core.EventSource    = (*Conn)(nil)
 	_ core.NetworkSupport = (*Conn)(nil)
 	_ core.StorageSupport = (*Conn)(nil)
 	_ core.BulkMonitor    = (*Conn)(nil)
@@ -71,7 +68,7 @@ func Open(u *uri.URI) (*Conn, error) {
 		remoteConnErrors.Inc()
 		return nil, err
 	}
-	c := &Conn{bus: events.NewBus(), overloadRetry: overloadRetryFor(u)}
+	c := &Conn{overloadRetry: overloadRetryFor(u)}
 	c.client = rpc.NewClientKeepalive(nc, rpc.ProgramRemote, c.handleEvent, keepaliveFor(u))
 	c.client.SetCallTimeout(callTimeoutFor(u))
 	// "write_coalesce=N" batches outgoing frames through an N-byte
@@ -94,12 +91,6 @@ func Open(u *uri.URI) (*Conn, error) {
 		return nil, err
 	}
 	remoteConnects.Inc()
-	// Subscribe to all lifecycle events so the local bus mirrors the
-	// daemon-side one.
-	var reg wire.EventRegisterReply
-	if err := c.call(wire.ProcEventRegister, &wire.EventRegisterArgs{}, &reg); err == nil {
-		c.cbID = reg.CallbackID
-	}
 	return c, nil
 }
 
@@ -265,24 +256,49 @@ func (c *Conn) callOnce(proc uint32, args, ret interface{}) error {
 	return core.Errorf(core.ErrRPC, "%v", err)
 }
 
-// handleEvent decodes unsolicited server frames: legacy lifecycle
-// events re-emit onto the local bus, watch-stream frames go through
-// per-subscription sequence tracking. It runs on the client's reader
-// goroutine, so watch handlers must not block.
+// callString, callNames, callBool and callMeta are call for the four
+// reply shapes most procedures share.
+func (c *Conn) callString(proc uint32, args interface{}) (string, error) {
+	var r wire.StringReply
+	if err := c.call(proc, args, &r); err != nil {
+		return "", err
+	}
+	return r.Value, nil
+}
+
+func (c *Conn) callNames(proc uint32, args interface{}) ([]string, error) {
+	var r wire.NameListReply
+	if err := c.call(proc, args, &r); err != nil {
+		return nil, err
+	}
+	return r.Names, nil
+}
+
+func (c *Conn) callBool(proc uint32, args interface{}) (bool, error) {
+	var r wire.BoolReply
+	if err := c.call(proc, args, &r); err != nil {
+		return false, err
+	}
+	return r.Value, nil
+}
+
+func (c *Conn) callMeta(proc uint32, args interface{}) (core.DomainMeta, error) {
+	var r wire.DomainMetaReply
+	if err := c.call(proc, args, &r); err != nil {
+		return core.DomainMeta{}, err
+	}
+	return core.DomainMeta{Name: r.Meta.Name, UUID: r.Meta.UUID, ID: int(r.Meta.ID)}, nil
+}
+
+func (c *Conn) nameOp(proc uint32, name string) error {
+	return c.call(proc, &wire.NameArgs{Name: name}, nil)
+}
+
+// handleEvent receives unsolicited server frames; watch-stream frames
+// are the only kind. It runs on the client's reader goroutine, so watch
+// handlers must not block.
 func (c *Conn) handleEvent(proc uint32, payload []byte) {
-	switch proc {
-	case wire.ProcEventLifecycle:
-		var ev wire.LifecycleEvent
-		if err := rpc.Unmarshal(payload, &ev); err != nil {
-			return
-		}
-		c.bus.Emit(events.Event{
-			Type:   events.Type(ev.Type),
-			Domain: ev.Domain,
-			UUID:   ev.UUID,
-			Detail: ev.Detail,
-		})
-	case wire.ProcEventWatch:
+	if proc == wire.ProcEventWatch {
 		c.handleWatchFrame(payload)
 	}
 }
@@ -384,9 +400,6 @@ func (c *Conn) WatchEvents(domain string, types []events.Type, h core.WatchHandl
 // atomic load — checking an idle connection's health costs no traffic.
 func (c *Conn) Alive() bool { return c.client.Alive() }
 
-// EventBus implements core.EventSource.
-func (c *Conn) EventBus() *events.Bus { return c.bus }
-
 // Close implements core.DriverConn.
 func (c *Conn) Close() error {
 	c.call(wire.ProcConnectClose, &struct{}{}, nil) //nolint:errcheck // best effort
@@ -396,38 +409,26 @@ func (c *Conn) Close() error {
 // Type implements core.DriverConn. The remote driver reports the
 // underlying driver's type, preserving transparency.
 func (c *Conn) Type() string {
-	var r wire.StringReply
-	if err := c.call(wire.ProcGetType, &struct{}{}, &r); err != nil {
+	t, err := c.callString(wire.ProcGetType, &struct{}{})
+	if err != nil {
 		return "remote"
 	}
-	return r.Value
+	return t
 }
 
 // Version implements core.DriverConn.
 func (c *Conn) Version() (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcGetVersion, &struct{}{}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcGetVersion, &struct{}{})
 }
 
 // Hostname implements core.DriverConn.
 func (c *Conn) Hostname() (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcGetHostname, &struct{}{}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcGetHostname, &struct{}{})
 }
 
 // CapabilitiesXML implements core.DriverConn.
 func (c *Conn) CapabilitiesXML() (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcGetCapabilities, &struct{}{}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcGetCapabilities, &struct{}{})
 }
 
 // NodeInfo implements core.DriverConn.
@@ -436,55 +437,35 @@ func (c *Conn) NodeInfo() (core.NodeInfo, error) {
 	if err := c.call(wire.ProcNodeGetInfo, &struct{}{}, &r); err != nil {
 		return core.NodeInfo{}, err
 	}
+	return nodeInfoFromWire(&r), nil
+}
+
+func nodeInfoFromWire(r *wire.NodeInfoReply) core.NodeInfo {
 	return core.NodeInfo{
 		Model: r.Model, MemoryKiB: r.MemoryKiB, CPUs: int(r.CPUs), MHz: int(r.MHz),
 		NUMANodes: int(r.NUMANodes), Sockets: int(r.Sockets), Cores: int(r.Cores),
 		Threads: int(r.Threads),
-	}, nil
+	}
 }
 
 // ListDomains implements core.DriverConn.
 func (c *Conn) ListDomains(flags core.ListFlags) ([]string, error) {
-	var r wire.NameListReply
-	if err := c.call(wire.ProcDomainList, &wire.DomainListArgs{Flags: uint32(flags)}, &r); err != nil {
-		return nil, err
-	}
-	return r.Names, nil
-}
-
-func metaFromWire(m wire.DomainMeta) core.DomainMeta {
-	return core.DomainMeta{Name: m.Name, UUID: m.UUID, ID: int(m.ID)}
+	return c.callNames(wire.ProcDomainList, &wire.DomainListArgs{Flags: uint32(flags)})
 }
 
 // LookupDomain implements core.DriverConn.
 func (c *Conn) LookupDomain(name string) (core.DomainMeta, error) {
-	var r wire.DomainMetaReply
-	if err := c.call(wire.ProcDomainLookupByName, &wire.NameArgs{Name: name}, &r); err != nil {
-		return core.DomainMeta{}, err
-	}
-	return metaFromWire(r.Meta), nil
+	return c.callMeta(wire.ProcDomainLookupByName, &wire.NameArgs{Name: name})
 }
 
 // LookupDomainByUUID implements core.DriverConn.
 func (c *Conn) LookupDomainByUUID(uuidStr string) (core.DomainMeta, error) {
-	var r wire.DomainMetaReply
-	if err := c.call(wire.ProcDomainLookupByUUID, &wire.UUIDArgs{UUID: uuidStr}, &r); err != nil {
-		return core.DomainMeta{}, err
-	}
-	return metaFromWire(r.Meta), nil
+	return c.callMeta(wire.ProcDomainLookupByUUID, &wire.UUIDArgs{UUID: uuidStr})
 }
 
 // DefineDomain implements core.DriverConn.
 func (c *Conn) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
-	var r wire.DomainMetaReply
-	if err := c.call(wire.ProcDomainDefine, &wire.XMLArgs{XML: xmlDesc}, &r); err != nil {
-		return core.DomainMeta{}, err
-	}
-	return metaFromWire(r.Meta), nil
-}
-
-func (c *Conn) nameOp(proc uint32, name string) error {
-	return c.call(proc, &wire.NameArgs{Name: name}, nil)
+	return c.callMeta(wire.ProcDomainDefine, &wire.XMLArgs{XML: xmlDesc})
 }
 
 // UndefineDomain implements core.DriverConn.
@@ -563,11 +544,7 @@ func (c *Conn) NodeInventoryInto(inv *core.NodeInventory) error {
 	if err := c.call(wire.ProcNodeInventory, &struct{}{}, &r); err != nil {
 		return err
 	}
-	inv.Node = core.NodeInfo{
-		Model: r.Node.Model, MemoryKiB: r.Node.MemoryKiB, CPUs: int(r.Node.CPUs),
-		MHz: int(r.Node.MHz), NUMANodes: int(r.Node.NUMANodes),
-		Sockets: int(r.Node.Sockets), Cores: int(r.Node.Cores), Threads: int(r.Node.Threads),
-	}
+	inv.Node = nodeInfoFromWire(&r.Node)
 	inv.Domains = r.Domains
 	return nil
 }
@@ -589,11 +566,7 @@ func (c *Conn) DomainStats(name string) (core.DomainStats, error) {
 
 // DomainXML implements core.DriverConn.
 func (c *Conn) DomainXML(name string) (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcDomainGetXML, &wire.NameArgs{Name: name}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcDomainGetXML, &wire.NameArgs{Name: name})
 }
 
 // SetDomainMemory implements core.DriverConn.
@@ -611,11 +584,7 @@ func (c *Conn) SetDomainVCPUs(name string, n int) error {
 
 // ListNetworks implements core.NetworkSupport.
 func (c *Conn) ListNetworks() ([]string, error) {
-	var r wire.NameListReply
-	if err := c.call(wire.ProcNetworkList, &struct{}{}, &r); err != nil {
-		return nil, err
-	}
-	return r.Names, nil
+	return c.callNames(wire.ProcNetworkList, &struct{}{})
 }
 
 // DefineNetwork implements core.NetworkSupport.
@@ -634,20 +603,12 @@ func (c *Conn) StopNetwork(name string) error { return c.nameOp(wire.ProcNetwork
 
 // NetworkXML implements core.NetworkSupport.
 func (c *Conn) NetworkXML(name string) (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcNetworkGetXML, &wire.NameArgs{Name: name}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcNetworkGetXML, &wire.NameArgs{Name: name})
 }
 
 // NetworkIsActive implements core.NetworkSupport.
 func (c *Conn) NetworkIsActive(name string) (bool, error) {
-	var r wire.BoolReply
-	if err := c.call(wire.ProcNetworkIsActive, &wire.NameArgs{Name: name}, &r); err != nil {
-		return false, err
-	}
-	return r.Value, nil
+	return c.callBool(wire.ProcNetworkIsActive, &wire.NameArgs{Name: name})
 }
 
 // NetworkDHCPLeases implements core.NetworkSupport.
@@ -665,11 +626,7 @@ func (c *Conn) NetworkDHCPLeases(name string) ([]core.DHCPLease, error) {
 
 // ListStoragePools implements core.StorageSupport.
 func (c *Conn) ListStoragePools() ([]string, error) {
-	var r wire.NameListReply
-	if err := c.call(wire.ProcPoolList, &struct{}{}, &r); err != nil {
-		return nil, err
-	}
-	return r.Names, nil
+	return c.callNames(wire.ProcPoolList, &struct{}{})
 }
 
 // DefineStoragePool implements core.StorageSupport.
@@ -688,11 +645,7 @@ func (c *Conn) StopStoragePool(name string) error { return c.nameOp(wire.ProcPoo
 
 // StoragePoolXML implements core.StorageSupport.
 func (c *Conn) StoragePoolXML(name string) (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcPoolGetXML, &wire.NameArgs{Name: name}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcPoolGetXML, &wire.NameArgs{Name: name})
 }
 
 // StoragePoolInfo implements core.StorageSupport.
@@ -709,11 +662,7 @@ func (c *Conn) StoragePoolInfo(name string) (core.StoragePoolInfo, error) {
 
 // ListVolumes implements core.StorageSupport.
 func (c *Conn) ListVolumes(pool string) ([]string, error) {
-	var r wire.NameListReply
-	if err := c.call(wire.ProcVolList, &wire.NameArgs{Name: pool}, &r); err != nil {
-		return nil, err
-	}
-	return r.Names, nil
+	return c.callNames(wire.ProcVolList, &wire.NameArgs{Name: pool})
 }
 
 // CreateVolume implements core.StorageSupport.
@@ -728,11 +677,7 @@ func (c *Conn) DeleteVolume(pool, name string) error {
 
 // VolumeXML implements core.StorageSupport.
 func (c *Conn) VolumeXML(pool, name string) (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcVolGetXML, &wire.VolArgs{Pool: pool, Name: name}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcVolGetXML, &wire.VolArgs{Pool: pool, Name: name})
 }
 
 // Register installs the remote driver as the registry fallback.

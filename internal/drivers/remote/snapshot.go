@@ -12,33 +12,17 @@ var (
 
 // CreateSnapshot implements core.SnapshotSupport.
 func (c *Conn) CreateSnapshot(domain, xmlDesc string) (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcSnapshotCreate, &wire.SnapshotCreateArgs{
-		Domain: domain, XML: xmlDesc,
-	}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcSnapshotCreate, &wire.SnapshotCreateArgs{Domain: domain, XML: xmlDesc})
 }
 
 // ListSnapshots implements core.SnapshotSupport.
 func (c *Conn) ListSnapshots(domain string) ([]string, error) {
-	var r wire.NameListReply
-	if err := c.call(wire.ProcSnapshotList, &wire.NameArgs{Name: domain}, &r); err != nil {
-		return nil, err
-	}
-	return r.Names, nil
+	return c.callNames(wire.ProcSnapshotList, &wire.NameArgs{Name: domain})
 }
 
 // SnapshotXML implements core.SnapshotSupport.
 func (c *Conn) SnapshotXML(domain, snapshot string) (string, error) {
-	var r wire.StringReply
-	if err := c.call(wire.ProcSnapshotGetXML, &wire.SnapshotArgs{
-		Domain: domain, Name: snapshot,
-	}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
+	return c.callString(wire.ProcSnapshotGetXML, &wire.SnapshotArgs{Domain: domain, Name: snapshot})
 }
 
 // RevertSnapshot implements core.SnapshotSupport.
@@ -62,11 +46,7 @@ func (c *Conn) ManagedSave(domain string) error {
 
 // HasManagedSave implements core.ManagedSaveSupport.
 func (c *Conn) HasManagedSave(domain string) (bool, error) {
-	var r wire.BoolReply
-	if err := c.call(wire.ProcHasManagedSave, &wire.NameArgs{Name: domain}, &r); err != nil {
-		return false, err
-	}
-	return r.Value, nil
+	return c.callBool(wire.ProcHasManagedSave, &wire.NameArgs{Name: domain})
 }
 
 // ManagedSaveRemove implements core.ManagedSaveSupport.

@@ -2,10 +2,10 @@ package remote
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
-	"repro/internal/rpc"
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Client-side view of the management plane: how long calls take as seen
@@ -22,17 +22,19 @@ var (
 	// hint fit under the driver's cap.
 	remoteOverloadRetries = telemetry.Default.Counter("remote_overload_retries_total")
 
-	// Per-procedure latency histograms, created on first use.
-	callLatencies sync.Map // proc uint32 → *telemetry.Histogram
+	// Per-procedure latency histograms, row for row beside wire.Procs;
+	// each is created on its procedure's first call, so procedures a
+	// process never calls add no series.
+	callLatencies = make([]atomic.Pointer[telemetry.Histogram], len(wire.Procs))
 )
 
-// callLatency returns the cached per-procedure latency histogram.
+// callLatency returns the latency histogram of one procedure.
 func callLatency(proc uint32) *telemetry.Histogram {
-	if v, ok := callLatencies.Load(proc); ok {
-		return v.(*telemetry.Histogram)
+	if h := callLatencies[proc].Load(); h != nil {
+		return h
 	}
-	h := telemetry.Default.Histogram(fmt.Sprintf(
-		"remote_call_seconds{proc=%q}", rpc.ProcName(rpc.ProgramRemote, proc)))
-	actual, _ := callLatencies.LoadOrStore(proc, h)
-	return actual.(*telemetry.Histogram)
+	// The registry hands every racing first caller the same histogram.
+	h := telemetry.Default.Histogram(fmt.Sprintf("remote_call_seconds{proc=%q}", wire.Procs[proc].Name))
+	callLatencies[proc].Store(h)
+	return h
 }

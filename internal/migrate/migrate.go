@@ -622,8 +622,9 @@ func parseBoolParam(v string) (value, ok bool) {
 	return b, err == nil
 }
 
-// emitMigrated publishes the migration event when the connection's
-// driver delivers events.
+// emitMigrated publishes the migration event on a local driver's bus.
+// On a remote connection it is a no-op: the event bus lives in the
+// daemon, and the remote driver is not an EventSource.
 func emitMigrated(c *core.Connect, name, uuid, detail string) {
 	if src, ok := c.Driver().(core.EventSource); ok {
 		src.EventBus().Emit(events.Event{

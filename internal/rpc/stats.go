@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/telemetry"
 )
@@ -36,31 +35,22 @@ var (
 	coalescedFlushes = telemetry.Default.Counter("rpc_coalesced_flushes_total")
 )
 
-// procNames maps program → procedure → symbolic name. Programs register
-// their tables at init so the daemon, tracer and admin surface can label
-// metrics with names instead of raw numbers.
-var (
-	procNamesMu  sync.RWMutex
-	procNames    = make(map[uint32]map[uint32]string)
-	programNames = map[uint32]string{
-		ProgramRemote: "remote",
-		ProgramAdmin:  "admin",
-	}
-)
+// Proc declares one procedure of a protocol program. A program's table
+// is a slice of rows indexed by procedure number (a blank row is a
+// number the program does not serve), and it is the only place a
+// procedure is described: the daemon's read loop derives names for
+// metrics, QoS ACL rules and slow-call traces, worker routing, the
+// authentication gate and ACL object extraction from the row.
+type Proc struct {
+	Name     string // symbolic name; operator surface (ACL patterns, proc= labels)
+	Priority bool   // never waits on a hypervisor: may run on priority workers
+	PreAuth  bool   // callable before authentication completes
+	Object   bool   // the payload leads with the object name ACL rules match on
+}
 
-// RegisterProcNames installs the symbolic procedure names of a program.
-// Later registrations merge over earlier ones.
-func RegisterProcNames(program uint32, names map[uint32]string) {
-	procNamesMu.Lock()
-	defer procNamesMu.Unlock()
-	tbl, ok := procNames[program]
-	if !ok {
-		tbl = make(map[uint32]string, len(names))
-		procNames[program] = tbl
-	}
-	for proc, name := range names {
-		tbl[proc] = name
-	}
+var programNames = map[uint32]string{
+	ProgramRemote: "remote",
+	ProgramAdmin:  "admin",
 }
 
 // ProgramName returns the symbolic name of a program number.
@@ -69,16 +59,4 @@ func ProgramName(program uint32) string {
 		return s
 	}
 	return fmt.Sprintf("program-0x%x", program)
-}
-
-// ProcName returns the symbolic name of a procedure, falling back to the
-// numeric form for unregistered procedures.
-func ProcName(program, proc uint32) string {
-	procNamesMu.RLock()
-	name, ok := procNames[program][proc]
-	procNamesMu.RUnlock()
-	if ok {
-		return name
-	}
-	return fmt.Sprintf("proc-%d", proc)
 }

@@ -103,6 +103,7 @@ var helpText = map[string]string{
 	"daemon_dispatch_total":                "RPC procedures dispatched by the daemon.",
 	"daemon_dispatch_errors_total":         "RPC procedure dispatches that returned an error.",
 	"daemon_dispatch_seconds":              "Latency of RPC procedure dispatch.",
+	"daemon_dispatch_unknown_total":        "Calls refused because their procedure number has no table row.",
 	"daemon_clients":                       "Connected daemon clients.",
 	"daemon_clients_rejected_total":        "Client connections rejected at the accept limit.",
 	"daemon_pool_workers":                  "Worker goroutines in the dispatch pool.",

@@ -204,7 +204,7 @@ type Snapshot struct {
 }
 
 // Registry holds named metrics. Names follow the Prometheus convention
-// and may carry a label clause: `daemon_dispatch_total{proc="DomainGetInfo"}`.
+// and may carry a label clause: `daemon_clients{server="govirtd"}`.
 // Get-or-create methods are safe for concurrent use; the returned handle
 // should be cached by hot paths.
 type Registry struct {

@@ -8,6 +8,8 @@
 // a fixed struct, so adding an attribute never changes a payload layout.
 package wire
 
+import "repro/internal/rpc"
+
 // Remote program procedures. Numbers are part of the protocol and must
 // never be reused.
 const (
@@ -53,8 +55,8 @@ const (
 	ProcVolCreate
 	ProcVolDelete
 	ProcVolGetXML
-	ProcEventRegister
-	ProcEventDeregister
+	_ // 43: retired with the legacy event subscription (was EventRegister)
+	_ // 44: retired with the legacy event subscription (was EventDeregister)
 	ProcAuthList
 	ProcAuthSASLStart
 	ProcSnapshotCreate
@@ -77,14 +79,88 @@ const (
 	ProcMigrateFinish
 )
 
-// ProcEventLifecycle is the procedure number of unsolicited lifecycle
-// event messages (server → client).
-const ProcEventLifecycle uint32 = 1000
-
 // ProcEventWatch is the procedure number of watch-stream event frames
 // (server → client): sequenced, queue-bounded lifecycle notifications
-// established with ProcEventSubscribe.
+// established with ProcEventSubscribe. It is not callable and has no
+// row in Procs. 1000 carried the legacy per-callback event frames and
+// is retired like 43 and 44.
 const ProcEventWatch uint32 = 1001
+
+// Procs is the remote program's procedure table, indexed by procedure
+// number: the one declaration of every procedure's name and of how the
+// daemon treats it before dispatch. Priority marks procedures that
+// never wait on a hypervisor. Object marks payloads that lead with the
+// name or UUID of the object the call acts on — what a QoS ACL object
+// pattern is matched against; every other procedure is matched with no
+// object. TestObjectFlagMatchesArgs checks the flag against the
+// argument types.
+var Procs = []rpc.Proc{
+	ProcConnectOpen:        {Name: "ConnectOpen", Priority: true},
+	ProcConnectClose:       {Name: "ConnectClose", Priority: true},
+	ProcGetType:            {Name: "GetType", Priority: true},
+	ProcGetVersion:         {Name: "GetVersion"},
+	ProcGetHostname:        {Name: "GetHostname", Priority: true},
+	ProcGetCapabilities:    {Name: "GetCapabilities"},
+	ProcNodeGetInfo:        {Name: "NodeGetInfo"},
+	ProcDomainList:         {Name: "DomainList", Priority: true},
+	ProcDomainLookupByName: {Name: "DomainLookupByName", Priority: true, Object: true},
+	ProcDomainLookupByUUID: {Name: "DomainLookupByUUID", Priority: true, Object: true},
+	ProcDomainDefine:       {Name: "DomainDefine"},
+	ProcDomainUndefine:     {Name: "DomainUndefine", Object: true},
+	ProcDomainCreate:       {Name: "DomainCreate", Object: true},
+	ProcDomainDestroy:      {Name: "DomainDestroy", Object: true},
+	ProcDomainShutdown:     {Name: "DomainShutdown", Object: true},
+	ProcDomainReboot:       {Name: "DomainReboot", Object: true},
+	ProcDomainSuspend:      {Name: "DomainSuspend", Object: true},
+	ProcDomainResume:       {Name: "DomainResume", Object: true},
+	ProcDomainGetInfo:      {Name: "DomainGetInfo", Object: true},
+	ProcDomainGetStats:     {Name: "DomainGetStats", Object: true},
+	ProcDomainGetXML:       {Name: "DomainGetXML", Object: true},
+	ProcDomainSetMemory:    {Name: "DomainSetMemory", Object: true},
+	ProcDomainSetVCPUs:     {Name: "DomainSetVCPUs", Object: true},
+	ProcNetworkList:        {Name: "NetworkList"},
+	ProcNetworkDefine:      {Name: "NetworkDefine"},
+	ProcNetworkUndefine:    {Name: "NetworkUndefine", Object: true},
+	ProcNetworkStart:       {Name: "NetworkStart", Object: true},
+	ProcNetworkStop:        {Name: "NetworkStop", Object: true},
+	ProcNetworkGetXML:      {Name: "NetworkGetXML", Object: true},
+	ProcNetworkIsActive:    {Name: "NetworkIsActive", Object: true},
+	ProcNetworkDHCPLeases:  {Name: "NetworkDHCPLeases", Object: true},
+	ProcPoolList:           {Name: "PoolList"},
+	ProcPoolDefine:         {Name: "PoolDefine"},
+	ProcPoolUndefine:       {Name: "PoolUndefine", Object: true},
+	ProcPoolStart:          {Name: "PoolStart", Object: true},
+	ProcPoolStop:           {Name: "PoolStop", Object: true},
+	ProcPoolGetXML:         {Name: "PoolGetXML", Object: true},
+	ProcPoolGetInfo:        {Name: "PoolGetInfo", Object: true},
+	ProcVolList:            {Name: "VolList", Object: true},
+	ProcVolCreate:          {Name: "VolCreate", Object: true},
+	ProcVolDelete:          {Name: "VolDelete", Object: true},
+	ProcVolGetXML:          {Name: "VolGetXML", Object: true},
+	ProcAuthList:           {Name: "AuthList", Priority: true, PreAuth: true},
+	ProcAuthSASLStart:      {Name: "AuthSASLStart", Priority: true, PreAuth: true},
+	ProcSnapshotCreate:     {Name: "SnapshotCreate", Object: true},
+	ProcSnapshotList:       {Name: "SnapshotList", Object: true},
+	ProcSnapshotGetXML:     {Name: "SnapshotGetXML", Object: true},
+	ProcSnapshotRevert:     {Name: "SnapshotRevert", Object: true},
+	ProcSnapshotDelete:     {Name: "SnapshotDelete", Object: true},
+	ProcManagedSave:        {Name: "ManagedSave", Object: true},
+	ProcHasManagedSave:     {Name: "HasManagedSave", Object: true},
+	ProcManagedSaveRemove:  {Name: "ManagedSaveRemove", Object: true},
+	ProcDeviceAttach:       {Name: "DeviceAttach", Object: true},
+	ProcDeviceDetach:       {Name: "DeviceDetach", Object: true},
+	ProcDomainListInfo:     {Name: "DomainListInfo"},
+	ProcNodeInventory:      {Name: "NodeInventory"},
+	ProcEventSubscribe:     {Name: "EventSubscribe", Priority: true, Object: true},
+	ProcEventUnsubscribe:   {Name: "EventUnsubscribe", Priority: true},
+	// Migration control and post-copy demand-fault pulls must not queue
+	// behind a flood of background page chunks: the pull stream is what
+	// bounds guest stalls after switch-over.
+	ProcMigratePrepare:  {Name: "MigratePrepare", Priority: true, Object: true},
+	ProcMigratePages:    {Name: "MigratePages"},
+	ProcMigratePagePull: {Name: "MigratePagePull", Priority: true},
+	ProcMigrateFinish:   {Name: "MigrateFinish", Priority: true},
+}
 
 // ConnectOpenArgs carries the effective URI the client wants the daemon
 // to open with its server-side drivers.
@@ -220,32 +296,6 @@ type VolArgs struct {
 type VolCreateArgs struct {
 	Pool string
 	XML  string
-}
-
-// EventRegisterArgs subscribes the connection to lifecycle events for
-// one domain name, or all when empty.
-type EventRegisterArgs struct {
-	Domain string
-}
-
-// EventRegisterReply returns the server-side callback id.
-type EventRegisterReply struct {
-	CallbackID int32
-}
-
-// EventDeregisterArgs removes a callback.
-type EventDeregisterArgs struct {
-	CallbackID int32
-}
-
-// LifecycleEvent is the payload of unsolicited event messages.
-type LifecycleEvent struct {
-	CallbackID int32
-	Type       uint32
-	Domain     string
-	UUID       string
-	Detail     string
-	Seq        uint64
 }
 
 // EventSubscribeArgs opens a watch stream on the connection: sequenced

@@ -67,10 +67,6 @@ func TestAllPayloadsRoundTrip(t *testing.T) {
 		&wire.PoolInfoReply{Active: true, CapacityKiB: 100, AllocationKiB: 40, AvailableKiB: 60},
 		&wire.VolArgs{Pool: "p", Name: "v"},
 		&wire.VolCreateArgs{Pool: "p", XML: "<volume/>"},
-		&wire.EventRegisterArgs{Domain: "d"},
-		&wire.EventRegisterReply{CallbackID: 7},
-		&wire.EventDeregisterArgs{CallbackID: 7},
-		&wire.LifecycleEvent{CallbackID: 1, Type: 3, Domain: "d", UUID: "u", Detail: "x", Seq: 9},
 		&wire.AuthListReply{Mechanisms: []string{"SIM-PLAIN"}},
 		&wire.SASLStartArgs{Mechanism: "SIM-PLAIN", Data: []byte{1, 0, 2}},
 		&wire.SASLStartReply{Complete: true, Data: []byte{}},
@@ -86,34 +82,151 @@ func TestAllPayloadsRoundTrip(t *testing.T) {
 	}
 }
 
+// protocol is the golden list of the remote protocol: every procedure
+// number ever assigned, its name, and the argument structure its payload
+// decodes into (nil for procedures that take none). Numbers are
+// protocol constants — a row here never changes, and a retired number
+// stays listed as reserved so it is never handed out again.
+var protocol = []struct {
+	num  uint32
+	name string
+	args interface{}
+}{
+	{1, "ConnectOpen", wire.ConnectOpenArgs{}},
+	{2, "ConnectClose", nil},
+	{3, "GetType", nil},
+	{4, "GetVersion", nil},
+	{5, "GetHostname", nil},
+	{6, "GetCapabilities", nil},
+	{7, "NodeGetInfo", nil},
+	{8, "DomainList", wire.DomainListArgs{}},
+	{9, "DomainLookupByName", wire.NameArgs{}},
+	{10, "DomainLookupByUUID", wire.UUIDArgs{}},
+	{11, "DomainDefine", wire.XMLArgs{}},
+	{12, "DomainUndefine", wire.NameArgs{}},
+	{13, "DomainCreate", wire.NameArgs{}},
+	{14, "DomainDestroy", wire.NameArgs{}},
+	{15, "DomainShutdown", wire.NameArgs{}},
+	{16, "DomainReboot", wire.NameArgs{}},
+	{17, "DomainSuspend", wire.NameArgs{}},
+	{18, "DomainResume", wire.NameArgs{}},
+	{19, "DomainGetInfo", wire.NameArgs{}},
+	{20, "DomainGetStats", wire.NameArgs{}},
+	{21, "DomainGetXML", wire.NameArgs{}},
+	{22, "DomainSetMemory", wire.SetMemoryArgs{}},
+	{23, "DomainSetVCPUs", wire.SetVCPUsArgs{}},
+	{24, "NetworkList", nil},
+	{25, "NetworkDefine", wire.XMLArgs{}},
+	{26, "NetworkUndefine", wire.NameArgs{}},
+	{27, "NetworkStart", wire.NameArgs{}},
+	{28, "NetworkStop", wire.NameArgs{}},
+	{29, "NetworkGetXML", wire.NameArgs{}},
+	{30, "NetworkIsActive", wire.NameArgs{}},
+	{31, "NetworkDHCPLeases", wire.NameArgs{}},
+	{32, "PoolList", nil},
+	{33, "PoolDefine", wire.XMLArgs{}},
+	{34, "PoolUndefine", wire.NameArgs{}},
+	{35, "PoolStart", wire.NameArgs{}},
+	{36, "PoolStop", wire.NameArgs{}},
+	{37, "PoolGetXML", wire.NameArgs{}},
+	{38, "PoolGetInfo", wire.NameArgs{}},
+	{39, "VolList", wire.NameArgs{}},
+	{40, "VolCreate", wire.VolCreateArgs{}},
+	{41, "VolDelete", wire.VolArgs{}},
+	{42, "VolGetXML", wire.VolArgs{}},
+	{43, reserved, nil}, // was EventRegister
+	{44, reserved, nil}, // was EventDeregister
+	{45, "AuthList", nil},
+	{46, "AuthSASLStart", wire.SASLStartArgs{}},
+	{47, "SnapshotCreate", wire.SnapshotCreateArgs{}},
+	{48, "SnapshotList", wire.NameArgs{}},
+	{49, "SnapshotGetXML", wire.SnapshotArgs{}},
+	{50, "SnapshotRevert", wire.SnapshotArgs{}},
+	{51, "SnapshotDelete", wire.SnapshotArgs{}},
+	{52, "ManagedSave", wire.NameArgs{}},
+	{53, "HasManagedSave", wire.NameArgs{}},
+	{54, "ManagedSaveRemove", wire.NameArgs{}},
+	{55, "DeviceAttach", wire.DeviceArgs{}},
+	{56, "DeviceDetach", wire.DeviceArgs{}},
+	{57, "DomainListInfo", wire.DomainListInfoArgs{}},
+	{58, "NodeInventory", nil},
+	{59, "EventSubscribe", wire.EventSubscribeArgs{}},
+	{60, "EventUnsubscribe", wire.EventUnsubscribeArgs{}},
+	{61, "MigratePrepare", wire.MigratePrepareArgs{}},
+	{62, "MigratePages", wire.MigratePagesArgs{}},
+	{63, "MigratePagePull", wire.MigratePagesArgs{}},
+	{64, "MigrateFinish", wire.MigrateFinishArgs{}},
+	{1000, reserved, nil}, // was the EventLifecycle frame
+	{1001, "EventWatch", nil},
+}
+
+const reserved = "reserved"
+
+// TestProcedureNumbersAreStable holds wire.Procs to the golden list in
+// both directions: no procedure renumbered or renamed, none added to the
+// table without a line here, no reserved number back in use.
 func TestProcedureNumbersAreStable(t *testing.T) {
-	// Wire numbers are protocol constants; a reorder of the const block
-	// would silently break compatibility. Pin the anchors.
-	pins := map[string]uint32{
-		"ConnectOpen":       1,
-		"DomainDefine":      11,
-		"NetworkList":       24,
-		"PoolList":          32,
-		"EventRegister":     43,
-		"AuthList":          45,
-		"SnapshotCreate":    47,
-		"ManagedSave":       52,
-		"ManagedSaveRemove": 54,
+	listed := make(map[uint32]bool)
+	for _, g := range protocol {
+		if listed[g.num] {
+			t.Errorf("number %d listed twice", g.num)
+		}
+		listed[g.num] = true
+		var got string
+		switch {
+		case int(g.num) < len(wire.Procs):
+			got = wire.Procs[g.num].Name
+		case g.num == wire.ProcEventWatch:
+			got = "EventWatch" // an event frame, not a table row
+		}
+		want := g.name
+		if want == reserved {
+			want = "" // a blank row
+		}
+		if got != want {
+			t.Errorf("procedure %d is %q, the protocol says %q", g.num, got, g.name)
+		}
 	}
-	got := map[string]uint32{
-		"ConnectOpen":       wire.ProcConnectOpen,
-		"DomainDefine":      wire.ProcDomainDefine,
-		"NetworkList":       wire.ProcNetworkList,
-		"PoolList":          wire.ProcPoolList,
-		"EventRegister":     wire.ProcEventRegister,
-		"AuthList":          wire.ProcAuthList,
-		"SnapshotCreate":    wire.ProcSnapshotCreate,
-		"ManagedSave":       wire.ProcManagedSave,
-		"ManagedSaveRemove": wire.ProcManagedSaveRemove,
+	seen := make(map[string]uint32)
+	for num, row := range wire.Procs {
+		if row.Name == "" {
+			continue
+		}
+		if !listed[uint32(num)] {
+			t.Errorf("procedure %d (%s) is missing from the golden list", num, row.Name)
+		}
+		if prev, dup := seen[row.Name]; dup {
+			t.Errorf("procedures %d and %d share the name %s", prev, num, row.Name)
+		}
+		seen[row.Name] = uint32(num)
 	}
-	for name, want := range pins {
-		if got[name] != want {
-			t.Errorf("procedure %s renumbered: %d, want %d", name, got[name], want)
+}
+
+// TestObjectFlagMatchesArgs checks each row's Object flag against the
+// payload it describes. A flagged row must decode into a structure whose
+// first field is a string — that is the field the daemon hands to the
+// ACL. The other way round, a payload leading with an object's name must
+// be flagged, or a rule written against that name silently never
+// matches.
+func TestObjectFlagMatchesArgs(t *testing.T) {
+	nameFields := map[string]bool{"Name": true, "UUID": true, "Domain": true, "Pool": true}
+	for _, g := range protocol {
+		if int(g.num) >= len(wire.Procs) || g.name == reserved {
+			continue
+		}
+		row := wire.Procs[g.num]
+		if g.args == nil {
+			if row.Object {
+				t.Errorf("%s takes no arguments but is flagged Object", g.name)
+			}
+			continue
+		}
+		// ConnectOpen, the three Define procedures and AuthSASLStart lead
+		// with a string too, and are deliberately unflagged: a URI, an XML
+		// document and a mechanism name are not object names.
+		first := reflect.TypeOf(g.args).Field(0)
+		if named := first.Type.Kind() == reflect.String && nameFields[first.Name]; named != row.Object {
+			t.Errorf("%s: Object=%v but its payload leads with %s %s", g.name, row.Object, first.Name, first.Type)
 		}
 	}
 }

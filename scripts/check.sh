@@ -46,3 +46,4 @@ echo "== bench smoke: every benchmark runs once (-benchtime=1x)"
 go test . -run '^$' -bench . -benchtime=1x >/dev/null
 
 echo "== OK"
+echo "loc: $(make -s loc | tr -s ' \n' ' ')"
