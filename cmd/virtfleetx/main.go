@@ -222,17 +222,17 @@ func cmdHosts(reg *fleet.Registry) error {
 
 func cmdStatus(reg *fleet.Registry) error {
 	reg.RefreshNow()
-	invs := reg.Inventory()
+	sums := reg.Summaries()
 	fmt.Printf(" %-16s %-8s %-10s %-10s %-10s %-12s\n %s\n",
 		"Host", "State", "Domains", "MemLoad", "CPULoad", "FreeMemMiB",
 		strings.Repeat("-", 72))
-	for i := range invs {
-		inv := &invs[i]
+	for i := range sums {
+		sum := &sums[i]
 		fmt.Printf(" %-16s %-8s %-10d %-10.2f %-10.2f %-12d\n",
-			inv.Host, inv.State, inv.ActiveDomains(), inv.MemLoad(), inv.CPULoad(),
-			inv.FreeMemKiB()/1024)
+			sum.Host, sum.State, sum.ActiveDomains, sum.MemLoad(), sum.CPULoad(),
+			sum.FreeMemKiB()/1024)
 	}
-	fmt.Printf("\nFleet skew (hottest - coldest load): %.3f\n", fleet.Skew(invs))
+	fmt.Printf("\nFleet skew (hottest - coldest load): %.3f\n", fleet.SkewSummaries(sums))
 	return nil
 }
 

@@ -91,7 +91,7 @@ func main() {
 	}
 
 	counts := activeCounts(reg)
-	fmt.Printf("\nplacement by host: %v (skew %.3f)\n", counts, fleet.Skew(reg.Inventory()))
+	fmt.Printf("\nplacement by host: %v (skew %.3f)\n", counts, fleet.SkewSummaries(reg.Summaries()))
 	min, max := minMax(counts)
 	if max-min > 1 {
 		log.Fatalf("spread policy placed unevenly: %v", counts)
@@ -166,8 +166,8 @@ func domainXML(name string) string {
 func activeCounts(reg *fleet.Registry) map[string]int {
 	reg.RefreshNow()
 	counts := map[string]int{}
-	for _, inv := range reg.Inventory() {
-		counts[inv.Host] = inv.ActiveDomains()
+	for _, sum := range reg.Summaries() {
+		counts[sum.Host] = sum.ActiveDomains
 	}
 	return counts
 }

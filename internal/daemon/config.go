@@ -2,9 +2,9 @@ package daemon
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
+	"repro/internal/conf"
 	"repro/internal/faultpoint"
 	"repro/internal/qos"
 	"repro/internal/uri"
@@ -66,10 +66,6 @@ type Config struct {
 	// Production configurations leave these empty.
 	FaultInjection string // "site:mode:prob[:delay_ms],..." spec list
 	FaultSeed      int    // PRNG seed the registry is armed with
-
-	// qosLine remembers the config line where qos_classes appeared, so
-	// Validate can point at it when a spec fails full parsing.
-	qosLine int
 }
 
 // DefaultConfig returns the shipped defaults.
@@ -102,241 +98,102 @@ func DefaultConfig() Config {
 	}
 }
 
-// ParseConfig reads a key = value configuration document: comments start
-// with '#', strings are double-quoted, integers and booleans (0/1) are
-// bare, and string lists use ["a", "b"].
+// Keys is the govirtd.conf key table (the dialect is package conf's),
+// bound to c's fields. sasl_credentials lands in creds as written;
+// ParseConfig folds it into c.SASLCredentials.
+func (c *Config) Keys(creds *[]string) []conf.Key {
+	return []conf.Key{
+		conf.String("unix_sock_path", &c.UnixSocketPath),
+		conf.String("admin_sock_path", &c.AdminSocketPath),
+		conf.Bool("listen_tcp", &c.ListenTCP),
+		conf.String("tcp_bind_address", &c.TCPBindAddress),
+		conf.Int("tcp_port", &c.TCPPort, 1, 65535),
+		conf.String("auth_tcp", &c.AuthTCP),
+		conf.Strings("sasl_credentials", creds),
+		conf.Int("min_workers", &c.MinWorkers, 0),
+		conf.Int("max_workers", &c.MaxWorkers, 1),
+		conf.Int("prio_workers", &c.PrioWorkers, 0),
+		conf.Int("max_clients", &c.MaxClients, 1),
+		conf.Int("max_anonymous_clients", &c.MaxUnauthClients, 0),
+		conf.Int("log_level", &c.LogLevel, 1, 4),
+		conf.String("log_filters", &c.LogFilters),
+		conf.String("log_outputs", &c.LogOutputs),
+		conf.String("metrics_address", &c.MetricsAddress),
+		conf.Int("slow_call_threshold_ms", &c.SlowCallThresholdMs, 0),
+		conf.String("domain_metrics", &c.DomainMetricsURI),
+		conf.Int("domain_metrics_staleness_ms", &c.DomainMetricsStalenessMs, 0),
+		conf.Int("domain_metrics_max_domains", &c.DomainMetricsMaxDomains, 0),
+		conf.Int("event_queue_depth", &c.EventQueueDepth, 1),
+		conf.Int("event_coalesce_window_ms", &c.EventCoalesceWindowMs, 0),
+		conf.String("state_dir", &c.StateDir),
+		conf.Int("call_timeout_ms", &c.CallTimeoutMs, 0),
+		conf.Int("shutdown_grace_ms", &c.ShutdownGraceMs, 0),
+		conf.Strings("qos_classes", &c.QoSClasses),
+		conf.Int("qos_shed_watermark", &c.QoSShedWatermark, 0),
+		conf.String("fault_injection", &c.FaultInjection),
+		conf.Int("fault_seed", &c.FaultSeed),
+	}
+}
+
+// ParseConfig reads a govirtd.conf document over the shipped defaults.
 func ParseConfig(text string) (Config, error) {
 	cfg := DefaultConfig()
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	var creds []string
+	at, err := conf.Parse(text, cfg.Keys(&creds))
+	for _, e := range creds {
+		user, pass, found := strings.Cut(e, ":")
+		if err == nil && (!found || user == "") {
+			err = at.Errorf("sasl_credentials", `entries must be "user:password"`)
 		}
-		key, value, found := strings.Cut(line, "=")
-		if !found {
-			return cfg, fmt.Errorf("daemon: config line %d: missing '='", lineNo+1)
-		}
-		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		if err := cfg.apply(key, value); err != nil {
-			return cfg, fmt.Errorf("daemon: config line %d: %v", lineNo+1, err)
-		}
-		if key == "qos_classes" {
-			cfg.qosLine = lineNo + 1
-		}
+		cfg.SASLCredentials[user] = pass
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
+	if err == nil {
+		err = cfg.validate(at)
 	}
-	return cfg, nil
+	if err != nil {
+		err = fmt.Errorf("daemon: %v", err)
+	}
+	return cfg, err
 }
 
-func (c *Config) apply(key, value string) error {
-	switch key {
-	case "unix_sock_path":
-		return setString(&c.UnixSocketPath, value)
-	case "admin_sock_path":
-		return setString(&c.AdminSocketPath, value)
-	case "listen_tcp":
-		return setBool(&c.ListenTCP, value)
-	case "tcp_bind_address":
-		return setString(&c.TCPBindAddress, value)
-	case "tcp_port":
-		return setInt(&c.TCPPort, value)
-	case "auth_tcp":
-		if err := setString(&c.AuthTCP, value); err != nil {
-			return err
-		}
-		if c.AuthTCP != "none" && c.AuthTCP != "sasl" {
-			return fmt.Errorf("auth_tcp must be \"none\" or \"sasl\"")
-		}
-		return nil
-	case "sasl_credentials":
-		entries, err := parseList(value)
-		if err != nil {
-			return err
-		}
-		creds := make(map[string]string, len(entries))
-		for _, e := range entries {
-			user, pass, found := strings.Cut(e, ":")
-			if !found || user == "" {
-				return fmt.Errorf("sasl_credentials entries must be \"user:password\"")
-			}
-			creds[user] = pass
-		}
-		c.SASLCredentials = creds
-		return nil
-	case "min_workers":
-		return setInt(&c.MinWorkers, value)
-	case "max_workers":
-		return setInt(&c.MaxWorkers, value)
-	case "prio_workers":
-		return setInt(&c.PrioWorkers, value)
-	case "max_clients":
-		return setInt(&c.MaxClients, value)
-	case "max_anonymous_clients":
-		return setInt(&c.MaxUnauthClients, value)
-	case "log_level":
-		return setInt(&c.LogLevel, value)
-	case "log_filters":
-		return setString(&c.LogFilters, value)
-	case "log_outputs":
-		return setString(&c.LogOutputs, value)
-	case "metrics_address":
-		return setString(&c.MetricsAddress, value)
-	case "slow_call_threshold_ms":
-		return setInt(&c.SlowCallThresholdMs, value)
-	case "domain_metrics":
-		return setString(&c.DomainMetricsURI, value)
-	case "domain_metrics_staleness_ms":
-		return setInt(&c.DomainMetricsStalenessMs, value)
-	case "domain_metrics_max_domains":
-		return setInt(&c.DomainMetricsMaxDomains, value)
-	case "event_queue_depth":
-		return setInt(&c.EventQueueDepth, value)
-	case "event_coalesce_window_ms":
-		return setInt(&c.EventCoalesceWindowMs, value)
-	case "state_dir":
-		return setString(&c.StateDir, value)
-	case "call_timeout_ms":
-		return setInt(&c.CallTimeoutMs, value)
-	case "shutdown_grace_ms":
-		return setInt(&c.ShutdownGraceMs, value)
-	case "qos_classes":
-		entries, err := parseList(value)
-		if err != nil {
-			return err
-		}
-		c.QoSClasses = entries
-		return nil
-	case "qos_shed_watermark":
-		return setInt(&c.QoSShedWatermark, value)
-	case "fault_injection":
-		return setString(&c.FaultInjection, value)
-	case "fault_seed":
-		return setInt(&c.FaultSeed, value)
-	default:
-		return fmt.Errorf("unknown key %q", key)
-	}
-}
-
-// Validate cross-checks the configuration.
+// Validate cross-checks the configuration: what no single row of Keys
+// can say about its own value.
 func (c *Config) Validate() error {
-	if c.MinWorkers < 0 || c.MaxWorkers < 1 || c.MinWorkers > c.MaxWorkers {
-		return fmt.Errorf("daemon: worker limits invalid: min=%d max=%d", c.MinWorkers, c.MaxWorkers)
+	if err := c.validate(nil); err != nil {
+		return fmt.Errorf("daemon: %v", err)
 	}
-	if c.PrioWorkers < 0 {
-		return fmt.Errorf("daemon: prio_workers must be non-negative")
+	return nil
+}
+
+// validate is Validate with the lines a document set its keys on, so a
+// sub-grammar's complaint points at the key that holds it.
+func (c *Config) validate(at conf.Lines) error {
+	if c.MinWorkers > c.MaxWorkers {
+		return fmt.Errorf("worker limits invalid: min=%d max=%d", c.MinWorkers, c.MaxWorkers)
 	}
-	if c.MaxClients < 1 {
-		return fmt.Errorf("daemon: max_clients must be >= 1")
+	if c.MaxUnauthClients > c.MaxClients {
+		return fmt.Errorf("max_anonymous_clients outside [0, max_clients]")
 	}
-	if c.MaxUnauthClients < 0 || c.MaxUnauthClients > c.MaxClients {
-		return fmt.Errorf("daemon: max_anonymous_clients outside [0, max_clients]")
-	}
-	if c.TCPPort < 1 || c.TCPPort > 65535 {
-		return fmt.Errorf("daemon: tcp_port %d out of range", c.TCPPort)
-	}
-	if c.LogLevel < 1 || c.LogLevel > 4 {
-		return fmt.Errorf("daemon: log_level %d outside [1,4]", c.LogLevel)
+	if c.AuthTCP != "none" && c.AuthTCP != "sasl" {
+		return at.Errorf("auth_tcp", `must be "none" or "sasl"`)
 	}
 	if c.AuthTCP == "sasl" && len(c.SASLCredentials) == 0 {
-		return fmt.Errorf("daemon: auth_tcp=sasl requires sasl_credentials")
-	}
-	if c.SlowCallThresholdMs < 0 {
-		return fmt.Errorf("daemon: slow_call_threshold_ms must be non-negative")
-	}
-	if c.DomainMetricsStalenessMs < 0 {
-		return fmt.Errorf("daemon: domain_metrics_staleness_ms must be non-negative")
-	}
-	if c.DomainMetricsMaxDomains < 0 {
-		return fmt.Errorf("daemon: domain_metrics_max_domains must be non-negative")
+		return fmt.Errorf("auth_tcp=sasl requires sasl_credentials")
 	}
 	if c.DomainMetricsURI != "" {
 		if _, err := uri.Parse(c.DomainMetricsURI); err != nil {
-			return fmt.Errorf("daemon: domain_metrics: %v", err)
+			return at.Errorf("domain_metrics", "%v", err)
 		}
-	}
-	if c.EventQueueDepth < 1 {
-		return fmt.Errorf("daemon: event_queue_depth must be >= 1")
-	}
-	if c.EventCoalesceWindowMs < 0 {
-		return fmt.Errorf("daemon: event_coalesce_window_ms must be non-negative")
-	}
-	if c.CallTimeoutMs < 0 {
-		return fmt.Errorf("daemon: call_timeout_ms must be non-negative")
-	}
-	if c.ShutdownGraceMs < 0 {
-		return fmt.Errorf("daemon: shutdown_grace_ms must be non-negative")
 	}
 	if c.FaultInjection != "" {
 		if _, err := faultpoint.ParseSpecs(c.FaultInjection); err != nil {
-			return fmt.Errorf("daemon: fault_injection: %v", err)
+			return at.Errorf("fault_injection", "%v", err)
 		}
 	}
-	if c.QoSShedWatermark < 0 {
-		return fmt.Errorf("daemon: qos_shed_watermark must be non-negative")
-	}
-	if len(c.QoSClasses) > 0 {
-		// Full spec validation — duplicate class names, zero-rate
-		// classes, malformed keys — pointing at the qos_classes line
-		// when the config came from a file.
-		if _, err := qos.ParseClasses(c.QoSClasses); err != nil {
-			if c.qosLine > 0 {
-				return fmt.Errorf("daemon: config line %d: qos_classes: %v", c.qosLine, err)
-			}
-			return fmt.Errorf("daemon: qos_classes: %v", err)
-		}
+	// Full spec validation: duplicate class names, zero-rate classes,
+	// malformed keys.
+	if _, err := qos.ParseClasses(c.QoSClasses); err != nil {
+		return at.Errorf("qos_classes", "%v", err)
 	}
 	return nil
-}
-
-func setString(dst *string, value string) error {
-	if len(value) < 2 || value[0] != '"' || value[len(value)-1] != '"' {
-		return fmt.Errorf("expected a quoted string, got %s", value)
-	}
-	*dst = value[1 : len(value)-1]
-	return nil
-}
-
-func setInt(dst *int, value string) error {
-	n, err := strconv.Atoi(value)
-	if err != nil {
-		return fmt.Errorf("expected an integer, got %q", value)
-	}
-	*dst = n
-	return nil
-}
-
-func setBool(dst *bool, value string) error {
-	switch value {
-	case "0":
-		*dst = false
-	case "1":
-		*dst = true
-	default:
-		return fmt.Errorf("expected 0 or 1, got %q", value)
-	}
-	return nil
-}
-
-func parseList(value string) ([]string, error) {
-	value = strings.TrimSpace(value)
-	if len(value) < 2 || value[0] != '[' || value[len(value)-1] != ']' {
-		return nil, fmt.Errorf("expected a [\"...\"] list, got %s", value)
-	}
-	inner := strings.TrimSpace(value[1 : len(value)-1])
-	if inner == "" {
-		return nil, nil
-	}
-	parts := strings.Split(inner, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		var s string
-		if err := setString(&s, strings.TrimSpace(p)); err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

@@ -104,12 +104,6 @@ type ServiceConfig struct {
 	Transport Transport
 	AuthSASL  bool // require SASL authentication before dispatch
 	ReadOnly  bool // mark clients read-only
-
-	// WriteCoalesce, when positive, batches this service's outgoing
-	// frames behind a flush-on-idle buffered writer of that many bytes
-	// (see rpc.Conn.EnableWriteCoalescing). Zero writes each frame
-	// directly.
-	WriteCoalesce int
 }
 
 // ClientLimits are the runtime-adjustable connection limits.
@@ -391,9 +385,6 @@ func (s *Server) accept(nc net.Conn, cfg ServiceConfig) {
 		conn:      rpc.NewConn(nc),
 		identity:  identity,
 		connected: time.Now(),
-	}
-	if cfg.WriteCoalesce > 0 {
-		client.conn.EnableWriteCoalescing(cfg.WriteCoalesce)
 	}
 	client.authenticated = !cfg.AuthSASL
 	s.clients[client.id] = client

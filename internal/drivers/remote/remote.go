@@ -71,15 +71,6 @@ func Open(u *uri.URI) (*Conn, error) {
 	c := &Conn{overloadRetry: overloadRetryFor(u)}
 	c.client = rpc.NewClientKeepalive(nc, rpc.ProgramRemote, c.handleEvent, keepaliveFor(u))
 	c.client.SetCallTimeout(callTimeoutFor(u))
-	// "write_coalesce=N" batches outgoing frames through an N-byte
-	// buffered writer flushed on idle — fewer syscalls under pipelined
-	// load at the cost of a flusher goroutine.
-	if v, ok := u.Param("write_coalesce"); ok {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			c.client.EnableWriteCoalescing(n)
-		}
-	}
-
 	if err := c.authenticate(u); err != nil {
 		c.client.Close()
 		remoteConnErrors.Inc()

@@ -97,7 +97,7 @@ func TestFleetRegistryBackoffSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := reg.lookup(reg.Hosts()[0])
+	h := reg.order[0]
 	if h == nil {
 		t.Fatal("host not found")
 	}

@@ -2,16 +2,14 @@ package fleet
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
+	"repro/internal/conf"
 	"repro/internal/core"
 )
 
 // FileConfig is the on-disk fleet controller configuration, read from a
-// fleet.conf document in the same key = value dialect as the daemon's
-// config (comments with '#', quoted strings, ["a", "b"] lists).
+// fleet.conf document.
 type FileConfig struct {
 	Hosts          []string // daemon connection URIs
 	PollIntervalMs int
@@ -30,11 +28,6 @@ type FileConfig struct {
 	MigrateStreams       int  // parallel transfer streams per migration; 0 = 1
 	MigrateAutoConverge  bool // throttle source vCPUs when pre-copy cannot converge
 	MigratePostCopy      bool // switch after one round, pull the rest on demand
-
-	// migrateStreamsLine remembers the config line where migrate_streams
-	// appeared, so Validate can point at it when the value is out of
-	// range.
-	migrateStreamsLine int
 }
 
 // DefaultFileConfig returns the shipped defaults.
@@ -51,109 +44,52 @@ func DefaultFileConfig() FileConfig {
 	}
 }
 
-// ParseFileConfig reads a fleet.conf document.
+// Keys is the fleet.conf key table (the dialect is package conf's),
+// bound to c's fields.
+func (c *FileConfig) Keys() []conf.Key {
+	return []conf.Key{
+		conf.Strings("hosts", &c.Hosts),
+		conf.Int("poll_interval_ms", &c.PollIntervalMs, 1),
+		conf.Int("backoff_min_ms", &c.BackoffMinMs, 1),
+		conf.Int("backoff_max_ms", &c.BackoffMaxMs),
+		conf.Float("backoff_jitter", &c.BackoffJitter, 0, 1),
+		conf.Int("call_timeout_ms", &c.CallTimeoutMs, 0),
+		conf.String("policy", &c.Policy),
+		conf.Float("rebalance_skew", &c.RebalanceSkew, 0, 1),
+		conf.Int("rebalance_max_migrations", &c.RebalanceMaxMigrations, 1),
+		conf.Int("rebalance_concurrency", &c.RebalanceConcurrency, 1),
+		conf.Uint("migrate_bandwidth_mbps", &c.MigrateBandwidthMBps),
+		conf.Uint("migrate_max_downtime_ms", &c.MigrateMaxDowntimeMs),
+		conf.Int("migrate_streams", &c.MigrateStreams, 0, 64),
+		conf.Bool("migrate_auto_converge", &c.MigrateAutoConverge),
+		conf.Bool("migrate_postcopy", &c.MigratePostCopy),
+	}
+}
+
+// ParseFileConfig reads a fleet.conf document over the shipped defaults.
 func ParseFileConfig(text string) (FileConfig, error) {
 	cfg := DefaultFileConfig()
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		key, value, found := strings.Cut(line, "=")
-		if !found {
-			return cfg, fmt.Errorf("fleet: config line %d: missing '='", lineNo+1)
-		}
-		key = strings.TrimSpace(key)
-		value = strings.TrimSpace(value)
-		if err := cfg.apply(key, value); err != nil {
-			return cfg, fmt.Errorf("fleet: config line %d: %v", lineNo+1, err)
-		}
-		if key == "migrate_streams" {
-			cfg.migrateStreamsLine = lineNo + 1
-		}
+	at, err := conf.Parse(text, cfg.Keys())
+	if err == nil {
+		err = cfg.validate(at)
 	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, err
+	if err != nil {
+		err = fmt.Errorf("fleet: %v", err)
 	}
-	return cfg, nil
+	return cfg, err
 }
 
-func (c *FileConfig) apply(key, value string) error {
-	switch key {
-	case "hosts":
-		list, err := parseList(value)
-		if err != nil {
-			return err
-		}
-		c.Hosts = list
-		return nil
-	case "poll_interval_ms":
-		return setInt(&c.PollIntervalMs, value)
-	case "backoff_min_ms":
-		return setInt(&c.BackoffMinMs, value)
-	case "backoff_max_ms":
-		return setInt(&c.BackoffMaxMs, value)
-	case "backoff_jitter":
-		return setFloat(&c.BackoffJitter, value)
-	case "call_timeout_ms":
-		return setInt(&c.CallTimeoutMs, value)
-	case "policy":
-		if err := setString(&c.Policy, value); err != nil {
-			return err
-		}
-		_, err := PolicyByName(c.Policy)
-		return err
-	case "rebalance_skew":
-		return setFloat(&c.RebalanceSkew, value)
-	case "rebalance_max_migrations":
-		return setInt(&c.RebalanceMaxMigrations, value)
-	case "rebalance_concurrency":
-		return setInt(&c.RebalanceConcurrency, value)
-	case "migrate_bandwidth_mbps":
-		return setUint(&c.MigrateBandwidthMBps, value)
-	case "migrate_max_downtime_ms":
-		return setUint(&c.MigrateMaxDowntimeMs, value)
-	case "migrate_streams":
-		return setInt(&c.MigrateStreams, value)
-	case "migrate_auto_converge":
-		return setBool(&c.MigrateAutoConverge, value)
-	case "migrate_postcopy":
-		return setBool(&c.MigratePostCopy, value)
-	default:
-		return fmt.Errorf("unknown key %q", key)
+// validate cross-checks the configuration: what no single row of Keys
+// can say about its own value.
+func (c *FileConfig) validate(at conf.Lines) error {
+	if c.BackoffMaxMs < c.BackoffMinMs {
+		return fmt.Errorf("backoff window invalid: min=%dms max=%dms", c.BackoffMinMs, c.BackoffMaxMs)
 	}
-}
-
-// Validate cross-checks the configuration.
-func (c *FileConfig) Validate() error {
-	if c.PollIntervalMs < 1 {
-		return fmt.Errorf("fleet: poll_interval_ms must be >= 1")
+	if c.RebalanceSkew == 0 { // the row's [0, 1] cannot say (0, 1]
+		return at.Errorf("rebalance_skew", "must be positive")
 	}
-	if c.BackoffMinMs < 1 || c.BackoffMaxMs < c.BackoffMinMs {
-		return fmt.Errorf("fleet: backoff window invalid: min=%dms max=%dms",
-			c.BackoffMinMs, c.BackoffMaxMs)
-	}
-	if c.BackoffJitter < 0 || c.BackoffJitter > 1 {
-		return fmt.Errorf("fleet: backoff_jitter %g outside [0, 1]", c.BackoffJitter)
-	}
-	if c.CallTimeoutMs < 0 {
-		return fmt.Errorf("fleet: call_timeout_ms must be non-negative")
-	}
-	if c.RebalanceSkew <= 0 || c.RebalanceSkew > 1 {
-		return fmt.Errorf("fleet: rebalance_skew %g outside (0, 1]", c.RebalanceSkew)
-	}
-	if c.RebalanceMaxMigrations < 1 {
-		return fmt.Errorf("fleet: rebalance_max_migrations must be >= 1")
-	}
-	if c.RebalanceConcurrency < 1 {
-		return fmt.Errorf("fleet: rebalance_concurrency must be >= 1")
-	}
-	if c.MigrateStreams < 0 || c.MigrateStreams > 64 {
-		if c.migrateStreamsLine > 0 {
-			return fmt.Errorf("fleet: config line %d: migrate_streams %d outside [0, 64]",
-				c.migrateStreamsLine, c.MigrateStreams)
-		}
-		return fmt.Errorf("fleet: migrate_streams %d outside [0, 64]", c.MigrateStreams)
+	if _, err := PolicyByName(c.Policy); err != nil {
+		return at.Errorf("policy", "%v", err)
 	}
 	return nil
 }
@@ -193,77 +129,4 @@ func (c *FileConfig) RebalanceConfig() RebalanceOptions {
 			PostCopy:        c.MigratePostCopy,
 		},
 	}
-}
-
-func setString(dst *string, value string) error {
-	if len(value) < 2 || value[0] != '"' || value[len(value)-1] != '"' {
-		return fmt.Errorf("expected a quoted string, got %s", value)
-	}
-	*dst = value[1 : len(value)-1]
-	return nil
-}
-
-func setInt(dst *int, value string) error {
-	n, err := strconv.Atoi(value)
-	if err != nil {
-		return fmt.Errorf("expected an integer, got %q", value)
-	}
-	*dst = n
-	return nil
-}
-
-func setUint(dst *uint64, value string) error {
-	n, err := strconv.ParseUint(value, 10, 64)
-	if err != nil {
-		return fmt.Errorf("expected a non-negative integer, got %q", value)
-	}
-	*dst = n
-	return nil
-}
-
-func setBool(dst *bool, value string) error {
-	switch strings.ToLower(value) {
-	case "on", "yes", "y":
-		*dst = true
-		return nil
-	case "off", "no", "n":
-		*dst = false
-		return nil
-	}
-	b, err := strconv.ParseBool(value)
-	if err != nil {
-		return fmt.Errorf("expected a boolean, got %q", value)
-	}
-	*dst = b
-	return nil
-}
-
-func setFloat(dst *float64, value string) error {
-	f, err := strconv.ParseFloat(value, 64)
-	if err != nil {
-		return fmt.Errorf("expected a number, got %q", value)
-	}
-	*dst = f
-	return nil
-}
-
-func parseList(value string) ([]string, error) {
-	value = strings.TrimSpace(value)
-	if len(value) < 2 || value[0] != '[' || value[len(value)-1] != ']' {
-		return nil, fmt.Errorf("expected a [\"...\"] list, got %s", value)
-	}
-	inner := strings.TrimSpace(value[1 : len(value)-1])
-	if inner == "" {
-		return nil, nil
-	}
-	parts := strings.Split(inner, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
-		var s string
-		if err := setString(&s, strings.TrimSpace(p)); err != nil {
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
 }

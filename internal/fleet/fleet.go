@@ -20,8 +20,8 @@
 //     hosts by live-migrating domains between daemons.
 //
 // The registry is built to scale to thousands of hosts in one process:
-// the host table is sharded (per-shard locks, so status reads and
-// refresh writes on different hosts never contend), connection health
+// the host table is fixed at New (so looking a host up takes no lock,
+// and each host's state sits behind that host's own), connection health
 // and inventory polling run on a bounded pool of workers fed by a
 // due-time queue (instead of one goroutine per host), and every
 // placement decision reads compact per-host summaries (HostSummary)
@@ -35,7 +35,6 @@ import (
 	"math/rand"
 	"path"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,33 +200,16 @@ type HostStatus struct {
 	CPULoad float64
 }
 
-// numShards is the host-table shard count. 32 keeps per-shard maps tiny
-// even at thousands of hosts while costing nothing at three.
-const numShards = 32
-
-type shard struct {
-	mu    sync.RWMutex
-	hosts map[string]*host
-}
-
-func shardFor(name string) uint32 {
-	// FNV-1a; inlined to keep the hot host lookup allocation-free.
-	h := uint32(2166136261)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= 16777619
-	}
-	return h % numShards
-}
-
 // Registry manages the pool of daemon connections and their cached
 // inventories.
 type Registry struct {
 	cfg Config
 	log *logging.Logger
 
-	shards [numShards]shard
-	order  []string // configuration order; immutable after New
+	// The host table, by name and in configuration order. New fills
+	// both and nothing writes them afterwards.
+	hosts map[string]*host
+	order []*host
 
 	// sums is the fleet-wide score cache: every host's compact summary,
 	// in configuration order, mirrored here on each inventory event
@@ -278,16 +260,14 @@ func New(cfg Config) (*Registry, error) {
 		return nil, core.Errorf(core.ErrInvalidArg, "fleet: no hosts configured")
 	}
 	r := &Registry{
-		cfg:  cfg,
-		log:  cfg.Log,
-		kick: make(chan struct{}, 1),
-		work: make(chan *host),
-		stop: make(chan struct{}),
-		now:  time.Now,
-		rng:  rand.New(rand.NewSource(cfg.Seed)), //nolint:gosec // jitter only
-	}
-	for i := range r.shards {
-		r.shards[i].hosts = map[string]*host{}
+		cfg:   cfg,
+		log:   cfg.Log,
+		hosts: make(map[string]*host, len(cfg.Hosts)),
+		kick:  make(chan struct{}, 1),
+		work:  make(chan *host),
+		stop:  make(chan struct{}),
+		now:   time.Now,
+		rng:   rand.New(rand.NewSource(cfg.Seed)), //nolint:gosec // jitter only
 	}
 	for i, s := range cfg.Hosts {
 		u, err := uri.Parse(s)
@@ -295,8 +275,7 @@ func New(cfg Config) (*Registry, error) {
 			return nil, core.Errorf(core.ErrInvalidArg, "fleet: host %d: %v", i, err)
 		}
 		name := hostName(u, i)
-		sh := &r.shards[shardFor(name)]
-		if _, dup := sh.hosts[name]; dup {
+		if _, dup := r.hosts[name]; dup {
 			return nil, core.Errorf(core.ErrInvalidArg, "fleet: duplicate host %q", name)
 		}
 		s = withCallTimeout(s, cfg.CallTimeout)
@@ -304,8 +283,8 @@ func New(cfg Config) (*Registry, error) {
 		h.bo = newBackoffTimer(cfg.BackoffMin, cfg.BackoffMax, cfg.BackoffJitter)
 		h.inv = HostInventory{Host: name, URI: s, State: HostConnecting}
 		h.sum = HostSummary{Host: name, URI: s, State: HostConnecting}
-		sh.hosts[name] = h
-		r.order = append(r.order, name)
+		r.hosts[name] = h
+		r.order = append(r.order, h)
 		r.sums = append(r.sums, h.sum)
 	}
 	return r, nil
@@ -333,23 +312,13 @@ func hostName(u *uri.URI, idx int) string {
 	return fmt.Sprintf("host%d", idx)
 }
 
-// lookup finds a host record by name through its shard.
-func (r *Registry) lookup(name string) *host {
-	sh := &r.shards[shardFor(name)]
-	sh.mu.RLock()
-	h := sh.hosts[name]
-	sh.mu.RUnlock()
-	return h
-}
-
 // Start launches the dispatcher and the bounded worker pool, and queues
 // every host for an immediate first connection attempt.
 func (r *Registry) Start() {
 	fleetHostsKnown.Add(int64(len(r.order)))
 	now := r.now()
 	r.qmu.Lock()
-	for _, name := range r.order {
-		h := r.lookup(name)
+	for _, h := range r.order {
 		h.due = now
 		heap.Push(&r.queue, h)
 	}
@@ -378,8 +347,7 @@ func (r *Registry) Close() {
 	close(r.stop)
 	r.wg.Wait()
 	fleetHostsKnown.Add(-int64(len(r.order)))
-	for _, name := range r.order {
-		h := r.lookup(name)
+	for _, h := range r.order {
 		h.mu.Lock()
 		if h.conn != nil {
 			h.conn.Close() //nolint:errcheck
@@ -616,25 +584,22 @@ func (r *Registry) jittered(bo *backoffTimer) time.Duration {
 // retries cost nothing there.
 const readAttempts = 3
 
-func retryRead[T any](f func() (T, error)) (out T, err error) {
+func retryRead(f func() error) (err error) {
 	for i := 0; i < readAttempts; i++ {
-		out, err = f()
-		if err == nil || !core.IsRetryable(err) {
-			return out, err
-		}
-		if core.IsCode(err, core.ErrOverloaded) {
-			// Admission rejection: hot-retrying would spend the host's
-			// tokens faster; surface it so the poll loop backs off.
-			return out, err
+		// An admission rejection is retryable, but hot-retrying would
+		// spend the host's tokens faster: surface it so the poll loop
+		// backs off.
+		if err = f(); err == nil || !core.IsRetryable(err) || core.IsCode(err, core.ErrOverloaded) {
+			return err
 		}
 	}
-	return out, err
+	return err
 }
 
-// refresh collects one inventory snapshot over the given connection.
-// Hosts whose driver implements BulkMonitor answer in a single round
-// trip (NodeInventory); older daemons answer ErrNoSupport once and the
-// sweep falls back to the per-domain loop.
+// refresh collects one inventory snapshot over the given connection:
+// one round trip from a driver with the bulk procedures, the NodeInfo +
+// list + N×DomainInfo sweep from one without (core.CollectInventoryInto
+// chooses).
 func (r *Registry) refresh(h *host, conn *core.Connect) error {
 	fleetPolls.Inc()
 	r.nSweeps.Add(1)
@@ -643,11 +608,13 @@ func (r *Registry) refresh(h *host, conn *core.Connect) error {
 	h.mu.Unlock()
 	d := conn.Driver()
 	h.sweepMu.Lock()
-	node, records, err := r.collectInventory(d, &h.sweep)
-	h.sweepMu.Unlock()
+	err := retryRead(func() error { return core.CollectInventoryInto(d, &h.sweep) })
 	if err != nil {
+		h.sweepMu.Unlock()
 		return err
 	}
+	node, records := h.sweep.Node, recordsFromRows(h.sweep.Domains)
+	h.sweepMu.Unlock()
 	h.mu.Lock()
 	h.inv = HostInventory{
 		Host: h.name, URI: h.uri, State: h.state, DriverType: h.inv.DriverType,
@@ -677,58 +644,6 @@ func (r *Registry) publishSum(h *host) {
 	r.sumMu.Lock()
 	r.sums[h.idx] = h.sum
 	r.sumMu.Unlock()
-}
-
-// collectInventory gathers the node summary and domain records, bulk
-// first, falling back to the classic NodeInfo + list + N×DomainInfo
-// sweep when the driver (or its remote peer) lacks the bulk procedures.
-func (r *Registry) collectInventory(d core.DriverConn, scratch *core.NodeInventory) (core.NodeInfo, []DomainRecord, error) {
-	if bi, ok := d.(core.BulkMonitorInto); ok && scratch != nil {
-		_, err := retryRead(func() (struct{}, error) {
-			return struct{}{}, bi.NodeInventoryInto(scratch)
-		})
-		if err == nil {
-			fleetBulkPolls.Inc()
-			return scratch.Node, recordsFromRows(scratch.Domains), nil
-		}
-		if !core.IsCode(err, core.ErrNoSupport) {
-			return core.NodeInfo{}, nil, err
-		}
-		fleetBulkFallbacks.Inc()
-	} else if bm, ok := d.(core.BulkMonitor); ok {
-		inv, err := retryRead(bm.NodeInventory)
-		if err == nil {
-			fleetBulkPolls.Inc()
-			return inv.Node, recordsFromRows(inv.Domains), nil
-		}
-		if !core.IsCode(err, core.ErrNoSupport) {
-			return core.NodeInfo{}, nil, err
-		}
-		fleetBulkFallbacks.Inc()
-	}
-	node, err := retryRead(d.NodeInfo)
-	if err != nil {
-		return core.NodeInfo{}, nil, err
-	}
-	names, err := retryRead(func() ([]string, error) { return d.ListDomains(0) })
-	if err != nil {
-		return core.NodeInfo{}, nil, err
-	}
-	records := make([]DomainRecord, 0, len(names))
-	for _, name := range names {
-		info, err := retryRead(func() (core.DomainInfo, error) { return d.DomainInfo(name) })
-		if err != nil {
-			if core.IsCode(err, core.ErrNoDomain) {
-				continue // undefined between list and info
-			}
-			return core.NodeInfo{}, nil, err
-		}
-		records = append(records, DomainRecord{
-			Name: name, State: info.State, MemKiB: info.MemKiB,
-			MaxMemKiB: info.MaxMemKiB, VCPUs: info.VCPUs, CPUTimeNs: info.CPUTimeNs,
-		})
-	}
-	return node, records, nil
 }
 
 // recordsFromRows converts bulk monitoring rows to inventory records.
@@ -792,7 +707,7 @@ func (r *Registry) setDown(h *host, err error) {
 // migration call failing retryably): the connection is closed so the
 // host's next poll notices and enters reconnect.
 func (r *Registry) markDown(name string, err error) {
-	h := r.lookup(name)
+	h := r.hosts[name]
 	if h == nil {
 		return
 	}
@@ -813,7 +728,7 @@ func (r *Registry) markDown(name string, err error) {
 // refresh round trip; callers that need the full inventory current call
 // RefreshNow themselves.
 func (r *Registry) notePlacement(name string, req Request) {
-	h := r.lookup(name)
+	h := r.hosts[name]
 	if h == nil {
 		return
 	}
@@ -830,7 +745,7 @@ func (r *Registry) notePlacement(name string, req Request) {
 // Host returns the named host's live connection, or a retryable error
 // when the host is not up.
 func (r *Registry) Host(name string) (*core.Connect, error) {
-	h := r.lookup(name)
+	h := r.hosts[name]
 	if h == nil {
 		return nil, core.Errorf(core.ErrInvalidArg, "fleet: unknown host %q", name)
 	}
@@ -845,7 +760,9 @@ func (r *Registry) Host(name string) (*core.Connect, error) {
 // Hosts lists the configured host names in configuration order.
 func (r *Registry) Hosts() []string {
 	out := make([]string, len(r.order))
-	copy(out, r.order)
+	for i, h := range r.order {
+		out[i] = h.name
+	}
 	return out
 }
 
@@ -853,8 +770,7 @@ func (r *Registry) Hosts() []string {
 // fleet scale it stays O(hosts) with no per-domain work.
 func (r *Registry) Status() []HostStatus {
 	out := make([]HostStatus, 0, len(r.order))
-	for _, name := range r.order {
-		h := r.lookup(name)
+	for _, h := range r.order {
 		h.mu.Lock()
 		st := HostStatus{
 			Name: h.name, URI: h.uri, State: h.state,
@@ -874,8 +790,7 @@ func (r *Registry) Status() []HostStatus {
 // (the scheduler, status displays) use Summaries instead.
 func (r *Registry) Inventory() []HostInventory {
 	out := make([]HostInventory, 0, len(r.order))
-	for _, name := range r.order {
-		h := r.lookup(name)
+	for _, h := range r.order {
 		h.mu.Lock()
 		out = append(out, h.inv.clone())
 		h.mu.Unlock()
@@ -896,14 +811,16 @@ func (r *Registry) Summaries() []HostSummary {
 // RefreshNow synchronously refreshes the named hosts (all when none are
 // given), so callers that just mutated the fleet observe their writes.
 func (r *Registry) RefreshNow(names ...string) {
-	if len(names) == 0 {
-		names = r.order
-	}
-	for _, name := range names {
-		h := r.lookup(name)
-		if h == nil {
-			continue
+	hosts := r.order
+	if len(names) > 0 {
+		hosts = make([]*host, 0, len(names))
+		for _, name := range names {
+			if h := r.hosts[name]; h != nil {
+				hosts = append(hosts, h)
+			}
 		}
+	}
+	for _, h := range hosts {
 		h.mu.Lock()
 		conn := h.conn
 		up := h.state == HostUp
@@ -911,7 +828,7 @@ func (r *Registry) RefreshNow(names ...string) {
 		if up && conn != nil {
 			err := r.refresh(h, conn)
 			if err != nil && core.IsRetryable(err) && !core.IsCode(err, core.ErrOverloaded) {
-				r.markDown(name, err)
+				r.markDown(h.name, err)
 			}
 		}
 	}
@@ -924,8 +841,7 @@ func (r *Registry) WaitSettled(timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
 		settled, up := true, 0
-		for _, name := range r.order {
-			h := r.lookup(name)
+		for _, h := range r.order {
 			h.mu.Lock()
 			switch h.state {
 			case HostUp:
@@ -945,7 +861,7 @@ func (r *Registry) WaitSettled(timeout time.Duration) int {
 // WaitHostState blocks until the named host reaches the wanted state,
 // reporting whether it did before the timeout.
 func (r *Registry) WaitHostState(name string, want HostState, timeout time.Duration) bool {
-	h := r.lookup(name)
+	h := r.hosts[name]
 	if h == nil {
 		return false
 	}
@@ -962,11 +878,6 @@ func (r *Registry) WaitHostState(name string, want HostState, timeout time.Durat
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-}
-
-// sortHostsByName is a small shared helper for deterministic output.
-func sortHostsByName(invs []HostInventory) {
-	sort.Slice(invs, func(i, j int) bool { return invs[i].Host < invs[j].Host })
 }
 
 // dueHeap is a min-heap of hosts ordered by their next service time.

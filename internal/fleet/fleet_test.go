@@ -80,46 +80,55 @@ func synthHost(name, drv string, memKiB uint64, cpus int, doms ...DomainRecord) 
 	}
 }
 
+// summaries condenses synthetic hosts the way the registry's cache does.
+func summaries(invs ...HostInventory) []HostSummary {
+	sums := make([]HostSummary, len(invs))
+	for i := range invs {
+		sums[i] = invs[i].Summary()
+	}
+	return sums
+}
+
 func runningDom(name string, memKiB uint64, vcpus int) DomainRecord {
 	return DomainRecord{Name: name, State: core.DomainRunning, MemKiB: memKiB, VCPUs: vcpus}
 }
 
 func TestFleetPolicySpreadVsPack(t *testing.T) {
-	invs := []HostInventory{
+	sums := summaries(
 		synthHost("busy", "test", 1000, 100, runningDom("a", 400, 10)),
 		synthHost("idle", "test", 1000, 100),
-	}
+	)
 	req := Request{Name: "new", TypeName: "test", MemKiB: 100, VCPUs: 1}
 
-	if got := Rank(Spread(), req, invs); len(got) != 2 || got[0] != "idle" {
+	if got := RankSummaries(Spread(), req, sums); len(got) != 2 || got[0] != "idle" {
 		t.Fatalf("spread ranking = %v, want idle first", got)
 	}
-	if got := Rank(Pack(), req, invs); len(got) != 2 || got[0] != "busy" {
+	if got := RankSummaries(Pack(), req, sums); len(got) != 2 || got[0] != "busy" {
 		t.Fatalf("pack ranking = %v, want busy first", got)
 	}
 	// Weighted with equal weights agrees with spread here.
-	if got := Rank(Weighted(1, 1), req, invs); got[0] != "idle" {
+	if got := RankSummaries(Weighted(1, 1), req, sums); got[0] != "idle" {
 		t.Fatalf("weighted ranking = %v, want idle first", got)
 	}
 }
 
 func TestFleetCandidateFiltering(t *testing.T) {
-	invs := []HostInventory{
+	sums := summaries(
 		synthHost("ok", "test", 1000, 100),
 		synthHost("wrongdrv", "qemu", 1000, 100),
 		synthHost("full", "test", 1000, 100, runningDom("hog", 950, 1)),
-		{Host: "down", State: HostDown, DriverType: "test",
+		HostInventory{Host: "down", State: HostDown, DriverType: "test",
 			Node: core.NodeInfo{MemoryKiB: 1000, CPUs: 100}},
-	}
+	)
 	req := Request{Name: "new", TypeName: "test", MemKiB: 100, VCPUs: 1}
-	cands := Candidates(req, invs)
+	cands := CandidateSummaries(req, sums)
 	if len(cands) != 1 || cands[0].Host != "ok" {
 		t.Fatalf("candidates = %+v, want just \"ok\"", cands)
 	}
 	// Without a type constraint the driver filter passes everything up
 	// with capacity.
 	req.TypeName = ""
-	if cands := Candidates(req, invs); len(cands) != 2 {
+	if cands := CandidateSummaries(req, sums); len(cands) != 2 {
 		t.Fatalf("untyped candidates = %d, want 2", len(cands))
 	}
 }
@@ -449,8 +458,8 @@ func activeByHost(t *testing.T, reg *Registry) map[string]int {
 	t.Helper()
 	reg.RefreshNow()
 	counts := map[string]int{}
-	for _, inv := range reg.Inventory() {
-		counts[inv.Host] = inv.ActiveDomains()
+	for _, sum := range reg.Summaries() {
+		counts[sum.Host] = sum.ActiveDomains
 	}
 	return counts
 }

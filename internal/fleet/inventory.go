@@ -42,75 +42,6 @@ type HostInventory struct {
 	CollectedAt time.Time
 }
 
-// ActiveDomains counts domains occupying resources.
-func (inv *HostInventory) ActiveDomains() int {
-	n := 0
-	for _, d := range inv.Domains {
-		if d.Active() {
-			n++
-		}
-	}
-	return n
-}
-
-// AllocatedMemKiB sums the memory of active domains.
-func (inv *HostInventory) AllocatedMemKiB() uint64 {
-	var sum uint64
-	for _, d := range inv.Domains {
-		if d.Active() {
-			sum += d.MemKiB
-		}
-	}
-	return sum
-}
-
-// AllocatedVCPUs sums the vCPUs of active domains.
-func (inv *HostInventory) AllocatedVCPUs() int {
-	sum := 0
-	for _, d := range inv.Domains {
-		if d.Active() {
-			sum += d.VCPUs
-		}
-	}
-	return sum
-}
-
-// FreeMemKiB returns the unallocated host memory (0 when overcommitted).
-func (inv *HostInventory) FreeMemKiB() uint64 {
-	alloc := inv.AllocatedMemKiB()
-	if alloc >= inv.Node.MemoryKiB {
-		return 0
-	}
-	return inv.Node.MemoryKiB - alloc
-}
-
-// MemLoad returns allocated memory as a fraction of host memory.
-func (inv *HostInventory) MemLoad() float64 {
-	if inv.Node.MemoryKiB == 0 {
-		return 0
-	}
-	return float64(inv.AllocatedMemKiB()) / float64(inv.Node.MemoryKiB)
-}
-
-// CPULoad returns allocated vCPUs as a fraction of host CPUs.
-func (inv *HostInventory) CPULoad() float64 {
-	if inv.Node.CPUs == 0 {
-		return 0
-	}
-	return float64(inv.AllocatedVCPUs()) / float64(inv.Node.CPUs)
-}
-
-// Load is the scalar load the rebalancer compares across hosts: the
-// hotter of the memory and vCPU fractions, so either resource running
-// out makes the host a drain candidate.
-func (inv *HostInventory) Load() float64 {
-	if m, c := inv.MemLoad(), inv.CPULoad(); m > c {
-		return m
-	} else {
-		return c
-	}
-}
-
 // clone deep-copies the inventory so planners can mutate it freely.
 func (inv *HostInventory) clone() HostInventory {
 	out := *inv
@@ -197,29 +128,6 @@ func SkewSummaries(sums []HostSummary) float64 {
 			continue
 		}
 		l := sums[i].Load()
-		if n == 0 || l < min {
-			min = l
-		}
-		if n == 0 || l > max {
-			max = l
-		}
-		n++
-	}
-	if n < 2 {
-		return 0
-	}
-	return max - min
-}
-
-// Skew returns the load spread (hottest minus coldest) across the up
-// hosts of a fleet snapshot; 0 when fewer than two hosts are up.
-func Skew(invs []HostInventory) float64 {
-	min, max, n := 0.0, 0.0, 0
-	for i := range invs {
-		if invs[i].State != HostUp {
-			continue
-		}
-		l := invs[i].Load()
 		if n == 0 || l < min {
 			min = l
 		}

@@ -302,18 +302,9 @@ func findHost(sim []planHost, name string) *planHost {
 // already in flight run to completion so no domain is lost mid-copy.
 func (r *Registry) Rebalance(ctx context.Context, opts RebalanceOptions) (RebalanceResult, error) {
 	opts.applyDefaults()
-	if opts.Drain != "" {
-		found := false
-		for _, name := range r.Hosts() {
-			if name == opts.Drain {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return RebalanceResult{}, core.Errorf(core.ErrInvalidArg,
-				"fleet: unknown drain host %q", opts.Drain)
-		}
+	if opts.Drain != "" && r.hosts[opts.Drain] == nil {
+		return RebalanceResult{}, core.Errorf(core.ErrInvalidArg,
+			"fleet: unknown drain host %q", opts.Drain)
 	}
 	r.RefreshNow()
 	moves, skewBefore, _, converged := PlanRebalance(r.Inventory(), opts)
@@ -365,7 +356,7 @@ func (r *Registry) Rebalance(ctx context.Context, opts RebalanceOptions) (Rebala
 	if len(names) > 0 {
 		r.RefreshNow(names...)
 	}
-	res.SkewAfter = Skew(r.Inventory())
+	res.SkewAfter = SkewSummaries(r.Summaries())
 	if cancelled {
 		res.Converged = false
 		return res, ctx.Err()

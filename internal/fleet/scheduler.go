@@ -130,22 +130,9 @@ func eligible(req Request, sum *HostSummary) bool {
 	return sum.FreeMemKiB() >= req.MemKiB
 }
 
-// Candidates filters a fleet snapshot down to the hosts that can take
-// the request. It is a pure function so policies can be unit-tested and
-// benchmarked on synthetic inventories.
-func Candidates(req Request, invs []HostInventory) []HostInventory {
-	out := make([]HostInventory, 0, len(invs))
-	for i := range invs {
-		sum := invs[i].Summary()
-		if eligible(req, &sum) {
-			out = append(out, invs[i])
-		}
-	}
-	return out
-}
-
 // CandidateSummaries filters a summary snapshot down to the hosts that
-// can take the request — the form the scheduler uses at fleet scale.
+// can take the request. It is a pure function so policies can be
+// unit-tested and benchmarked on synthetic summaries.
 func CandidateSummaries(req Request, sums []HostSummary) []HostSummary {
 	out := make([]HostSummary, 0, len(sums))
 	for i := range sums {
@@ -156,18 +143,10 @@ func CandidateSummaries(req Request, sums []HostSummary) []HostSummary {
 	return out
 }
 
-// Rank orders the candidate hosts for a request best-first under the
-// given policy. Ties break on host name so rankings are deterministic.
-func Rank(p Policy, req Request, invs []HostInventory) []string {
-	sums := make([]HostSummary, len(invs))
-	for i := range invs {
-		sums[i] = invs[i].Summary()
-	}
-	return RankSummaries(p, req, sums)
-}
-
-// RankSummaries is Rank over compact summaries: O(hosts) filtering and
-// scoring plus the sort, with no per-domain work at all.
+// RankSummaries orders the candidate hosts for a request best-first
+// under the given policy: O(hosts) filtering and scoring plus the sort,
+// with no per-domain work at all. Ties break on host name so rankings
+// are deterministic.
 func RankSummaries(p Policy, req Request, sums []HostSummary) []string {
 	type scored struct {
 		host  string

@@ -19,8 +19,6 @@ var (
 	fleetRebalanceMigrations = telemetry.Default.Counter("fleet_rebalance_migrations_total")
 	fleetRebalanceFailures   = telemetry.Default.Counter("fleet_rebalance_failures_total")
 	fleetPolls               = telemetry.Default.Counter("fleet_inventory_polls_total")
-	fleetBulkPolls           = telemetry.Default.Counter("fleet_inventory_bulk_polls_total")
-	fleetBulkFallbacks       = telemetry.Default.Counter("fleet_inventory_bulk_fallbacks_total")
 
 	// Polls deferred because the host's daemon answered ErrOverloaded:
 	// the host stays up and the registry backs off by the server's

@@ -209,8 +209,10 @@ func (r *Registry) fetchPending(h *host, conn *core.Connect, names []string) err
 	r.nFetches.Add(1)
 	fleetWatchFetches.Inc()
 	d := conn.Driver()
-	rows, err := retryRead(func() ([]core.NamedDomainInfo, error) {
-		return core.ListDomainInfo(d, 0, names)
+	var rows []core.NamedDomainInfo
+	err := retryRead(func() (err error) {
+		rows, err = core.ListDomainInfo(d, 0, names)
+		return err
 	})
 	if err != nil {
 		return err

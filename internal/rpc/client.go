@@ -124,13 +124,6 @@ func NewClientKeepalive(nc net.Conn, program uint32, onEvent EventHandler, ka Ke
 	return c
 }
 
-// EnableWriteCoalescing batches this client's outgoing frames behind a
-// flush-on-idle buffered writer of the given size. Call it right after
-// construction, before issuing calls.
-func (c *Client) EnableWriteCoalescing(size int) {
-	c.conn.EnableWriteCoalescing(size)
-}
-
 // Close tears the connection down; in-flight calls fail.
 func (c *Client) Close() error {
 	if c.closed.Swap(true) {

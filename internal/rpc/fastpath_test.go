@@ -312,26 +312,3 @@ func TestPongWriteFailureTearsDown(t *testing.T) {
 		t.Fatal("call on torn-down client accepted")
 	}
 }
-
-// TestWriteCoalescing exercises the flush-on-idle writer end to end:
-// calls must still round-trip when outgoing frames pass through the
-// buffered writer.
-func TestWriteCoalescing(t *testing.T) {
-	a, b := net.Pipe()
-	echoServer(t, b)
-	cl := NewClient(a, ProgramRemote, nil)
-	defer cl.Close()
-	cl.EnableWriteCoalescing(16 * 1024)
-
-	type msg struct{ S string }
-	for i := 0; i < 20; i++ {
-		in := msg{S: fmt.Sprintf("coalesced-%d", i)}
-		var out msg
-		if err := cl.Call(1, &in, &out); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if out.S != in.S {
-			t.Fatalf("call %d: echo mismatch", i)
-		}
-	}
-}

@@ -176,8 +176,7 @@ func framesIn(t *testing.T, stream []byte) (headers []Header, payloads [][]byte)
 
 // TestJumboWriteMatchesSmall: a payload sent behind its header (jumbo)
 // is on the wire, in the counters and under every rpc.send fault
-// exactly what a payload copied behind its header (small) is — with and
-// without the coalescing writer in between.
+// exactly what a payload copied behind its header (small) is.
 func TestJumboWriteMatchesSmall(t *testing.T) {
 	injected := errors.New("injected")
 	type outcome struct {
@@ -196,94 +195,67 @@ func TestJumboWriteMatchesSmall(t *testing.T) {
 		{"error", &faultpoint.Spec{Mode: faultpoint.ModeError, Prob: 1, Limit: 1, Err: injected}, outcome{sendErr: true, onWire: 1}},
 	}
 	for _, size := range []int{1000, 100_000} {
-		for _, coalesce := range []int{0, 4096} {
-			for _, m := range modes {
-				payload := patterned(size)
-				keep := bytes.Clone(payload)
-				cc := &captureConn{}
-				conn := NewConn(cc)
-				conn.EnableWriteCoalescing(coalesce)
-				if m.spec != nil {
-					faultpoint.Default.Set("rpc.send", *m.spec)
-					faultpoint.Default.Arm(1)
-				}
-				frames0, bytes0 := txFrames.Value(), txBytes.Value()
-				first := conn.WriteMessage(jumboHdr, payload)
-				second := conn.WriteMessage(jumboHdr, payload)
-				faultpoint.Default.Disarm()
-				if err := conn.Close(); err != nil { // flushes the coalescing writer
-					t.Fatal(err)
-				}
+		for _, m := range modes {
+			payload := patterned(size)
+			keep := bytes.Clone(payload)
+			cc := &captureConn{}
+			conn := NewConn(cc)
+			if m.spec != nil {
+				faultpoint.Default.Set("rpc.send", *m.spec)
+				faultpoint.Default.Arm(1)
+			}
+			frames0, bytes0 := txFrames.Value(), txBytes.Value()
+			first := conn.WriteMessage(jumboHdr, payload)
+			second := conn.WriteMessage(jumboHdr, payload)
+			faultpoint.Default.Disarm()
 
-				if (first != nil) != m.want.sendErr || (m.want.sendErr && !errors.Is(first, injected)) || second != nil {
-					t.Fatalf("%d B, coalesce %d, %s: WriteMessage returned %v then %v", size, coalesce, m.name, first, second)
+			if (first != nil) != m.want.sendErr || (m.want.sendErr && !errors.Is(first, injected)) || second != nil {
+				t.Fatalf("%d B, %s: WriteMessage returned %v then %v", size, m.name, first, second)
+			}
+			if !bytes.Equal(payload, keep) {
+				t.Fatalf("%d B, %s: the caller's payload was modified", size, m.name)
+			}
+			headers, payloads := framesIn(t, cc.out.Bytes())
+			if len(headers) != m.want.onWire {
+				t.Fatalf("%d B, %s: %d frames on the wire, want %d", size, m.name, len(headers), m.want.onWire)
+			}
+			for i := range headers {
+				want := payload
+				if i == 0 && m.want.corrupted {
+					want = corruptCopy(payload)
 				}
-				if !bytes.Equal(payload, keep) {
-					t.Fatalf("%d B, coalesce %d, %s: the caller's payload was modified", size, coalesce, m.name)
+				if headers[i] != jumboHdr || !bytes.Equal(payloads[i], want) {
+					t.Fatalf("%d B, %s: frame %d differs from what was sent", size, m.name, i)
 				}
-				headers, payloads := framesIn(t, cc.out.Bytes())
-				if len(headers) != m.want.onWire {
-					t.Fatalf("%d B, coalesce %d, %s: %d frames on the wire, want %d", size, coalesce, m.name, len(headers), m.want.onWire)
-				}
-				for i := range headers {
-					want := payload
-					if i == 0 && m.want.corrupted {
-						want = corruptCopy(payload)
-					}
-					if headers[i] != jumboHdr || !bytes.Equal(payloads[i], want) {
-						t.Fatalf("%d B, coalesce %d, %s: frame %d differs from what was sent", size, coalesce, m.name, i)
-					}
-				}
-				sent := uint64(m.want.onWire)
-				if df, db := txFrames.Value()-frames0, txBytes.Value()-bytes0; df != sent || db != sent*uint64(frameOverhead+size) {
-					t.Fatalf("%d B, coalesce %d, %s: counted %d frames, %d bytes for %d frames of %d bytes",
-						size, coalesce, m.name, df, db, sent, frameOverhead+size)
-				}
-				if coalesce == 0 {
-					// Small: one write per frame. Jumbo: header, then payload.
-					per := 1
-					if frameOverhead+size > maxPooledFrame {
-						per = 2
-					}
-					if cc.writes != per*m.want.onWire {
-						t.Fatalf("%d B, %s: %d writes for %d frames", size, m.name, cc.writes, m.want.onWire)
-					}
-				}
+			}
+			sent := uint64(m.want.onWire)
+			if df, db := txFrames.Value()-frames0, txBytes.Value()-bytes0; df != sent || db != sent*uint64(frameOverhead+size) {
+				t.Fatalf("%d B, %s: counted %d frames, %d bytes for %d frames of %d bytes",
+					size, m.name, df, db, sent, frameOverhead+size)
+			}
+			// Small: one write per frame. Jumbo: header, then payload.
+			per := 1
+			if frameOverhead+size > maxPooledFrame {
+				per = 2
+			}
+			if cc.writes != per*m.want.onWire {
+				t.Fatalf("%d B, %s: %d writes for %d frames", size, m.name, cc.writes, m.want.onWire)
 			}
 		}
 	}
 }
 
 // TestJumboWriteErrors: a jumbo frame whose header cannot be written
-// sends no payload after it, and behind the coalescing writer the
-// failure sticks to the connection as it does for a small frame.
+// sends no payload after it.
 func TestJumboWriteErrors(t *testing.T) {
 	boom := errors.New("boom")
-	payload := patterned(100_000)
-
 	cc := &captureConn{fail: boom}
 	conn := NewConn(cc)
-	if err := conn.WriteMessage(jumboHdr, payload); !errors.Is(err, boom) {
-		t.Fatalf("direct: got %v", err)
+	if err := conn.WriteMessage(jumboHdr, patterned(100_000)); !errors.Is(err, boom) {
+		t.Fatalf("got %v", err)
 	}
 	if cc.writes != 1 {
-		t.Fatalf("direct: %d writes after a failed header write, want 1", cc.writes)
-	}
-
-	cc = &captureConn{fail: boom}
-	conn = NewConn(cc)
-	conn.EnableWriteCoalescing(16) // smaller than a header: the first write reaches the transport
-	defer conn.Close()             //nolint:errcheck // the transport fails by design
-	if err := conn.WriteMessage(jumboHdr, payload); !errors.Is(err, boom) {
-		t.Fatalf("coalescing: got %v", err)
-	}
-	writes := cc.writes
-	cc.fail = nil
-	if err := conn.WriteMessage(jumboHdr, []byte("small")); !errors.Is(err, boom) {
-		t.Fatalf("coalescing: write after a failed one returned %v, want the sticky error", err)
-	}
-	if cc.writes != writes {
-		t.Fatal("coalescing: a write reached the transport after the sticky error")
+		t.Fatalf("%d writes after a failed header write, want 1", cc.writes)
 	}
 }
 

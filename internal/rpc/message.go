@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -207,84 +206,22 @@ func (e *codecError) Unwrap() error { return e.err }
 
 // Conn frames messages over a stream transport. Reads and writes are
 // independently serialised, so one goroutine may read while others
-// write. EnableWriteCoalescing optionally batches small frames behind a
-// flush-on-idle buffered writer.
+// write.
 type Conn struct {
 	rmu sync.Mutex
 	wmu sync.Mutex
 	c   net.Conn
-	w   io.Writer // c, or bw once coalescing is on; guarded by wmu
 
 	// rspare holds the buffer of the last jumbo frame read, between its
 	// Release and the next jumbo frame.
 	rspare JumboSpare
-
-	// Write coalescing, nil/inactive by default. All three fields are
-	// guarded by wmu except flushCh/stopCh signalling.
-	bw       *bufio.Writer
-	writeErr error
-	flushCh  chan struct{}
-	stopCh   chan struct{}
-	stopOnce sync.Once
 }
 
 // NewConn wraps a stream connection.
-func NewConn(c net.Conn) *Conn { return &Conn{c: c, w: c} }
+func NewConn(c net.Conn) *Conn { return &Conn{c: c} }
 
-// EnableWriteCoalescing switches the connection to buffered writes of up
-// to size bytes with a flush-on-idle goroutine: each write signals the
-// flusher, which drains whatever accumulated while it was scheduled, so
-// bursts of small frames from concurrent callers leave in one syscall
-// while a lone frame still flushes within a goroutine wakeup. Call it
-// before the connection carries traffic; size <= 0 is a no-op.
-func (c *Conn) EnableWriteCoalescing(size int) {
-	if size <= 0 {
-		return
-	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if c.bw != nil {
-		return
-	}
-	c.bw = bufio.NewWriterSize(c.c, size)
-	c.w = c.bw
-	c.flushCh = make(chan struct{}, 1)
-	c.stopCh = make(chan struct{})
-	go c.flushLoop()
-}
-
-func (c *Conn) flushLoop() {
-	for {
-		select {
-		case <-c.stopCh:
-			return
-		case <-c.flushCh:
-		}
-		c.wmu.Lock()
-		if c.writeErr == nil && c.bw.Buffered() > 0 {
-			if err := c.bw.Flush(); err != nil {
-				c.writeErr = err
-			} else {
-				coalescedFlushes.Inc()
-			}
-		}
-		c.wmu.Unlock()
-	}
-}
-
-// Close closes the underlying transport after a best-effort flush of
-// any coalesced frames still buffered.
-func (c *Conn) Close() error {
-	c.wmu.Lock()
-	if c.bw != nil {
-		if c.writeErr == nil {
-			c.writeErr = c.bw.Flush()
-		}
-		c.stopOnce.Do(func() { close(c.stopCh) })
-	}
-	c.wmu.Unlock()
-	return c.c.Close()
-}
+// Close closes the underlying transport.
+func (c *Conn) Close() error { return c.c.Close() }
 
 // RemoteAddr returns the peer address.
 func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
@@ -292,38 +229,23 @@ func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 // LocalAddr returns the local address.
 func (c *Conn) LocalAddr() net.Addr { return c.c.LocalAddr() }
 
-// writeFrame sends one fully built frame under the write lock, through
-// the coalescing writer when enabled. A non-empty tail is the rest of
-// the frame, written behind buf under the same hold of the lock.
+// writeFrame sends one fully built frame under the write lock. A
+// non-empty tail is the rest of the frame, written behind buf under the
+// same hold of the lock.
 func (c *Conn) writeFrame(buf, tail []byte) error {
 	c.wmu.Lock()
-	if c.writeErr != nil {
-		err := c.writeErr
-		c.wmu.Unlock()
-		return err
-	}
-	n, err := c.w.Write(buf)
+	n, err := c.c.Write(buf)
 	if err == nil && len(tail) > 0 {
 		var m int
-		m, err = c.w.Write(tail)
+		m, err = c.c.Write(tail)
 		n += m
 	}
-	if err != nil && c.bw != nil {
-		c.writeErr = err
-	}
-	flushCh := c.flushCh
 	c.wmu.Unlock()
 	if n > 0 {
 		txBytes.Add(uint64(n))
 	}
 	if err == nil {
 		txFrames.Inc()
-		if flushCh != nil {
-			select {
-			case flushCh <- struct{}{}:
-			default:
-			}
-		}
 	}
 	return err
 }

@@ -28,11 +28,9 @@ var (
 	faultsDropped   = telemetry.Default.Counter("rpc_faults_dropped_total")
 	faultsCorrupted = telemetry.Default.Counter("rpc_faults_corrupted_total")
 
-	// Fast-path counters: pong replies the client failed to send (a run
-	// of them tears the connection down, see maxPongWriteFailures) and
-	// flushes performed by the optional write-coalescing goroutine.
-	pongWriteFails   = telemetry.Default.Counter("rpc_pong_write_failures_total")
-	coalescedFlushes = telemetry.Default.Counter("rpc_coalesced_flushes_total")
+	// Pong replies the client failed to send (a run of them tears the
+	// connection down, see maxPongWriteFailures).
+	pongWriteFails = telemetry.Default.Counter("rpc_pong_write_failures_total")
 )
 
 // Proc declares one procedure of a protocol program. A program's table

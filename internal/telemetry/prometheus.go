@@ -100,59 +100,56 @@ var helpMu sync.RWMutex
 // Families not listed here get a generated placeholder so every family
 // in the exposition carries a HELP line.
 var helpText = map[string]string{
-	"daemon_dispatch_total":                "RPC procedures dispatched by the daemon.",
-	"daemon_dispatch_errors_total":         "RPC procedure dispatches that returned an error.",
-	"daemon_dispatch_seconds":              "Latency of RPC procedure dispatch.",
-	"daemon_dispatch_unknown_total":        "Calls refused because their procedure number has no table row.",
-	"daemon_clients":                       "Connected daemon clients.",
-	"daemon_clients_rejected_total":        "Client connections rejected at the accept limit.",
-	"daemon_pool_workers":                  "Worker goroutines in the dispatch pool.",
-	"daemon_pool_queue_depth":              "Jobs waiting in the dispatch pool queue.",
-	"daemon_pool_busy_workers":             "Dispatch pool workers currently running a job.",
-	"daemon_pool_jobs_done_total":          "Jobs completed by the dispatch pool.",
-	"daemon_pool_spawns_total":             "Worker goroutines spawned by the dispatch pool.",
-	"daemon_queue_wait_seconds":            "Time jobs waited in the dispatch pool queue.",
-	"rpc_tx_frames_total":                  "RPC frames transmitted.",
-	"rpc_rx_frames_total":                  "RPC frames received.",
-	"rpc_tx_bytes_total":                   "RPC bytes transmitted.",
-	"rpc_rx_bytes_total":                   "RPC bytes received.",
-	"rpc_keepalive_pings_total":            "Keepalive pings sent.",
-	"rpc_keepalive_pongs_total":            "Keepalive pongs received.",
-	"rpc_keepalive_failures_total":         "Connections dropped by keepalive timeout.",
-	"rpc_calls_deadline_total":             "RPC calls abandoned at their deadline.",
-	"rpc_faults_dropped_total":             "Frames dropped by fault injection.",
-	"rpc_faults_corrupted_total":           "Frames corrupted by fault injection.",
-	"rpc_pong_write_failures_total":        "Keepalive pong writes that failed.",
-	"rpc_coalesced_flushes_total":          "Socket flushes saved by write coalescing.",
-	"remote_calls_total":                   "Calls issued by the remote driver.",
-	"remote_call_errors_total":             "Remote driver calls that returned an error.",
-	"remote_connects_total":                "Connections opened by the remote driver.",
-	"remote_connect_failures_total":        "Remote driver connection attempts that failed.",
-	"remote_call_seconds":                  "Latency of remote driver calls.",
-	"driver_ops_total":                     "Operations executed by local drivers.",
-	"fleet_placements_total":               "Domain placements performed by the fleet scheduler.",
-	"fleet_placement_retries_total":        "Placements retried on another host.",
-	"fleet_placement_failures_total":       "Placements that failed on every candidate host.",
-	"fleet_placement_seconds":              "Latency of fleet placements.",
-	"fleet_hosts_up":                       "Fleet hosts currently reachable.",
-	"fleet_hosts_known":                    "Fleet hosts registered.",
-	"fleet_reconnects_total":               "Reconnect attempts to fleet hosts.",
-	"fleet_rebalance_migrations_total":     "Migrations performed by the rebalancer.",
-	"fleet_rebalance_failures_total":       "Rebalancer migrations that failed.",
-	"fleet_inventory_polls_total":          "Fleet inventory polls.",
-	"fleet_inventory_bulk_polls_total":     "Fleet inventory polls served by the bulk procedure.",
-	"fleet_inventory_bulk_fallbacks_total": "Fleet inventory polls that fell back to per-domain calls.",
-	"fleet_watch_events_total":             "Watch-stream events folded into fleet cached state.",
-	"fleet_watch_gaps_total":               "Watch-stream sequence gaps detected by the fleet.",
-	"fleet_watch_fetches_total":            "Targeted bulk fetches for event-incomplete records.",
-	"watch_resyncs_total":                  "Bulk resync sweeps owed to watch-stream gaps.",
-	"events_delivered_total":               "Watch-stream event frames delivered to subscribers.",
-	"events_dropped_total":                 "Watch-stream events dropped by queue overflow.",
-	"events_coalesced_total":               "Watch-stream events coalesced into a newer same-domain frame.",
-	"events_heartbeats_total":              "Watch-stream heartbeat frames sent.",
-	"watch_queue_depth":                    "Events queued across all watch subscriptions.",
-	"watch_subscribers":                    "Open watch subscriptions.",
-	"fault_injected_total":                 "Fault injections fired, by site and kind.",
+	"daemon_dispatch_total":            "RPC procedures dispatched by the daemon.",
+	"daemon_dispatch_errors_total":     "RPC procedure dispatches that returned an error.",
+	"daemon_dispatch_seconds":          "Latency of RPC procedure dispatch.",
+	"daemon_dispatch_unknown_total":    "Calls refused because their procedure number has no table row.",
+	"daemon_clients":                   "Connected daemon clients.",
+	"daemon_clients_rejected_total":    "Client connections rejected at the accept limit.",
+	"daemon_pool_workers":              "Worker goroutines in the dispatch pool.",
+	"daemon_pool_queue_depth":          "Jobs waiting in the dispatch pool queue.",
+	"daemon_pool_busy_workers":         "Dispatch pool workers currently running a job.",
+	"daemon_pool_jobs_done_total":      "Jobs completed by the dispatch pool.",
+	"daemon_pool_spawns_total":         "Worker goroutines spawned by the dispatch pool.",
+	"daemon_queue_wait_seconds":        "Time jobs waited in the dispatch pool queue.",
+	"rpc_tx_frames_total":              "RPC frames transmitted.",
+	"rpc_rx_frames_total":              "RPC frames received.",
+	"rpc_tx_bytes_total":               "RPC bytes transmitted.",
+	"rpc_rx_bytes_total":               "RPC bytes received.",
+	"rpc_keepalive_pings_total":        "Keepalive pings sent.",
+	"rpc_keepalive_pongs_total":        "Keepalive pongs received.",
+	"rpc_keepalive_failures_total":     "Connections dropped by keepalive timeout.",
+	"rpc_calls_deadline_total":         "RPC calls abandoned at their deadline.",
+	"rpc_faults_dropped_total":         "Frames dropped by fault injection.",
+	"rpc_faults_corrupted_total":       "Frames corrupted by fault injection.",
+	"rpc_pong_write_failures_total":    "Keepalive pong writes that failed.",
+	"remote_calls_total":               "Calls issued by the remote driver.",
+	"remote_call_errors_total":         "Remote driver calls that returned an error.",
+	"remote_connects_total":            "Connections opened by the remote driver.",
+	"remote_connect_failures_total":    "Remote driver connection attempts that failed.",
+	"remote_call_seconds":              "Latency of remote driver calls.",
+	"driver_ops_total":                 "Operations executed by local drivers.",
+	"fleet_placements_total":           "Domain placements performed by the fleet scheduler.",
+	"fleet_placement_retries_total":    "Placements retried on another host.",
+	"fleet_placement_failures_total":   "Placements that failed on every candidate host.",
+	"fleet_placement_seconds":          "Latency of fleet placements.",
+	"fleet_hosts_up":                   "Fleet hosts currently reachable.",
+	"fleet_hosts_known":                "Fleet hosts registered.",
+	"fleet_reconnects_total":           "Reconnect attempts to fleet hosts.",
+	"fleet_rebalance_migrations_total": "Migrations performed by the rebalancer.",
+	"fleet_rebalance_failures_total":   "Rebalancer migrations that failed.",
+	"fleet_inventory_polls_total":      "Fleet inventory polls.",
+	"fleet_watch_events_total":         "Watch-stream events folded into fleet cached state.",
+	"fleet_watch_gaps_total":           "Watch-stream sequence gaps detected by the fleet.",
+	"fleet_watch_fetches_total":        "Targeted bulk fetches for event-incomplete records.",
+	"watch_resyncs_total":              "Bulk resync sweeps owed to watch-stream gaps.",
+	"events_delivered_total":           "Watch-stream event frames delivered to subscribers.",
+	"events_dropped_total":             "Watch-stream events dropped by queue overflow.",
+	"events_coalesced_total":           "Watch-stream events coalesced into a newer same-domain frame.",
+	"events_heartbeats_total":          "Watch-stream heartbeat frames sent.",
+	"watch_queue_depth":                "Events queued across all watch subscriptions.",
+	"watch_subscribers":                "Open watch subscriptions.",
+	"fault_injected_total":             "Fault injections fired, by site and kind.",
 }
 
 // SetMetricHelp registers (or replaces) the HELP docstring for a metric

@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/conf"
 )
 
 // Transport identifies how a connection reaches the daemon.
@@ -198,6 +200,12 @@ func (a Aliases) Resolve(s string) (*URI, error) {
 	return Parse(s)
 }
 
+// AliasKeys is the client.conf key table (the dialect is package
+// conf's): uri_aliases, whose entries land in entries as written.
+func AliasKeys(entries *[]string) []conf.Key {
+	return []conf.Key{conf.Strings("uri_aliases", entries)}
+}
+
 // ParseAliases reads a client configuration document in the
 // libvirt.conf style:
 //
@@ -206,48 +214,28 @@ func (a Aliases) Resolve(s string) (*URI, error) {
 //	  "lab=test:///default",
 //	]
 //
-// Comments start with '#'. Alias names may not contain URI metacharacters
-// so a name can never be confused with a real URI.
+// Alias names may not contain URI metacharacters so a name can never be
+// confused with a real URI.
 func ParseAliases(text string) (Aliases, error) {
+	var entries []string
+	at, err := conf.Parse(text, AliasKeys(&entries))
+	if err != nil {
+		return nil, fmt.Errorf("uri: %v", err)
+	}
 	aliases := Aliases{}
-	var inList bool
-	for lineNo, raw := range strings.Split(text, "\n") {
-		line := strings.TrimSpace(raw)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if !inList {
-			key, rest, found := strings.Cut(line, "=")
-			if !found || strings.TrimSpace(key) != "uri_aliases" {
-				return nil, fmt.Errorf("uri: config line %d: expected uri_aliases = [", lineNo+1)
-			}
-			rest = strings.TrimSpace(rest)
-			if rest != "[" {
-				return nil, fmt.Errorf("uri: config line %d: expected '[' after uri_aliases =", lineNo+1)
-			}
-			inList = true
-			continue
-		}
-		if line == "]" {
-			inList = false
-			continue
-		}
-		entry := strings.TrimSuffix(line, ",")
-		entry = strings.Trim(entry, `"`)
+	for _, entry := range entries {
 		name, target, found := strings.Cut(entry, "=")
 		if !found || name == "" || target == "" {
-			return nil, fmt.Errorf("uri: config line %d: alias entries are \"name=uri\"", lineNo+1)
+			err = fmt.Errorf(`entries are "name=uri", not %q`, entry)
+		} else if strings.ContainsAny(name, ":/?@") {
+			err = fmt.Errorf("alias name %q contains URI metacharacters", name)
+		} else {
+			_, err = Parse(target)
 		}
-		if strings.ContainsAny(name, ":/?@") {
-			return nil, fmt.Errorf("uri: config line %d: alias name %q contains URI metacharacters", lineNo+1, name)
-		}
-		if _, err := Parse(target); err != nil {
-			return nil, fmt.Errorf("uri: config line %d: %v", lineNo+1, err)
+		if err != nil {
+			return nil, fmt.Errorf("uri: %v", at.Errorf("uri_aliases", "%v", err))
 		}
 		aliases[name] = target
-	}
-	if inList {
-		return nil, fmt.Errorf("uri: unterminated uri_aliases list")
 	}
 	return aliases, nil
 }

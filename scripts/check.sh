@@ -2,7 +2,7 @@
 # check.sh — the repo's verification gate. Everything the README and
 # EXPERIMENTS.md claim (builds clean, gofmt-clean, tests pass, race-free)
 # is enforced here; run it before every commit (or via `make check`).
-# Seven stages, none a subset of another: the fleet, watch, chaos, qos,
+# Eight stages, none a subset of another: the fleet, watch, chaos, qos,
 # exposition and migrate suites all run inside the one -race pass, and
 # every T/F/R/A benchmark inside the one bench smoke.
 set -eu
@@ -25,6 +25,9 @@ go build ./...
 
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
+
+echo "== fuzz: 10 s of FuzzParse over the config dialect (seeds: the three configs/*.conf)"
+go test ./internal/conf -run '^$' -fuzz FuzzParse -fuzztime 10s
 
 echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
