@@ -109,14 +109,28 @@ func BenchmarkT1_AbstractionOverhead(b *testing.B) {
 		if err := e.Monitor().ExecuteCommand("system_boot", nil, nil); err != nil {
 			b.Fatal(err)
 		}
-		var st struct {
-			Status string `json:"status"`
-		}
+		// The four queries a monitor client needs for Info's five fields.
+		var (
+			st      struct{ Status string }
+			balloon struct{ Actual uint64 }
+			cpus    []struct {
+				Index int `json:"cpu-index"`
+			}
+			cpu struct {
+				CPUTimeNs uint64 `json:"cpu_time_ns"`
+			}
+		)
+		queries := []struct {
+			cmd   string
+			reply interface{}
+		}{{"query-status", &st}, {"query-balloon", &balloon}, {"query-cpus", &cpus}, {"query-cpustats", &cpu}}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := e.Monitor().ExecuteCommand("query-status", nil, &st); err != nil {
-				b.Fatal(err)
+			for _, q := range queries {
+				if err := e.Monitor().ExecuteCommand(q.cmd, nil, q.reply); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})

@@ -161,7 +161,7 @@ func (b *Base) domainListInfo(flags core.ListFlags, names []string, dst []core.N
 	}
 	b.mu.Unlock()
 	for _, c := range emits {
-		b.log.Warnf(b.module(), "domain %s crashed", c.name)
+		b.log.Warnf(b.module, "domain %s crashed", c.name)
 		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: c.name, UUID: c.uuid})
 	}
 

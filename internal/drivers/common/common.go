@@ -95,16 +95,17 @@ type attachedNIC struct {
 
 // Base implements core.DriverConn on top of Hooks.
 type Base struct {
-	mu    sync.Mutex
-	hooks Hooks
-	node  *nodeinfo.Node
-	log   *logging.Logger
-	bus   *events.Bus
-	defs  map[string]*record
-	order []*record // records in definition order: a stable sweep order
-	nets  *vnet.Manager
-	pools *storage.Manager
-	ops   sync.Map // op string → *telemetry.Counter
+	mu     sync.Mutex
+	hooks  Hooks
+	module string // logging module name, "driver." + hooks.Type()
+	node   *nodeinfo.Node
+	log    *logging.Logger
+	bus    *events.Bus
+	defs   map[string]*record
+	order  []*record // records in definition order: a stable sweep order
+	nets   *vnet.Manager
+	pools  *storage.Manager
+	ops    sync.Map // op string → *telemetry.Counter
 
 	store     *statestore.Store // nil unless a state root is configured
 	scope     string            // persistence namespace under the state root
@@ -128,11 +129,12 @@ var (
 // New builds a driver base around the given hooks.
 func New(hooks Hooks, opts Options) *Base {
 	b := &Base{
-		hooks: hooks,
-		node:  opts.Node,
-		log:   opts.Log,
-		bus:   events.NewBus(),
-		defs:  make(map[string]*record),
+		hooks:  hooks,
+		module: "driver." + hooks.Type(),
+		node:   opts.Node,
+		log:    opts.Log,
+		bus:    events.NewBus(),
+		defs:   make(map[string]*record),
 	}
 	if b.log == nil {
 		b.log = logging.NewQuiet(logging.Error)
@@ -147,9 +149,6 @@ func New(hooks Hooks, opts Options) *Base {
 	b.openStore()
 	return b
 }
-
-// module returns the logging module name for this driver.
-func (b *Base) module() string { return "driver." + b.hooks.Type() }
 
 // EventBus implements core.EventSource.
 func (b *Base) EventBus() *events.Bus { return b.bus }
@@ -277,7 +276,7 @@ func (b *Base) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
 			return core.DomainMeta{}, err
 		}
 		existing.def = def
-		b.log.Infof(b.module(), "domain %s redefined", def.Name)
+		b.log.Infof(b.module, "domain %s redefined", def.Name)
 		b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID, Detail: "redefined"})
 		return b.meta(def.Name, existing), nil
 	}
@@ -287,7 +286,7 @@ func (b *Base) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
 	r := &record{name: def.Name, def: def, uuidStr: def.UUID}
 	b.defs[def.Name] = r
 	b.order = append(b.order, r)
-	b.log.Infof(b.module(), "domain %s defined", def.Name)
+	b.log.Infof(b.module, "domain %s defined", def.Name)
 	b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID})
 	return b.meta(def.Name, r), nil
 }
@@ -332,7 +331,7 @@ func (b *Base) UndefineDomain(name string) error {
 	b.mu.Unlock()
 	b.persistDelete(statestore.KindDomains, name)
 	b.persistDelete(statestore.KindDomsActive, name)
-	b.log.Infof(b.module(), "domain %s undefined", name)
+	b.log.Infof(b.module, "domain %s undefined", name)
 	b.bus.Emit(events.Event{Type: events.EventUndefined, Domain: name, UUID: uuidStr})
 	return nil
 }
@@ -371,12 +370,12 @@ func (b *Base) CreateDomain(name string) error {
 	// Active markers are best-effort snapshots of desired run state; the
 	// domain is already up, so a journal hiccup only warns.
 	if err := b.persistSave(statestore.KindDomsActive, name, nil); err != nil {
-		b.log.Warnf(b.module(), "%v", err)
+		b.log.Warnf(b.module, "%v", err)
 	}
 	if err := b.restoreFromManagedSave(name, r); err != nil {
 		return err
 	}
-	b.log.Infof(b.module(), "domain %s started", name)
+	b.log.Infof(b.module, "domain %s started", name)
 	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: name, UUID: def.UUID})
 	return nil
 }
@@ -412,7 +411,7 @@ func (b *Base) detachNICs(nics []attachedNIC) {
 	}
 	for _, n := range nics {
 		if err := b.nets.Detach(n.network, n.mac); err != nil {
-			b.log.Warnf(b.module(), "detach %s from %s: %v", n.mac, n.network, err)
+			b.log.Warnf(b.module, "detach %s from %s: %v", n.mac, n.network, err)
 		}
 	}
 }
@@ -448,7 +447,7 @@ func (b *Base) stop(name string, graceful bool) error {
 		evType = events.EventShutdown
 		detail = "guest shutdown"
 	}
-	b.log.Infof(b.module(), "domain %s stopped (%s)", name, detail)
+	b.log.Infof(b.module, "domain %s stopped (%s)", name, detail)
 	b.bus.Emit(events.Event{Type: evType, Domain: name, UUID: uuidStr, Detail: detail})
 	return nil
 }
@@ -568,7 +567,7 @@ func (b *Base) noteState(name string, r *record, st core.DomainState) {
 	uuidStr := r.uuidStr
 	b.mu.Unlock()
 	if emit {
-		b.log.Warnf(b.module(), "domain %s crashed", name)
+		b.log.Warnf(b.module, "domain %s crashed", name)
 		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: name, UUID: uuidStr})
 	}
 }

@@ -54,7 +54,7 @@ func (b *Base) AttachDevice(domain, deviceXML string) error {
 	default:
 		return core.Errorf(core.ErrInvalidArg, "unsupported device kind %q", dev.Kind())
 	}
-	b.log.Infof(b.module(), "domain %s: %s attached", domain, dev.Kind())
+	b.log.Infof(b.module, "domain %s: %s attached", domain, dev.Kind())
 	return nil
 }
 
@@ -77,7 +77,7 @@ func (b *Base) DetachDevice(domain, deviceXML string) error {
 		for i, d := range r.def.Devices.Disks {
 			if d.Target.Dev == dev.Disk.Target.Dev {
 				r.def.Devices.Disks = append(r.def.Devices.Disks[:i], r.def.Devices.Disks[i+1:]...)
-				b.log.Infof(b.module(), "domain %s: disk %s detached", domain, d.Target.Dev)
+				b.log.Infof(b.module, "domain %s: disk %s detached", domain, d.Target.Dev)
 				return nil
 			}
 		}
@@ -97,14 +97,14 @@ func (b *Base) DetachDevice(domain, deviceXML string) error {
 				if lease.mac == mac {
 					if b.nets != nil {
 						if err := b.nets.Detach(lease.network, mac); err != nil {
-							b.log.Warnf(b.module(), "detach %s: %v", mac, err)
+							b.log.Warnf(b.module, "detach %s: %v", mac, err)
 						}
 					}
 					r.leases = append(r.leases[:j], r.leases[j+1:]...)
 					break
 				}
 			}
-			b.log.Infof(b.module(), "domain %s: interface %s detached", domain, mac)
+			b.log.Infof(b.module, "domain %s: interface %s detached", domain, mac)
 			return nil
 		}
 		return core.Errorf(core.ErrInvalidArg,

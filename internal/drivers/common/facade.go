@@ -64,7 +64,7 @@ func (b *Base) StartNetwork(name string) error {
 	// Active markers are best-effort snapshots of desired run state; the
 	// network itself is already up, so a journal hiccup only warns.
 	if err := b.persistSave(statestore.KindNetsActive, name, nil); err != nil {
-		b.log.Warnf(b.module(), "%v", err)
+		b.log.Warnf(b.module, "%v", err)
 	}
 	return nil
 }
@@ -176,7 +176,7 @@ func (b *Base) StartStoragePool(name string) error {
 		return core.Errorf(core.ErrOperationInvalid, "%v", err)
 	}
 	if err := b.persistSave(statestore.KindPoolsActive, name, nil); err != nil {
-		b.log.Warnf(b.module(), "%v", err)
+		b.log.Warnf(b.module, "%v", err)
 	}
 	return nil
 }

@@ -80,7 +80,7 @@ func (b *Base) CreateSnapshot(domain, xmlDesc string) (string, error) {
 		return "", core.Errorf(core.ErrDuplicate, "domain %q already has snapshot %q", domain, rec.name)
 	}
 	r.snapshots = append(r.snapshots, rec)
-	b.log.Infof(b.module(), "domain %s: snapshot %s created (state %s)", domain, rec.name, rec.state)
+	b.log.Infof(b.module, "domain %s: snapshot %s created (state %s)", domain, rec.name, rec.state)
 	return rec.name, nil
 }
 
@@ -168,10 +168,10 @@ func (b *Base) RevertSnapshot(domain, snapshot string) error {
 		}
 		// Restore the snapshot's tunables on the fresh instance.
 		if err := b.hooks.SetMemory(domain, rec.memKiB); err != nil {
-			b.log.Warnf(b.module(), "revert %s/%s: restore memory: %v", domain, snapshot, err)
+			b.log.Warnf(b.module, "revert %s/%s: restore memory: %v", domain, snapshot, err)
 		}
 		if err := b.hooks.SetVCPUs(domain, rec.vcpus); err != nil {
-			b.log.Warnf(b.module(), "revert %s/%s: restore vcpus: %v", domain, snapshot, err)
+			b.log.Warnf(b.module, "revert %s/%s: restore vcpus: %v", domain, snapshot, err)
 		}
 		if rec.state == core.DomainPaused {
 			if err := b.SuspendDomain(domain); err != nil {
@@ -184,7 +184,7 @@ func (b *Base) RevertSnapshot(domain, snapshot string) error {
 	b.mu.Lock()
 	uuidStr := r.uuidStr
 	b.mu.Unlock()
-	b.log.Infof(b.module(), "domain %s reverted to snapshot %s", domain, snapshot)
+	b.log.Infof(b.module, "domain %s reverted to snapshot %s", domain, snapshot)
 	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: domain, UUID: uuidStr,
 		Detail: "reverted to snapshot " + snapshot})
 	return nil
@@ -235,7 +235,7 @@ func (b *Base) ManagedSave(domain string) error {
 	b.mu.Lock()
 	r.managedSave = img
 	b.mu.Unlock()
-	b.log.Infof(b.module(), "domain %s state saved", domain)
+	b.log.Infof(b.module, "domain %s state saved", domain)
 	return nil
 }
 
@@ -276,16 +276,16 @@ func (b *Base) restoreFromManagedSave(domain string, r *record) error {
 		return nil
 	}
 	if err := b.hooks.SetMemory(domain, img.memKiB); err != nil {
-		b.log.Warnf(b.module(), "restore %s: memory: %v", domain, err)
+		b.log.Warnf(b.module, "restore %s: memory: %v", domain, err)
 	}
 	if err := b.hooks.SetVCPUs(domain, img.vcpus); err != nil {
-		b.log.Warnf(b.module(), "restore %s: vcpus: %v", domain, err)
+		b.log.Warnf(b.module, "restore %s: vcpus: %v", domain, err)
 	}
 	if img.paused {
 		if err := b.hooks.Suspend(domain); err != nil {
 			return core.Errorf(core.ErrInternal, "restore %s: pause: %v", domain, err)
 		}
 	}
-	b.log.Infof(b.module(), "domain %s restored from managed save", domain)
+	b.log.Infof(b.module, "domain %s restored from managed save", domain)
 	return nil
 }

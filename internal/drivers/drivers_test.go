@@ -189,6 +189,9 @@ func TestUniformTuningAndStats(t *testing.T) {
 		if err := drv.SetDomainVCPUs("tune", 1); err != nil {
 			t.Fatal(err)
 		}
+		if info, err := drv.DomainInfo("tune"); err != nil || info.VCPUs != 1 {
+			t.Fatalf("vcpus after set: %+v %v", info, err)
+		}
 		if err := drv.SetDomainVCPUs("tune", 99); !core.IsCode(err, core.ErrInvalidArg) {
 			t.Fatalf("over-max vcpus: %v", err)
 		}
@@ -211,6 +214,16 @@ func TestUniformTuningAndStats(t *testing.T) {
 		}
 		if name != "csim" && stats.RdReqs+stats.WrReqs == 0 {
 			t.Fatalf("%s: no block activity: %+v", name, stats)
+		}
+		// Info and Stats read the same accounting: their shared fields agree.
+		info, err = drv.DomainInfo("tune")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := core.DomainInfo{State: stats.State, MaxMemKiB: stats.MaxMemKiB,
+			MemKiB: stats.MemKiB, VCPUs: stats.VCPUs, CPUTimeNs: stats.CPUTimeNs}
+		if info != want || info.CPUTimeNs == 0 {
+			t.Fatalf("info %+v disagrees with stats %+v", info, stats)
 		}
 	})
 }

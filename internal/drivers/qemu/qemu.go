@@ -1,8 +1,10 @@
 // Package qemu implements the qsim driver: the uniform API translated
 // into qsim's native JSON monitor protocol, one emulator process per
-// guest. The driver never touches the substrate machine directly for
-// management — every operation is a monitor command, mirroring how the
-// original architecture drives QEMU through its monitor.
+// guest. Every operation that changes the guest is a monitor command,
+// mirroring how the original architecture drives QEMU through its
+// monitor. Reads come from the emulator process's own accounting, as
+// libvirt's qemuDomainGetInfo takes CPU time from /proc/<pid>/stat and
+// vCPUs from the definition instead of asking the monitor.
 package qemu
 
 import (
@@ -112,47 +114,12 @@ func (h *hooks) Resume(name string) error {
 }
 
 func (h *hooks) Info(name string) (core.DomainInfo, error) {
-	// Info and stats come from monitor queries, not the machine object.
-	mon, err := h.monitor(name)
+	// Reads come from the emulator process's accounting, not the monitor.
+	m, err := h.Machine(name)
 	if err != nil {
 		return core.DomainInfo{}, err
 	}
-	var status struct {
-		Status string `json:"status"`
-	}
-	if err := mon.ExecuteCommand("query-status", nil, &status); err != nil {
-		return core.DomainInfo{}, err
-	}
-	var balloon struct {
-		Actual uint64 `json:"actual"`
-	}
-	if err := mon.ExecuteCommand("query-balloon", nil, &balloon); err != nil {
-		return core.DomainInfo{}, err
-	}
-	var cpus []struct {
-		Index int `json:"cpu-index"`
-	}
-	if err := mon.ExecuteCommand("query-cpus", nil, &cpus); err != nil {
-		return core.DomainInfo{}, err
-	}
-	var cpustats struct {
-		CPUTimeNs uint64 `json:"cpu_time_ns"`
-	}
-	if err := mon.ExecuteCommand("query-cpustats", nil, &cpustats); err != nil {
-		return core.DomainInfo{}, err
-	}
-	// MaxMem comes from the emulator's machine configuration.
-	maxMem := balloon.Actual / 1024
-	if e, ok := h.emulator(name); ok {
-		maxMem = e.Machine().Config().MaxMemKiB
-	}
-	return core.DomainInfo{
-		State:     stateFromStatus(status.Status),
-		MaxMemKiB: maxMem,
-		MemKiB:    balloon.Actual / 1024,
-		VCPUs:     len(cpus),
-		CPUTimeNs: cpustats.CPUTimeNs,
-	}, nil
+	return common.InfoFromMachine(m.Stats()), nil
 }
 
 func (h *hooks) emulator(name string) (*qsim.Emulator, bool) {
@@ -160,23 +127,6 @@ func (h *hooks) emulator(name string) (*qsim.Emulator, bool) {
 	defer h.mu.Unlock()
 	e, ok := h.emu[name]
 	return e, ok
-}
-
-func stateFromStatus(s string) core.DomainState {
-	switch s {
-	case "running":
-		return core.DomainRunning
-	case "paused":
-		return core.DomainPaused
-	case "shutdown":
-		return core.DomainShutoff
-	case "internal-error":
-		return core.DomainCrashed
-	case "suspended":
-		return core.DomainPMSuspended
-	default:
-		return core.DomainNoState
-	}
 }
 
 func (h *hooks) Stats(name string) (core.DomainStats, error) {

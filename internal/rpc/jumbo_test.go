@@ -303,11 +303,19 @@ func TestJumboOverMemnet(t *testing.T) {
 	}
 }
 
+// keepaliveLoops counts the goroutines running a client's keepalive
+// loop, and returns every goroutine's stack for a failure message.
+func keepaliveLoops() (int, []byte) {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Count(buf, []byte("startKeepalive.func1")), buf
+}
+
 // TestKeepaliveExitsOnClose: the probing goroutine of a closed client
 // is gone at once, not at its next tick — 50 clients with a 5 s
-// interval leave nothing behind 100 ms after Close.
+// interval leave no keepalive loop behind within 2 s of Close. Other
+// tests' goroutines do not count, so a shuffled order cannot fail it.
 func TestKeepaliveExitsOnClose(t *testing.T) {
-	baseline := runtime.NumGoroutine()
 	var peers []net.Conn
 	var clients []*Client
 	for i := 0; i < 50; i++ {
@@ -315,8 +323,8 @@ func TestKeepaliveExitsOnClose(t *testing.T) {
 		peers = append(peers, b)
 		clients = append(clients, NewClientKeepalive(a, ProgramRemote, nil, KeepaliveConfig{Interval: 5 * time.Second, Count: 3}))
 	}
-	if got := runtime.NumGoroutine(); got < baseline+100 {
-		t.Fatalf("%d goroutines for 50 open clients over a baseline of %d: keepalive is not running", got, baseline)
+	if n, _ := keepaliveLoops(); n < 50 {
+		t.Fatalf("%d keepalive loops for 50 open clients: keepalive is not running", n)
 	}
 	for i, c := range clients {
 		if err := c.Close(); err != nil {
@@ -324,12 +332,15 @@ func TestKeepaliveExitsOnClose(t *testing.T) {
 		}
 		peers[i].Close() //nolint:errcheck
 	}
-	deadline := time.Now().Add(100 * time.Millisecond)
-	for runtime.NumGoroutine() > baseline {
+	// Well under the 5 s tick: a loop that is gone by then left on Close.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n, stacks := keepaliveLoops()
+		if n == 0 {
+			return
+		}
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines 100 ms after Close, baseline %d:\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d keepalive loops 2 s after Close:\n%s", n, stacks)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -32,18 +32,26 @@ go test ./internal/conf -run '^$' -fuzz FuzzParse -fuzztime 10s
 echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
 
-echo "== monitoring-cycle count gate: monitor-sweep bytes_per_op <= 350000, allocs_per_op <= 400"
-# Both counts repeat to under half a percent; the cycle read 3.5 MB and
-# 2,777 objects before its buffers were retained (EXPERIMENTS.md T9).
-line=$(go run ./bench --workload monitor-sweep --seed 1 --seconds 2 --trace 0 | tail -n 1)
+echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (350000 / 400) and lifecycle-churn (20000 / 450)"
+# Both counts repeat to under half a percent. monitor-sweep read 3.5 MB
+# and 2,777 objects per cycle before its buffers were retained
+# (EXPERIMENTS.md T9); lifecycle-churn read 77 KB and 1,522 objects per
+# op while qsim answered DomainInfo with four monitor round trips (T1).
 count() { printf '%s\n' "$line" | sed -n "s/.*\"$1\":{\"unit\":\"[A-Za-z]*\",\"value\":\([0-9.e+]*\)}.*/\1/p"; }
-bytes=$(count bytes_per_op)
-allocs=$(count allocs_per_op)
-echo "   bytes_per_op=$bytes allocs_per_op=$allocs"
-awk -v b="$bytes" -v a="$allocs" 'BEGIN { exit !(b + 0 > 0 && b <= 350000 && a + 0 > 0 && a <= 400) }' || {
-	echo "monitor-sweep allocates more per cycle than the gate allows" >&2
-	exit 1
-}
+while read -r workload maxbytes maxallocs; do
+	line=$(go run ./bench --workload "$workload" --seed 1 --seconds 2 --trace 0 </dev/null | tail -n 1)
+	bytes=$(count bytes_per_op)
+	allocs=$(count allocs_per_op)
+	echo "   $workload: bytes_per_op=$bytes allocs_per_op=$allocs"
+	awk -v b="$bytes" -v a="$allocs" -v mb="$maxbytes" -v ma="$maxallocs" \
+		'BEGIN { exit !(b + 0 > 0 && b <= mb + 0 && a + 0 > 0 && a <= ma + 0) }' || {
+		echo "$workload allocates more per op than the gate allows" >&2
+		exit 1
+	}
+done <<'ROWS'
+monitor-sweep 350000 400
+lifecycle-churn 20000 450
+ROWS
 
 echo "== bench smoke: every benchmark runs once (-benchtime=1x)"
 go test . -run '^$' -bench . -benchtime=1x >/dev/null
