@@ -428,24 +428,24 @@ func BenchmarkT5_Admin(b *testing.B) {
 		})
 		return conn
 	}
-	b.Run("threadpool-info", func(b *testing.B) {
+	b.Run("config", func(b *testing.B) {
 		conn := setup(b)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := conn.ThreadpoolParams("govirtd"); err != nil {
+			if _, err := conn.Settings("govirtd"); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("threadpool-set", func(b *testing.B) {
+	b.Run("config-set", func(b *testing.B) {
 		conn := setup(b)
 		params := typedparams.NewList()
-		params.AddUInt(admin.FieldMaxWorkers, 8) //nolint:errcheck
+		params.AddString("max_workers", "8") //nolint:errcheck
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := conn.SetThreadpoolParams("govirtd", params); err != nil {
+			if err := conn.SetSettings("govirtd", params); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -460,11 +460,13 @@ func BenchmarkT5_Admin(b *testing.B) {
 			}
 		}
 	})
-	b.Run("log-define-filters", func(b *testing.B) {
+	b.Run("config-set-log-filters", func(b *testing.B) {
 		conn := setup(b)
+		params := typedparams.NewList()
+		params.AddString("log_filters", `"3:rpc 4:daemon.server 1:driver.test"`) //nolint:errcheck
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := conn.SetLoggingFilters("3:rpc 4:daemon.server 1:driver.test"); err != nil {
+			if err := conn.SetSettings("govirtd", params); err != nil {
 				b.Fatal(err)
 			}
 		}

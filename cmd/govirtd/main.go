@@ -26,7 +26,6 @@ import (
 	"repro/internal/drivers/xen"
 	"repro/internal/faultpoint"
 	"repro/internal/logging"
-	"repro/internal/qos"
 	"repro/internal/telemetry"
 )
 
@@ -62,16 +61,25 @@ func run() error {
 		cfg.AdminSocketPath = *adminSockOverride
 	}
 
+	// The management server first: applying the configuration to it also
+	// sets up the daemon's logging, which everything after logs through.
 	log := logging.New(logging.Priority(cfg.LogLevel))
-	if cfg.LogFilters != "" {
-		if err := log.DefineFilters(cfg.LogFilters); err != nil {
-			return err
-		}
+	d := daemon.New(log)
+	d.Tracer().SetThreshold(time.Duration(cfg.SlowCallThresholdMs) * time.Millisecond)
+	d.SetCallTimeout(time.Duration(cfg.CallTimeoutMs) * time.Millisecond)
+	d.SetShutdownGrace(time.Duration(cfg.ShutdownGraceMs) * time.Millisecond)
+	d.SetEventStreamConfig(cfg.EventQueueDepth, time.Duration(cfg.EventCoalesceWindowMs)*time.Millisecond)
+	mgmt, err := d.AddServer("govirtd", cfg.MinWorkers, cfg.MaxWorkers, cfg.PrioWorkers,
+		daemon.ClientLimits{MaxClients: cfg.MaxClients, MaxUnauthClients: cfg.MaxUnauthClients})
+	if err != nil {
+		return err
 	}
-	if cfg.LogOutputs != "" {
-		if err := log.DefineOutputs(cfg.LogOutputs); err != nil {
-			return err
-		}
+	if err := mgmt.Apply(cfg); err != nil {
+		return err
+	}
+	mgmt.AddProgram(daemon.NewRemoteProgram(mgmt))
+	if len(cfg.SASLCredentials) > 0 {
+		mgmt.SetCredentials(cfg.SASLCredentials)
 	}
 
 	// Crash-safe persistence: every driver connection journals defined
@@ -102,33 +110,6 @@ func run() error {
 	qemu.Register(log)
 	xen.Register(log)
 	lxc.Register(log)
-
-	d := daemon.New(log)
-	d.Tracer().SetThreshold(time.Duration(cfg.SlowCallThresholdMs) * time.Millisecond)
-	d.SetCallTimeout(time.Duration(cfg.CallTimeoutMs) * time.Millisecond)
-	d.SetShutdownGrace(time.Duration(cfg.ShutdownGraceMs) * time.Millisecond)
-	d.SetEventStreamConfig(cfg.EventQueueDepth, time.Duration(cfg.EventCoalesceWindowMs)*time.Millisecond)
-	mgmt, err := d.AddServer("govirtd", cfg.MinWorkers, cfg.MaxWorkers, cfg.PrioWorkers,
-		daemon.ClientLimits{MaxClients: cfg.MaxClients, MaxUnauthClients: cfg.MaxUnauthClients})
-	if err != nil {
-		return err
-	}
-	mgmt.AddProgram(daemon.NewRemoteProgram(mgmt))
-	if len(cfg.SASLCredentials) > 0 {
-		mgmt.SetCredentials(cfg.SASLCredentials)
-	}
-	if len(cfg.QoSClasses) > 0 {
-		classes, err := qos.ParseClasses(cfg.QoSClasses)
-		if err != nil {
-			return err // Validate already vetted these; defensive
-		}
-		mgmt.SetQoS(qos.NewEngine(qos.Config{
-			Classes:       classes,
-			ShedWatermark: cfg.QoSShedWatermark,
-		}))
-		log.Infof("daemon", "admission control enabled: %d class(es), shed watermark %d",
-			len(classes), cfg.QoSShedWatermark)
-	}
 
 	if err := os.MkdirAll(filepath.Dir(cfg.UnixSocketPath), 0o755); err != nil {
 		return err

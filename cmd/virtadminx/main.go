@@ -1,7 +1,7 @@
 // Command virtadminx is the daemon administration client — the
 // virt-admin equivalent. It connects to the daemon's admin server over
-// its unix socket and manages workerpools, client limits, connected
-// clients and the logging subsystem at runtime.
+// its unix socket, manages connected clients, reads metrics, and reads
+// and changes the live settings of govirtd.conf at runtime.
 //
 // Usage:
 //
@@ -62,32 +62,20 @@ func run(argv []string) error {
 	switch args[0] {
 	case "srv-list":
 		return srvList(conn)
-	case "srv-threadpool-info":
-		return needArgs(args, 2, func() error { return threadpoolInfo(conn, args[1]) })
-	case "srv-threadpool-set":
-		return needArgs(args, 2, func() error { return threadpoolSet(conn, args[1], args[2:]) })
-	case "srv-clients-info":
-		return needArgs(args, 2, func() error { return clientsInfo(conn, args[1]) })
-	case "srv-clients-set":
-		return needArgs(args, 2, func() error { return clientsSet(conn, args[1], args[2:]) })
+	case "config":
+		return needArgs(args, 2, func() error { return config(conn, args[1], args[2:]) })
+	case "config-set":
+		return needArgs(args, 3, func() error { return configSet(conn, args[1], args[2:]) })
 	case "client-list":
 		return needArgs(args, 2, func() error { return clientList(conn, args[1]) })
 	case "client-info":
 		return needArgs(args, 3, func() error { return clientInfo(conn, args[1], args[2]) })
 	case "client-disconnect":
 		return needArgs(args, 3, func() error { return clientDisconnect(conn, args[1], args[2]) })
-	case "dmn-log-info":
-		return logInfo(conn)
-	case "dmn-log-define":
-		return logDefine(conn, args[1:])
 	case "metrics":
 		return metrics(conn, args[1:])
 	case "slow-calls":
 		return slowCalls(conn)
-	case "qos":
-		return needArgs(args, 2, func() error { return qosInfo(conn, args[1]) })
-	case "qos-set":
-		return needArgs(args, 2, func() error { return qosSet(conn, args[1], args[2:]) })
 	default:
 		return fmt.Errorf("unknown command %q (try \"help\")", args[0])
 	}
@@ -106,26 +94,24 @@ usage: virtadminx [-sock path] <command> [args...]
 
 Monitoring commands:
   srv-list                          list servers on the daemon
-  srv-threadpool-info <server>      show workerpool parameters
-  srv-clients-info <server>         show client limits and counts
+  config <server> [key ...]         show live settings as govirtd.conf lines
   client-list <server>              list connected clients
   client-info <server> <id>         show a client's identity
-  dmn-log-info                      show logging level, filters, outputs
   metrics [--all]                   show call counts and dispatch latencies
+                                    (--all: pool, client and QoS gauges too)
   slow-calls                        show the recent slow-call ring
-  qos <server>                      show admission classes, quotas and rejection counts
   domain-metrics <uri> [--prom]     per-domain stats from one bulk sweep of a driver URI
 
 Management commands:
-  srv-threadpool-set <server> [--min-workers N] [--max-workers N] [--prio-workers N]
-  srv-clients-set <server> [--max-clients N] [--max-unauth-clients N]
+  config-set <server> key=value ... change live settings, all or none
   client-disconnect <server> <id>   force-close a client connection
-  dmn-log-define [--level N] [--filters "..."] [--outputs "..."]
-  qos-set <server> --class "spec" [--class "spec" ...] [--watermark N]
-  qos-set <server> --disable       remove admission control
 
-A --class spec is the qos_classes grammar, e.g.
-  "bronze rate_limit_calls_per_s=50 burst=10 max_inflight_calls=4 priority=2 users=eve"
+Live settings are govirtd.conf's keys min_workers, max_workers,
+prio_workers, max_clients, max_anonymous_clients, log_level,
+log_filters, log_outputs, qos_classes and qos_shed_watermark; a value
+is written as in the file, e.g.
+  config-set govirtd max_workers=40 'log_filters="3:daemon.slowcall"'
+  config-set govirtd 'qos_classes=["bronze rate_limit_calls_per_s=50 burst=10 users=eve"]'
 `)
 }
 
@@ -147,71 +133,32 @@ func printParams(l *typedparams.List) {
 	}
 }
 
-func threadpoolInfo(conn *admin.Connect, server string) error {
-	params, err := conn.ThreadpoolParams(server)
+// config prints live settings of a server, one govirtd.conf line each.
+func config(conn *admin.Connect, server string, keys []string) error {
+	settings, err := conn.Settings(server, keys...)
 	if err != nil {
 		return err
 	}
-	printParams(params)
+	for _, p := range settings.Params() {
+		fmt.Printf("%s = %s\n", p.Field, p.S)
+	}
 	return nil
 }
 
-// parseFlagUInts maps "--flag value" pairs onto typed-parameter fields.
-func parseFlagUInts(args []string, mapping map[string]string) (*typedparams.List, error) {
-	l := typedparams.NewList()
-	for i := 0; i < len(args); i++ {
-		field, ok := mapping[args[i]]
+// configSet changes live settings of a server, each argument a
+// govirtd.conf line "key=value".
+func configSet(conn *admin.Connect, server string, lines []string) error {
+	settings := typedparams.NewList()
+	for _, line := range lines {
+		key, value, ok := strings.Cut(line, "=")
 		if !ok {
-			return nil, fmt.Errorf("unknown flag %q", args[i])
+			return fmt.Errorf("%q is not key=value", line)
 		}
-		if i+1 >= len(args) {
-			return nil, fmt.Errorf("flag %s needs a value", args[i])
+		if err := settings.AddString(strings.TrimSpace(key), strings.TrimSpace(value)); err != nil {
+			return err
 		}
-		v, err := strconv.ParseUint(args[i+1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("flag %s: bad value %q", args[i], args[i+1])
-		}
-		if err := l.AddUInt(field, uint32(v)); err != nil {
-			return nil, err
-		}
-		i++
 	}
-	if l.Len() == 0 {
-		return nil, fmt.Errorf("nothing to set")
-	}
-	return l, nil
-}
-
-func threadpoolSet(conn *admin.Connect, server string, args []string) error {
-	params, err := parseFlagUInts(args, map[string]string{
-		"--min-workers":  admin.FieldMinWorkers,
-		"--max-workers":  admin.FieldMaxWorkers,
-		"--prio-workers": admin.FieldPrioWorkers,
-	})
-	if err != nil {
-		return err
-	}
-	return conn.SetThreadpoolParams(server, params)
-}
-
-func clientsInfo(conn *admin.Connect, server string) error {
-	params, err := conn.ClientLimits(server)
-	if err != nil {
-		return err
-	}
-	printParams(params)
-	return nil
-}
-
-func clientsSet(conn *admin.Connect, server string, args []string) error {
-	params, err := parseFlagUInts(args, map[string]string{
-		"--max-clients":        admin.FieldMaxClients,
-		"--max-unauth-clients": admin.FieldMaxUnauthClients,
-	})
-	if err != nil {
-		return err
-	}
-	return conn.SetClientLimits(server, params)
+	return conn.SetSettings(server, settings)
 }
 
 func clientList(conn *admin.Connect, server string) error {
@@ -257,25 +204,6 @@ func clientDisconnect(conn *admin.Connect, server, idStr string) error {
 		return err
 	}
 	fmt.Printf("Client %d disconnected from server %s\n", id, server)
-	return nil
-}
-
-func logInfo(conn *admin.Connect) error {
-	level, err := conn.LoggingLevel()
-	if err != nil {
-		return err
-	}
-	filters, err := conn.LoggingFilters()
-	if err != nil {
-		return err
-	}
-	outputs, err := conn.LoggingOutputs()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Logging level:   %s\n", level)
-	fmt.Printf("Logging filters: %s\n", filters)
-	fmt.Printf("Logging outputs: %s\n", outputs)
 	return nil
 }
 
@@ -449,133 +377,6 @@ func slowCalls(conn *admin.Connect) error {
 			c.Serial, c.Program+"."+c.Proc, c.Client,
 			time.Unix(0, c.StartUnix).Format("15:04:05.000"),
 			time.Duration(c.QueueNs), time.Duration(c.TotalNs))
-	}
-	return nil
-}
-
-func qosInfo(conn *admin.Connect, server string) error {
-	r, err := conn.QoS(server)
-	if err != nil {
-		return err
-	}
-	if !r.Enabled {
-		fmt.Println("QoS: disabled")
-		return nil
-	}
-	fmt.Printf("QoS: enabled, shed watermark %d\n\n", r.ShedWatermark)
-	fmt.Printf(" %-10s %8s %6s %8s %8s %8s %8s  %s\n",
-		"Class", "Inflight", "Queued", "rej:rate", "rej:acl", "rej:infl", "rej:shed", "Spec")
-	fmt.Println(" " + strings.Repeat("-", 110))
-	for _, cl := range r.Classes {
-		name := cl.Spec
-		if i := strings.IndexByte(name, ' '); i > 0 {
-			name = name[:i]
-		}
-		fmt.Printf(" %-10s %8d %6d %8d %8d %8d %8d  %s\n",
-			name, cl.Inflight, cl.Queued,
-			cl.RejectedRate, cl.RejectedACL, cl.RejectedInflight, cl.RejectedShed, cl.Spec)
-	}
-	return nil
-}
-
-func qosSet(conn *admin.Connect, server string, args []string) error {
-	var specs []string
-	watermark := -1
-	disable := false
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "--class":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--class needs a spec string")
-			}
-			specs = append(specs, args[i+1])
-			i++
-		case "--watermark":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--watermark needs a value")
-			}
-			v, err := strconv.Atoi(args[i+1])
-			if err != nil || v < 0 {
-				return fmt.Errorf("--watermark: bad value %q", args[i+1])
-			}
-			watermark = v
-			i++
-		case "--disable":
-			disable = true
-		default:
-			return fmt.Errorf("unknown flag %q", args[i])
-		}
-	}
-	if disable {
-		if len(specs) > 0 || watermark >= 0 {
-			return fmt.Errorf("--disable cannot be combined with --class or --watermark")
-		}
-		if err := conn.DisableQoS(server); err != nil {
-			return err
-		}
-		fmt.Printf("QoS disabled on server %s\n", server)
-		return nil
-	}
-	if len(specs) == 0 {
-		return fmt.Errorf("nothing to set; pass --class (repeatable) or --disable")
-	}
-	if watermark < 0 {
-		// Keep the server's current watermark when only classes change.
-		if cur, err := conn.QoS(server); err == nil && cur.Enabled {
-			watermark = int(cur.ShedWatermark)
-		} else {
-			watermark = 0
-		}
-	}
-	if err := conn.SetQoS(server, specs, watermark); err != nil {
-		return err
-	}
-	fmt.Printf("QoS updated on server %s: %d class(es), shed watermark %d\n",
-		server, len(specs), watermark)
-	return nil
-}
-
-func logDefine(conn *admin.Connect, args []string) error {
-	did := false
-	for i := 0; i < len(args); i++ {
-		switch args[i] {
-		case "--level":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--level needs a value")
-			}
-			p, err := logging.ParsePriority(args[i+1])
-			if err != nil {
-				return err
-			}
-			if err := conn.SetLoggingLevel(p); err != nil {
-				return err
-			}
-			did = true
-			i++
-		case "--filters":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--filters needs a value")
-			}
-			if err := conn.SetLoggingFilters(strings.TrimSpace(args[i+1])); err != nil {
-				return err
-			}
-			did = true
-			i++
-		case "--outputs":
-			if i+1 >= len(args) {
-				return fmt.Errorf("--outputs needs a value")
-			}
-			if err := conn.SetLoggingOutputs(strings.TrimSpace(args[i+1])); err != nil {
-				return err
-			}
-			did = true
-			i++
-		default:
-			return fmt.Errorf("unknown flag %q", args[i])
-		}
-	}
-	if !did {
-		return fmt.Errorf("nothing to define; pass --level, --filters or --outputs")
 	}
 	return nil
 }

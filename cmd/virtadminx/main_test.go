@@ -58,7 +58,7 @@ func TestHelp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"srv-list", "srv-threadpool-set", "client-disconnect", "dmn-log-define"} {
+	for _, want := range []string{"srv-list", "config-set", "client-disconnect", "qos_classes"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("help missing %q", want)
 		}
@@ -78,43 +78,42 @@ func TestSrvList(t *testing.T) {
 
 func TestThreadpoolInfoAndSet(t *testing.T) {
 	sock := startTestDaemon(t)
-	out, err := adminCLI(t, sock, "srv-threadpool-info", "govirtd")
-	if err != nil || !strings.Contains(out, "maxWorkers") {
-		t.Fatalf("info: %v\n%s", err, out)
+	out, err := adminCLI(t, sock, "config", "govirtd", "min_workers", "max_workers")
+	if err != nil || out != "min_workers = 2\nmax_workers = 8\n" {
+		t.Fatalf("config: %v\n%s", err, out)
 	}
-	if _, err := adminCLI(t, sock, "srv-threadpool-set", "govirtd", "--max-workers", "32", "--prio-workers", "4"); err != nil {
+	if _, err := adminCLI(t, sock, "config-set", "govirtd", "max_workers=32", "prio_workers = 4"); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = adminCLI(t, sock, "srv-threadpool-info", "govirtd")
-	if !strings.Contains(out, ": 32") {
+	out, _ = adminCLI(t, sock, "config", "govirtd")
+	if !strings.Contains(out, "max_workers = 32\n") || !strings.Contains(out, "prio_workers = 4\n") {
 		t.Fatalf("set not applied:\n%s", out)
 	}
 	// Error paths.
-	if _, err := adminCLI(t, sock, "srv-threadpool-set", "govirtd", "--warp", "9"); err == nil {
-		t.Fatal("unknown flag accepted")
-	}
-	if _, err := adminCLI(t, sock, "srv-threadpool-set", "govirtd", "--max-workers"); err == nil {
-		t.Fatal("flag without value accepted")
-	}
-	if _, err := adminCLI(t, sock, "srv-threadpool-set", "govirtd", "--max-workers", "x"); err == nil {
-		t.Fatal("non-numeric value accepted")
-	}
-	if _, err := adminCLI(t, sock, "srv-threadpool-set", "govirtd"); err == nil {
-		t.Fatal("empty set accepted")
+	for _, args := range [][]string{
+		{"config-set", "govirtd", "warp=9"},            // no such key
+		{"config-set", "govirtd", "max_workers"},       // no value
+		{"config-set", "govirtd", "max_workers=x"},     // not an integer
+		{"config-set", "govirtd"},                      // nothing to set
+		{"config", "govirtd", "unix_sock_path"},        // read at start-up only
+		{"config-set", "govirtd", `unix_sock_path=""`}, // likewise
+	} {
+		if _, err := adminCLI(t, sock, args...); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
 func TestClientsInfoAndSet(t *testing.T) {
 	sock := startTestDaemon(t)
-	out, err := adminCLI(t, sock, "srv-clients-info", "govirtd")
-	if err != nil || !strings.Contains(out, "nclients_max") {
-		t.Fatalf("info: %v\n%s", err, out)
+	out, err := adminCLI(t, sock, "config", "govirtd", "max_clients")
+	if err != nil || out != "max_clients = 20\n" {
+		t.Fatalf("config: %v\n%s", err, out)
 	}
-	if _, err := adminCLI(t, sock, "srv-clients-set", "govirtd", "--max-clients", "99"); err != nil {
+	if _, err := adminCLI(t, sock, "config-set", "govirtd", "max_clients=99"); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = adminCLI(t, sock, "srv-clients-info", "govirtd")
-	if !strings.Contains(out, ": 99") {
+	if out, _ = adminCLI(t, sock, "config", "govirtd", "max_clients"); out != "max_clients = 99\n" {
 		t.Fatalf("set not applied:\n%s", out)
 	}
 }
@@ -136,25 +135,22 @@ func TestClientListAndInfo(t *testing.T) {
 
 func TestLogCommands(t *testing.T) {
 	sock := startTestDaemon(t)
-	out, err := adminCLI(t, sock, "dmn-log-info")
-	if err != nil || !strings.Contains(out, "Logging level:") {
-		t.Fatalf("log-info: %v\n%s", err, out)
+	out, err := adminCLI(t, sock, "config", "govirtd", "log_level", "log_filters", "log_outputs")
+	if err != nil || out != "log_level = 4\nlog_filters = \"\"\nlog_outputs = \"\"\n" {
+		t.Fatalf("config: %v\n%s", err, out)
 	}
-	if _, err := adminCLI(t, sock, "dmn-log-define", "--level", "debug", "--filters", "3:rpc"); err != nil {
+	if _, err := adminCLI(t, sock, "config-set", "govirtd", "log_level=1", `log_filters="3:rpc"`); err != nil {
 		t.Fatal(err)
 	}
-	out, _ = adminCLI(t, sock, "dmn-log-info")
-	if !strings.Contains(out, "debug") || !strings.Contains(out, "3:rpc") {
-		t.Fatalf("log-define not applied:\n%s", out)
+	out, _ = adminCLI(t, sock, "config", "govirtd", "log_level", "log_filters")
+	if out != "log_level = 1\nlog_filters = \"3:rpc\"\n" {
+		t.Fatalf("config-set not applied:\n%s", out)
 	}
-	if _, err := adminCLI(t, sock, "dmn-log-define"); err == nil {
-		t.Fatal("empty define accepted")
-	}
-	if _, err := adminCLI(t, sock, "dmn-log-define", "--level", "verbose"); err == nil {
+	if _, err := adminCLI(t, sock, "config-set", "govirtd", "log_level=debug"); err == nil {
 		t.Fatal("bad level accepted")
 	}
-	if _, err := adminCLI(t, sock, "dmn-log-define", "--mystery", "x"); err == nil {
-		t.Fatal("unknown flag accepted")
+	if _, err := adminCLI(t, sock, "config-set", "govirtd", "log_filters=3:rpc"); err == nil {
+		t.Fatal("unquoted string accepted")
 	}
 }
 

@@ -66,17 +66,39 @@ func main() {
 
 	mgmtURI := "test+unix:///default?socket=" + strings.ReplaceAll(mgmtSock, "/", "%2F")
 
-	show := func(when string) {
-		params, err := admConn.ThreadpoolParams("govirtd")
+	// The pool's limits are live settings; what it is doing with them is
+	// in the daemon's metrics.
+	gauge := func(name string) int64 {
+		m, err := admConn.Metrics()
 		if err != nil {
 			log.Fatal(err)
 		}
-		max, _ := params.GetUInt("maxWorkers")
-		n, _ := params.GetUInt("nWorkers")
-		free, _ := params.GetUInt("freeWorkers")
-		depth, _ := params.GetUInt("jobQueueDepth")
-		fmt.Printf("%-28s maxWorkers=%-3d nWorkers=%-3d free=%-3d queueDepth=%d\n",
-			when, max, n, free, depth)
+		for _, g := range m.Gauges {
+			if g.Name == name+`{server="govirtd"}` {
+				return g.Value
+			}
+		}
+		return 0
+	}
+	setting := func(key string) string {
+		settings, err := admConn.Settings("govirtd", key)
+		if err != nil {
+			log.Fatal(err)
+		}
+		v, _ := settings.GetString(key)
+		return v
+	}
+	set := func(key, value string) {
+		l := typedparams.NewList()
+		l.AddString(key, value) //nolint:errcheck
+		if err := admConn.SetSettings("govirtd", l); err != nil {
+			log.Fatal(err)
+		}
+	}
+	show := func(when string) {
+		workers, busy := gauge("daemon_pool_workers"), gauge("daemon_pool_busy_workers")
+		fmt.Printf("%-28s max_workers=%-3s workers=%-3d free=%-3d queueDepth=%d\n",
+			when, setting("max_workers"), workers, workers-busy, gauge("daemon_pool_queue_depth"))
 	}
 
 	// Phase 1: burst of clients against the tiny pool.
@@ -107,13 +129,9 @@ func main() {
 	show("after burst (2 workers):")
 
 	// Phase 2: the operator widens the pool at runtime.
-	set := typedparams.NewList()
-	set.AddUInt("maxWorkers", 16) //nolint:errcheck
-	set.AddUInt("minWorkers", 8)  //nolint:errcheck
-	if err := admConn.SetThreadpoolParams("govirtd", set); err != nil {
-		log.Fatal(err)
-	}
-	show("after srv-threadpool-set:")
+	set("max_workers", "16")
+	set("min_workers", "8")
+	show("after config-set:")
 
 	t0 = time.Now()
 	runBurst()
@@ -135,22 +153,15 @@ func main() {
 		}
 		conns = append(conns, c)
 	}
-	limits, _ := admConn.ClientLimits("govirtd")
-	cur, _ := limits.GetUInt("nclients")
-	max, _ := limits.GetUInt("nclients_max")
-	fmt.Printf("\nconnections: %d accepted, %d rejected (nclients=%d, nclients_max=%d)\n",
-		len(conns), rejected, cur, max)
+	fmt.Printf("\nconnections: %d accepted, %d rejected (clients=%d, max_clients=%s)\n",
+		len(conns), rejected, gauge("daemon_clients"), setting("max_clients"))
 
-	raise := typedparams.NewList()
-	raise.AddUInt("nclients_max", 64) //nolint:errcheck
-	if err := admConn.SetClientLimits("govirtd", raise); err != nil {
-		log.Fatal(err)
-	}
+	set("max_clients", "64")
 	extra, err := core.Open(mgmtURI)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("after srv-clients-set --max-clients 64: new connection accepted")
+	fmt.Println("after config-set max_clients=64: new connection accepted")
 	extra.Close()
 	for _, c := range conns {
 		c.Close()

@@ -1,6 +1,7 @@
 package admin_test
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -95,107 +96,172 @@ func TestServerList(t *testing.T) {
 	}
 }
 
-func TestThreadpoolGetAndSet(t *testing.T) {
-	td := startDaemon(t)
-	params, err := td.adm.ThreadpoolParams("govirtd")
+// settings reads live settings of a server over the admin connection.
+func (td *testDaemon) settings(t *testing.T, server string, keys ...string) map[string]string {
+	t.Helper()
+	l, err := td.adm.Settings(server, keys...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, _ := params.GetUInt(admin.FieldMinWorkers)
-	max, _ := params.GetUInt(admin.FieldMaxWorkers)
-	prio, _ := params.GetUInt(admin.FieldPrioWorkers)
-	if min != 2 || max != 8 || prio != 2 {
-		t.Fatalf("initial params %v", params)
+	out := make(map[string]string, l.Len())
+	for _, p := range l.Params() {
+		out[p.Field] = p.S
 	}
-	if !params.Has(admin.FieldCurrentWorkers) || !params.Has(admin.FieldFreeWorkers) ||
-		!params.Has(admin.FieldJobQueueDepth) {
-		t.Fatalf("missing read-only attributes: %v", params)
-	}
+	return out
+}
 
-	set := typedparams.NewList()
-	set.AddUInt(admin.FieldMaxWorkers, 16) //nolint:errcheck
-	set.AddUInt(admin.FieldPrioWorkers, 4) //nolint:errcheck
-	if err := td.adm.SetThreadpoolParams("govirtd", set); err != nil {
+// set changes live settings over the admin connection; kv alternates
+// key and value, the value written as in govirtd.conf.
+func (td *testDaemon) set(server string, kv ...string) error {
+	l := typedparams.NewList()
+	for i := 0; i+1 < len(kv); i += 2 {
+		l.AddString(kv[i], kv[i+1]) //nolint:errcheck
+	}
+	return td.adm.SetSettings(server, l)
+}
+
+// gauges reads the daemon's gauges over the admin connection.
+func (td *testDaemon) gauges(t *testing.T) map[string]int64 {
+	t.Helper()
+	m, err := td.adm.Metrics()
+	if err != nil {
 		t.Fatal(err)
 	}
-	params, _ = td.adm.ThreadpoolParams("govirtd")
-	max, _ = params.GetUInt(admin.FieldMaxWorkers)
-	prio, _ = params.GetUInt(admin.FieldPrioWorkers)
-	if max != 16 || prio != 4 {
-		t.Fatalf("params after set: %v", params)
+	out := make(map[string]int64, len(m.Gauges))
+	for _, g := range m.Gauges {
+		out[g.Name] = g.Value
+	}
+	return out
+}
+
+func TestThreadpoolGetAndSet(t *testing.T) {
+	td := startDaemon(t)
+	got := td.settings(t, "govirtd", "min_workers", "max_workers", "prio_workers")
+	if len(got) != 3 || got["min_workers"] != "2" || got["max_workers"] != "8" || got["prio_workers"] != "2" {
+		t.Fatalf("initial settings %v", got)
+	}
+	if err := td.set("govirtd", "max_workers", "16", "prio_workers", "4"); err != nil {
+		t.Fatal(err)
+	}
+	if got = td.settings(t, "govirtd"); got["max_workers"] != "16" || got["prio_workers"] != "4" {
+		t.Fatalf("settings after set: %v", got)
+	}
+	srv, _ := td.d.Server("govirtd")
+	if p := srv.Pool().Params(); p.MaxWorkers != 16 || p.PrioWorkers != 4 {
+		t.Fatalf("pool after set: %+v", p)
 	}
 
-	// Read-only attributes are rejected.
-	ro := typedparams.NewList()
-	ro.AddUInt(admin.FieldCurrentWorkers, 3) //nolint:errcheck
-	if err := td.adm.SetThreadpoolParams("govirtd", ro); !core.IsCode(err, core.ErrInvalidArg) {
-		t.Fatalf("read-only set: %v", err)
+	for _, kv := range [][]string{
+		{"min_workers", "3", "max_clients", "0"},  // all or nothing: min_workers stays 2
+		{"min_workers", "32", "max_workers", "4"}, // min > max
+		{"max_workers", "many"},                   // not an integer
+		{"unix_sock_path", `"/tmp/x"`},            // read at start-up only
+		{"turbo_workers", "3"},                    // no such key
+	} {
+		if err := td.set("govirtd", kv...); !core.IsCode(err, core.ErrInvalidArg) {
+			t.Errorf("set %v: %v", kv, err)
+		}
 	}
-	// Unknown fields are rejected.
-	unknown := typedparams.NewList()
-	unknown.AddUInt("turboWorkers", 3) //nolint:errcheck
-	if err := td.adm.SetThreadpoolParams("govirtd", unknown); !core.IsCode(err, core.ErrInvalidArg) {
-		t.Fatalf("unknown field: %v", err)
+	if got = td.settings(t, "govirtd"); got["min_workers"] != "2" || got["max_workers"] != "16" {
+		t.Fatalf("a refused set changed settings: %v", got)
 	}
-	// Wrong kind is rejected.
-	wrong := typedparams.NewList()
-	wrong.AddString(admin.FieldMaxWorkers, "many") //nolint:errcheck
-	if err := td.adm.SetThreadpoolParams("govirtd", wrong); !core.IsCode(err, core.ErrInvalidArg) {
-		t.Fatalf("wrong kind: %v", err)
+	// A value travels as its govirtd.conf text, never as a typed number.
+	typed := typedparams.NewList()
+	typed.AddUInt("max_workers", 3) //nolint:errcheck
+	if err := td.adm.SetSettings("govirtd", typed); !core.IsCode(err, core.ErrInvalidArg) {
+		t.Fatalf("typed number: %v", err)
 	}
-	// min > max is rejected.
-	badRange := typedparams.NewList()
-	badRange.AddUInt(admin.FieldMinWorkers, 32) //nolint:errcheck
-	badRange.AddUInt(admin.FieldMaxWorkers, 4)  //nolint:errcheck
-	if err := td.adm.SetThreadpoolParams("govirtd", badRange); !core.IsCode(err, core.ErrInvalidArg) {
-		t.Fatalf("min>max: %v", err)
+	if _, err := td.adm.Settings("govirtd", "unix_sock_path"); !core.IsCode(err, core.ErrInvalidArg) {
+		t.Fatalf("read of a start-up key: %v", err)
 	}
-	// Unknown server.
-	if _, err := td.adm.ThreadpoolParams("ghost"); !core.IsCode(err, core.ErrAdmin) {
+	if _, err := td.adm.Settings("ghost"); !core.IsCode(err, core.ErrAdmin) {
 		t.Fatalf("ghost server: %v", err)
 	}
 }
 
 func TestClientLimitsGetAndSet(t *testing.T) {
 	td := startDaemon(t)
-	limits, err := td.adm.ClientLimits("govirtd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	max, _ := limits.GetUInt(admin.FieldMaxClients)
-	cur, _ := limits.GetUInt(admin.FieldCurrentClients)
-	if max != 50 || cur != 0 {
-		t.Fatalf("initial limits %v", limits)
+	const clients = `daemon_clients{server="govirtd"}`
+	if got := td.settings(t, "govirtd", "max_clients"); got["max_clients"] != "50" || td.gauges(t)[clients] != 0 {
+		t.Fatalf("initial limits %v, %d clients", got, td.gauges(t)[clients])
 	}
 	mgmt := td.openMgmt(t)
 	defer mgmt.Close()
-	limits, _ = td.adm.ClientLimits("govirtd")
-	cur, _ = limits.GetUInt(admin.FieldCurrentClients)
-	if cur != 1 {
-		t.Fatalf("current clients %d", cur)
+	if n := td.gauges(t)[clients]; n != 1 {
+		t.Fatalf("current clients %d", n)
 	}
 
-	set := typedparams.NewList()
-	set.AddUInt(admin.FieldMaxClients, 150) //nolint:errcheck
-	if err := td.adm.SetClientLimits("govirtd", set); err != nil {
+	if err := td.set("govirtd", "max_clients", "150"); err != nil {
 		t.Fatal(err)
 	}
-	limits, _ = td.adm.ClientLimits("govirtd")
-	max, _ = limits.GetUInt(admin.FieldMaxClients)
-	if max != 150 {
-		t.Fatalf("limits after set %v", limits)
-	}
-	// Read-only rejected.
-	ro := typedparams.NewList()
-	ro.AddUInt(admin.FieldCurrentClients, 0) //nolint:errcheck
-	if err := td.adm.SetClientLimits("govirtd", ro); !core.IsCode(err, core.ErrInvalidArg) {
-		t.Fatalf("read-only: %v", err)
+	if got := td.settings(t, "govirtd", "max_clients"); got["max_clients"] != "150" {
+		t.Fatalf("limits after set %v", got)
 	}
 	// Unauth > max rejected.
-	bad := typedparams.NewList()
-	bad.AddUInt(admin.FieldMaxUnauthClients, 9999) //nolint:errcheck
-	if err := td.adm.SetClientLimits("govirtd", bad); !core.IsCode(err, core.ErrInvalidArg) {
+	if err := td.set("govirtd", "max_anonymous_clients", "9999"); !core.IsCode(err, core.ErrInvalidArg) {
 		t.Fatalf("unauth>max: %v", err)
+	}
+}
+
+// TestSettingsFileAndAdminAgree holds the two ways into a live setting
+// to each other, row by row: a value written in govirtd.conf and the
+// same value set over the admin connection yield the same Config, and a
+// bad value fails with the file's message minus the line.
+func TestSettingsFileAndAdminAgree(t *testing.T) {
+	td := startDaemon(t)
+	srv, _ := td.d.Server("govirtd")
+	const base = "log_outputs = \"\"\n" // the test daemon's logger writes nowhere
+	defaults, err := daemon.ParseConfig(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ key, good, bad string }{
+		{"min_workers", "3", "-1"},
+		{"max_workers", "12", "0"},
+		{"prio_workers", "4", "x"},
+		{"max_clients", "90", "0"},
+		{"max_anonymous_clients", "7", "121"},
+		{"log_level", "2", "5"},
+		{"log_filters", `"1:daemon.server 4:rpc"`, `"9:bad"`},
+		{"log_outputs", `"3:buffer"`, `"1:file:relative"`},
+		{"qos_classes", `["gold rate_limit_calls_per_s=5 users=alice"]`, `["gold bogus=1"]`},
+		{"qos_shed_watermark", "32", "-1"},
+	}
+	var rows []string
+	for _, st := range defaults.Live() {
+		rows = append(rows, st.Key)
+	}
+	for i, tc := range cases {
+		if i >= len(rows) || rows[i] != tc.key {
+			t.Fatalf("case %d is %s, the live rows are %v", i, tc.key, rows)
+		}
+		file, err := daemon.ParseConfig(base + tc.key + " = " + tc.good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Apply(defaults); err != nil {
+			t.Fatal(err)
+		}
+		if err := td.set("govirtd", tc.key, tc.good); err != nil {
+			t.Fatalf("%s = %s: %v", tc.key, tc.good, err)
+		}
+		got := td.settings(t, "govirtd")
+		for _, st := range file.Live() {
+			if got[st.Key] != st.Value {
+				t.Errorf("after %s = %s: %s is %s over admin, %s from the file", tc.key, tc.good, st.Key, got[st.Key], st.Value)
+			}
+		}
+
+		_, fileErr := daemon.ParseConfig(base + tc.key + " = " + tc.bad)
+		err = td.set("govirtd", tc.key, tc.bad)
+		var ce *core.Error
+		if fileErr == nil || !errors.As(err, &ce) || ce.Code != core.ErrInvalidArg ||
+			!strings.HasSuffix(ce.Message, ": "+strings.Replace(fileErr.Error(), "config line 2: ", "", 1)) {
+			t.Errorf("%s = %s: admin says %v, the file %v", tc.key, tc.bad, err, fileErr)
+		}
+	}
+	if len(rows) != len(cases) {
+		t.Errorf("live rows %v, cases for %d", rows, len(cases))
 	}
 }
 
@@ -265,61 +331,64 @@ func TestAdminRefusesSelfDisconnect(t *testing.T) {
 
 func TestLoggingLevelOverAdmin(t *testing.T) {
 	td := startDaemon(t)
-	lvl, err := td.adm.LoggingLevel()
-	if err != nil || lvl != logging.Error {
-		t.Fatalf("level %v %v", lvl, err)
+	if got := td.settings(t, "govirtd", "log_level"); got["log_level"] != "4" {
+		t.Fatalf("level %v", got)
 	}
-	if err := td.adm.SetLoggingLevel(logging.Debug); err != nil {
+	if err := td.set("govirtd", "log_level", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if lvl, _ = td.adm.LoggingLevel(); lvl != logging.Debug {
-		t.Fatalf("level after set %v", lvl)
+	if got := td.settings(t, "govirtd", "log_level"); got["log_level"] != "1" {
+		t.Fatalf("level after set %v", got)
 	}
 	if td.d.Log().Level() != logging.Debug {
 		t.Fatal("daemon logger unchanged")
 	}
-	if err := td.adm.SetLoggingLevel(logging.Priority(9)); !core.IsCode(err, core.ErrInvalidArg) {
+	if err := td.set("govirtd", "log_level", "9"); !core.IsCode(err, core.ErrInvalidArg) {
 		t.Fatalf("bad level: %v", err)
 	}
 }
 
 func TestLoggingFiltersOverAdmin(t *testing.T) {
 	td := startDaemon(t)
-	if err := td.adm.SetLoggingFilters("1:daemon.server 4:rpc"); err != nil {
+	filters := func() string { return td.settings(t, "govirtd", "log_filters")["log_filters"] }
+	if err := td.set("govirtd", "log_filters", `"1:daemon.server 4:rpc"`); err != nil {
 		t.Fatal(err)
 	}
-	filters, err := td.adm.LoggingFilters()
-	if err != nil || filters != "1:daemon.server 4:rpc" {
-		t.Fatalf("filters %q %v", filters, err)
+	if got := filters(); got != `"1:daemon.server 4:rpc"` {
+		t.Fatalf("filters %s", got)
 	}
-	if err := td.adm.SetLoggingFilters("9:bad"); !core.IsCode(err, core.ErrInvalidArg) {
+	if err := td.set("govirtd", "log_filters", `"9:bad"`); !core.IsCode(err, core.ErrInvalidArg) {
 		t.Fatalf("bad filter: %v", err)
 	}
 	// Failed set leaves the previous filters intact.
-	filters, _ = td.adm.LoggingFilters()
-	if filters != "1:daemon.server 4:rpc" {
-		t.Fatalf("filters mutated by failed set: %q", filters)
+	if got := filters(); got != `"1:daemon.server 4:rpc"` {
+		t.Fatalf("filters mutated by failed set: %s", got)
 	}
-	if err := td.adm.SetLoggingFilters(""); err != nil {
+	if err := td.set("govirtd", "log_filters", `""`); err != nil {
 		t.Fatal(err)
 	}
-	if filters, _ = td.adm.LoggingFilters(); filters != "" {
-		t.Fatalf("filters not cleared: %q", filters)
+	if got := filters(); got != `""` {
+		t.Fatalf("filters not cleared: %s", got)
 	}
 }
 
 func TestLoggingOutputsOverAdmin(t *testing.T) {
 	td := startDaemon(t)
 	logPath := filepath.Join(t.TempDir(), "d.log")
-	if err := td.adm.SetLoggingOutputs("1:file:" + logPath + " 3:buffer"); err != nil {
+	if err := td.set("govirtd", "log_outputs", `"1:file:`+logPath+` 3:buffer"`); err != nil {
 		t.Fatal(err)
 	}
-	outputs, err := td.adm.LoggingOutputs()
-	if err != nil || !strings.Contains(outputs, logPath) || !strings.Contains(outputs, "3:buffer") {
-		t.Fatalf("outputs %q %v", outputs, err)
+	outputs := td.settings(t, "govirtd", "log_outputs")["log_outputs"]
+	if !strings.Contains(outputs, logPath) || !strings.Contains(outputs, "3:buffer") {
+		t.Fatalf("outputs %s", outputs)
 	}
-	if err := td.adm.SetLoggingOutputs("1:file:relative"); !core.IsCode(err, core.ErrInvalidArg) {
+	if err := td.set("govirtd", "log_outputs", `"1:file:relative"`); !core.IsCode(err, core.ErrInvalidArg) {
 		t.Fatalf("bad output: %v", err)
+	}
+	// An output that parses but cannot be opened changes nothing either.
+	err := td.set("govirtd", "max_workers", "12", "log_outputs", `"1:file:/nonexistent-dir-xyz/d.log"`)
+	if got := td.settings(t, "govirtd"); !core.IsCode(err, core.ErrInvalidArg) || got["max_workers"] != "8" || got["log_outputs"] != outputs {
+		t.Fatalf("unopenable output: %v, settings %v", err, got)
 	}
 }
 
@@ -381,7 +450,7 @@ func TestSlowCallsOverAdmin(t *testing.T) {
 	td.d.Tracer().SetThreshold(time.Nanosecond)
 	// The global level stays at Error; the per-module filter routes the
 	// slow-call warnings through.
-	if err := td.adm.SetLoggingFilters("3:daemon.slowcall"); err != nil {
+	if err := td.set("govirtd", "log_filters", `"3:daemon.slowcall"`); err != nil {
 		t.Fatal(err)
 	}
 	emittedBefore, _ := td.d.Log().Stats()
@@ -420,7 +489,7 @@ func TestSlowCallsOverAdmin(t *testing.T) {
 		t.Fatalf("no slow-call warnings emitted (%d -> %d)", emittedBefore, emittedAfter)
 	}
 	// Removing the filter silences the warnings again (global level Error).
-	if err := td.adm.SetLoggingFilters(""); err != nil {
+	if err := td.set("govirtd", "log_filters", `""`); err != nil {
 		t.Fatal(err)
 	}
 	stable, _ := td.d.Log().Stats()
@@ -444,7 +513,7 @@ func TestAdminWorksWhileWorkersBusy(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := td.adm.ThreadpoolParams("govirtd")
+		_, err := td.adm.Settings("govirtd")
 		done <- err
 	}()
 	select {
@@ -459,32 +528,41 @@ func TestAdminWorksWhileWorkersBusy(t *testing.T) {
 	for dl := time.Now().Add(5 * time.Second); mgmtSrv.Pool().Stats().Busy < 8 && time.Now().Before(dl); {
 		time.Sleep(time.Millisecond)
 	}
-	params, _ := td.adm.ThreadpoolParams("govirtd")
-	free, _ := params.GetUInt(admin.FieldFreeWorkers)
-	if free != 0 {
+	g := td.gauges(t)
+	if free := g[`daemon_pool_workers{server="govirtd"}`] - g[`daemon_pool_busy_workers{server="govirtd"}`]; free != 0 {
 		t.Fatalf("free workers %d while all wedged", free)
 	}
 }
 
-// TestProcTableComplete holds the admin handler slice against Procs:
-// every row has a unique name and a handler, and no handler sits on a
-// number without a row.
+// protocol is the admin program's golden list, indexed by procedure
+// number. Numbers are protocol constants: a row here never changes, and
+// a retired number stays blank so it is never handed out again (4–7,
+// 11–16 and 19–20 went with the per-area get/set pairs that
+// SettingsGet and SettingsSet replaced).
+var protocol = []string{
+	1: "ConnectOpen", 2: "ServerList", 3: "ServerLookup",
+	8: "ClientList", 9: "ClientInfo", 10: "ClientDisconnect",
+	17: "ServerMetrics", 18: "ServerSlowCalls",
+	21: "SettingsGet", 22: "SettingsSet",
+}
+
+// TestProcTableComplete holds Procs to the golden list and the handler
+// slice to Procs: every number has the row the protocol says, every row
+// a handler, and no handler sits on a number without a row.
 func TestProcTableComplete(t *testing.T) {
-	names := make(map[string]int)
-	for num := 0; num < len(admin.Procs) || num < admin.NumHandlers(); num++ {
-		var name string
+	for num := 0; num < len(admin.Procs) || num < admin.NumHandlers() || num < len(protocol); num++ {
+		var name, want string
 		if num < len(admin.Procs) {
 			name = admin.Procs[num].Name
+		}
+		if num < len(protocol) {
+			want = protocol[num]
+		}
+		if name != want {
+			t.Errorf("procedure %d is %q, the protocol says %q", num, name, want)
 		}
 		if has := admin.HasHandler(uint32(num)); has != (name != "") {
 			t.Errorf("procedure %d: row %q, handler present = %v", num, name, has)
 		}
-		if prev, dup := names[name]; dup && name != "" {
-			t.Errorf("procedures %d and %d share the name %s", prev, num, name)
-		}
-		names[name] = num
-	}
-	if len(names) != 21 { // 20 procedures and the blank row 0
-		t.Errorf("%d distinct rows, the admin protocol has 20 procedures", len(names)-1)
 	}
 }

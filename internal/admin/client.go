@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/logging"
 	"repro/internal/rpc"
 	"repro/internal/typedparams"
 )
@@ -70,36 +69,24 @@ func (c *Connect) LookupServer(name string) error {
 	return c.call(ProcServerLookup, &ServerArgs{Server: name}, nil)
 }
 
-// ThreadpoolParams retrieves a server's workerpool attributes.
-func (c *Connect) ThreadpoolParams(server string) (*typedparams.List, error) {
+// Settings reads live settings of a server, every one when no key is
+// named. Each comes back as a string parameter named by its key and
+// written as in govirtd.conf: `8`, `"3:stderr"`, `["gold burst=5"]`.
+func (c *Connect) Settings(server string, keys ...string) (*typedparams.List, error) {
 	var r ParamsReply
-	if err := c.call(ProcThreadpoolGet, &ServerArgs{Server: server}, &r); err != nil {
+	if err := c.call(ProcSettingsGet, &SettingsArgs{Server: server, Keys: keys}, &r); err != nil {
 		return nil, err
 	}
 	return ParamsFromWire(r.Params)
 }
 
-// SetThreadpoolParams installs workerpool attributes on a server.
-// Read-only fields are rejected by the daemon.
-func (c *Connect) SetThreadpoolParams(server string, params *typedparams.List) error {
-	return c.call(ProcThreadpoolSet, &SetParamsArgs{
-		Server: server, Params: ParamsToWire(params),
-	}, nil)
-}
-
-// ClientLimits retrieves a server's client limits and current counts.
-func (c *Connect) ClientLimits(server string) (*typedparams.List, error) {
-	var r ParamsReply
-	if err := c.call(ProcClientLimitsGet, &ServerArgs{Server: server}, &r); err != nil {
-		return nil, err
-	}
-	return ParamsFromWire(r.Params)
-}
-
-// SetClientLimits installs client limits on a server.
-func (c *Connect) SetClientLimits(server string, params *typedparams.List) error {
-	return c.call(ProcClientLimitsSet, &SetParamsArgs{
-		Server: server, Params: ParamsToWire(params),
+// SetSettings changes live settings of a server: each parameter is a
+// string named by its key and written as in govirtd.conf. The daemon
+// checks every value as it checks the file, then applies all of them
+// or, on any error, none.
+func (c *Connect) SetSettings(server string, settings *typedparams.List) error {
+	return c.call(ProcSettingsSet, &SetParamsArgs{
+		Server: server, Params: ParamsToWire(settings),
 	}, nil)
 }
 
@@ -154,48 +141,6 @@ func (c *Connect) DisconnectClient(server string, id uint64) error {
 	return c.call(ProcClientDisconnect, &ClientArgs{Server: server, ID: id}, nil)
 }
 
-// LoggingLevel retrieves the daemon's global logging level.
-func (c *Connect) LoggingLevel() (logging.Priority, error) {
-	var r LevelReply
-	if err := c.call(ProcLogLevelGet, &struct{}{}, &r); err != nil {
-		return 0, err
-	}
-	return logging.Priority(r.Level), nil
-}
-
-// SetLoggingLevel installs a new global logging level.
-func (c *Connect) SetLoggingLevel(p logging.Priority) error {
-	return c.call(ProcLogLevelSet, &LevelArgs{Level: uint32(p)}, nil)
-}
-
-// LoggingFilters retrieves the daemon's filters in configuration syntax.
-func (c *Connect) LoggingFilters() (string, error) {
-	var r StringReply
-	if err := c.call(ProcLogFiltersGet, &struct{}{}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
-}
-
-// SetLoggingFilters atomically replaces the daemon's filter set.
-func (c *Connect) SetLoggingFilters(filters string) error {
-	return c.call(ProcLogFiltersSet, &StringArgs{Value: filters}, nil)
-}
-
-// LoggingOutputs retrieves the daemon's outputs in configuration syntax.
-func (c *Connect) LoggingOutputs() (string, error) {
-	var r StringReply
-	if err := c.call(ProcLogOutputsGet, &struct{}{}, &r); err != nil {
-		return "", err
-	}
-	return r.Value, nil
-}
-
-// SetLoggingOutputs atomically replaces the daemon's output set.
-func (c *Connect) SetLoggingOutputs(outputs string) error {
-	return c.call(ProcLogOutputsSet, &StringArgs{Value: outputs}, nil)
-}
-
 // Metrics retrieves a full snapshot of the daemon's metric registry.
 func (c *Connect) Metrics() (*MetricsReply, error) {
 	var r MetricsReply
@@ -213,29 +158,4 @@ func (c *Connect) SlowCalls() (*SlowCallsReply, error) {
 		return nil, err
 	}
 	return &r, nil
-}
-
-// QoS retrieves a server's admission-control state: whether QoS is
-// enabled, the shed watermark and every class's spec plus live
-// accounting.
-func (c *Connect) QoS(server string) (*QoSReply, error) {
-	var r QoSReply
-	if err := c.call(ProcQoSGet, &ServerArgs{Server: server}, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// SetQoS atomically replaces a server's admission configuration with
-// the given class specs and shed watermark. Specs use the qos_classes
-// grammar; the daemon validates them as a set before installing.
-func (c *Connect) SetQoS(server string, specs []string, shedWatermark int) error {
-	return c.call(ProcQoSSet, &QoSSetArgs{
-		Server: server, Specs: specs, ShedWatermark: uint32(shedWatermark),
-	}, nil)
-}
-
-// DisableQoS removes admission control from a server.
-func (c *Connect) DisableQoS(server string) error {
-	return c.call(ProcQoSSet, &QoSSetArgs{Server: server, Disable: true}, nil)
 }

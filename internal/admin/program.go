@@ -1,10 +1,10 @@
 package admin
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/daemon"
-	"repro/internal/logging"
-	"repro/internal/qos"
 	"repro/internal/rpc"
 	"repro/internal/typedparams"
 )
@@ -65,17 +65,6 @@ func onServer(fn func(srv *daemon.Server) ([]byte, error)) handler {
 	})
 }
 
-// logSet adapts the three logging setters: decode an A, apply it, and
-// report what the logging subsystem refuses as an invalid argument.
-func logSet[A any](set func(log *logging.Logger, args *A) error) handler {
-	return withArgs(func(p *Program, _ *daemon.Client, a *A) ([]byte, error) {
-		if err := set(p.d.Log(), a); err != nil {
-			return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-		}
-		return marshal(&struct{}{})
-	})
-}
-
 // handlers holds the implementation of every row of Procs, indexed by
 // procedure number like the table itself.
 var handlers = []handler{
@@ -86,31 +75,13 @@ var handlers = []handler{
 	ProcServerLookup: onServer(func(srv *daemon.Server) ([]byte, error) {
 		return marshal(&ServerListReply{Servers: []string{srv.Name()}})
 	}),
-	ProcThreadpoolGet:    onServer(threadpoolGet),
-	ProcThreadpoolSet:    withArgs((*Program).threadpoolSet),
-	ProcClientLimitsGet:  onServer(clientLimitsGet),
-	ProcClientLimitsSet:  withArgs((*Program).clientLimitsSet),
 	ProcClientList:       onServer(clientList),
 	ProcClientInfo:       withArgs((*Program).clientInfo),
 	ProcClientDisconnect: withArgs((*Program).clientDisconnect),
-	ProcLogLevelGet: noArgs(func(p *Program) ([]byte, error) {
-		return marshal(&LevelReply{Level: uint32(p.d.Log().Level())})
-	}),
-	ProcLogLevelSet: logSet(func(log *logging.Logger, a *LevelArgs) error {
-		return log.SetLevel(logging.Priority(a.Level))
-	}),
-	ProcLogFiltersGet: noArgs(func(p *Program) ([]byte, error) {
-		return marshal(&StringReply{Value: p.d.Log().FiltersString()})
-	}),
-	ProcLogFiltersSet: logSet(func(log *logging.Logger, a *StringArgs) error { return log.DefineFilters(a.Value) }),
-	ProcLogOutputsGet: noArgs(func(p *Program) ([]byte, error) {
-		return marshal(&StringReply{Value: p.d.Log().OutputsString()})
-	}),
-	ProcLogOutputsSet:   logSet(func(log *logging.Logger, a *StringArgs) error { return log.DefineOutputs(a.Value) }),
-	ProcServerMetrics:   noArgs((*Program).serverMetrics),
-	ProcServerSlowCalls: noArgs((*Program).serverSlowCalls),
-	ProcQoSGet:          onServer(qosGet),
-	ProcQoSSet:          withArgs((*Program).qosSet),
+	ProcServerMetrics:    noArgs((*Program).serverMetrics),
+	ProcServerSlowCalls:  noArgs((*Program).serverSlowCalls),
+	ProcSettingsGet:      withArgs((*Program).settingsGet),
+	ProcSettingsSet:      withArgs((*Program).settingsSet),
 }
 
 func (p *Program) serverByName(name string) (*daemon.Server, error) {
@@ -121,19 +92,31 @@ func (p *Program) serverByName(name string) (*daemon.Server, error) {
 	return srv, nil
 }
 
-func threadpoolGet(srv *daemon.Server) ([]byte, error) {
-	params := srv.Pool().Params()
+// settingsGet reports live settings of a server in key-table order,
+// each a string written as in govirtd.conf.
+func (p *Program) settingsGet(_ *daemon.Client, args *SettingsArgs) ([]byte, error) {
+	srv, err := p.serverByName(args.Server)
+	if err != nil {
+		return nil, err
+	}
 	l := typedparams.NewList()
-	l.AddUInt(FieldMinWorkers, uint32(params.MinWorkers))       //nolint:errcheck
-	l.AddUInt(FieldMaxWorkers, uint32(params.MaxWorkers))       //nolint:errcheck
-	l.AddUInt(FieldCurrentWorkers, uint32(params.NWorkers))     //nolint:errcheck
-	l.AddUInt(FieldFreeWorkers, uint32(params.FreeWorkers))     //nolint:errcheck
-	l.AddUInt(FieldPrioWorkers, uint32(params.PrioWorkers))     //nolint:errcheck
-	l.AddUInt(FieldJobQueueDepth, uint32(params.JobQueueDepth)) //nolint:errcheck
+	for _, st := range srv.Settings().Live() {
+		if len(args.Keys) == 0 || slices.Contains(args.Keys, st.Key) {
+			l.AddString(st.Key, st.Value) //nolint:errcheck
+		}
+	}
+	for _, key := range args.Keys {
+		if !l.Has(key) {
+			return nil, core.Errorf(core.ErrInvalidArg, "no live setting %q", key)
+		}
+	}
 	return marshal(&ParamsReply{Params: ParamsToWire(l)})
 }
 
-func (p *Program) threadpoolSet(_ *daemon.Client, args *SetParamsArgs) ([]byte, error) {
+// settingsSet changes live settings of a server: each parameter names a
+// key and carries its value as a string written as in govirtd.conf. The
+// server takes all of them or none.
+func (p *Program) settingsSet(_ *daemon.Client, args *SetParamsArgs) ([]byte, error) {
 	srv, err := p.serverByName(args.Server)
 	if err != nil {
 		return nil, err
@@ -142,57 +125,15 @@ func (p *Program) threadpoolSet(_ *daemon.Client, args *SetParamsArgs) ([]byte, 
 	if err != nil {
 		return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
 	}
-	if err := l.Validate(ThreadpoolSetSchema, ThreadpoolReadOnly); err != nil {
+	settings := make([]daemon.Setting, l.Len())
+	for i, prm := range l.Params() {
+		if prm.Kind != typedparams.String {
+			return nil, core.Errorf(core.ErrInvalidArg, "%s: a setting is a string, written as in govirtd.conf", prm.Field)
+		}
+		settings[i] = daemon.Setting{Key: prm.Field, Value: prm.S}
+	}
+	if err := srv.Set(settings); err != nil {
 		return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-	}
-	cur := srv.Pool().Params()
-	min, max, prio := cur.MinWorkers, cur.MaxWorkers, cur.PrioWorkers
-	if v, err := l.GetUInt(FieldMinWorkers); err == nil {
-		min = int(v)
-	}
-	if v, err := l.GetUInt(FieldMaxWorkers); err == nil {
-		max = int(v)
-	}
-	if v, err := l.GetUInt(FieldPrioWorkers); err == nil {
-		prio = int(v)
-	}
-	if err := srv.Pool().SetParams(min, max, prio); err != nil {
-		return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-	}
-	return marshal(&struct{}{})
-}
-
-func clientLimitsGet(srv *daemon.Server) ([]byte, error) {
-	limits, cur, unauth := srv.Limits()
-	l := typedparams.NewList()
-	l.AddUInt(FieldMaxClients, uint32(limits.MaxClients))             //nolint:errcheck
-	l.AddUInt(FieldCurrentClients, uint32(cur))                       //nolint:errcheck
-	l.AddUInt(FieldMaxUnauthClients, uint32(limits.MaxUnauthClients)) //nolint:errcheck
-	l.AddUInt(FieldCurrentUnauthClients, uint32(unauth))              //nolint:errcheck
-	return marshal(&ParamsReply{Params: ParamsToWire(l)})
-}
-
-func (p *Program) clientLimitsSet(_ *daemon.Client, args *SetParamsArgs) ([]byte, error) {
-	srv, err := p.serverByName(args.Server)
-	if err != nil {
-		return nil, err
-	}
-	l, err := ParamsFromWire(args.Params)
-	if err != nil {
-		return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-	}
-	if err := l.Validate(ClientLimitsSetSchema, ClientLimitsReadOnly); err != nil {
-		return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-	}
-	limits, _, _ := srv.Limits()
-	if v, err := l.GetUInt(FieldMaxClients); err == nil {
-		limits.MaxClients = int(v)
-	}
-	if v, err := l.GetUInt(FieldMaxUnauthClients); err == nil {
-		limits.MaxUnauthClients = int(v)
-	}
-	if err := srv.SetLimits(limits); err != nil {
-		return nil, err
 	}
 	return marshal(&struct{}{})
 }
@@ -315,51 +256,6 @@ func (p *Program) serverSlowCalls() ([]byte, error) {
 		}
 	}
 	return marshal(&out)
-}
-
-func qosGet(srv *daemon.Server) ([]byte, error) {
-	eng := srv.QoS()
-	if eng == nil {
-		return marshal(&QoSReply{})
-	}
-	snaps := eng.Snapshot()
-	out := QoSReply{
-		Enabled:       true,
-		ShedWatermark: uint32(eng.ShedWatermark()),
-		Classes:       make([]QoSClassInfo, len(snaps)),
-	}
-	for i, s := range snaps {
-		out.Classes[i] = QoSClassInfo{
-			Spec:             s.Config.Spec(),
-			Inflight:         s.Inflight,
-			Queued:           s.Queued,
-			RejectedRate:     s.Rejected[qos.ReasonRate],
-			RejectedACL:      s.Rejected[qos.ReasonACL],
-			RejectedInflight: s.Rejected[qos.ReasonInflight],
-			RejectedShed:     s.Rejected[qos.ReasonShed],
-		}
-	}
-	return marshal(&out)
-}
-
-func (p *Program) qosSet(_ *daemon.Client, args *QoSSetArgs) ([]byte, error) {
-	srv, err := p.serverByName(args.Server)
-	if err != nil {
-		return nil, err
-	}
-	if args.Disable {
-		srv.SetQoS(nil)
-		return marshal(&struct{}{})
-	}
-	classes, err := qos.ParseClasses(args.Specs)
-	if err != nil {
-		return nil, core.Errorf(core.ErrInvalidArg, "%v", err)
-	}
-	srv.SetQoS(qos.NewEngine(qos.Config{
-		Classes:       classes,
-		ShedWatermark: int(args.ShedWatermark),
-	}))
-	return marshal(&struct{}{})
 }
 
 func marshal(v interface{}) ([]byte, error) {

@@ -1,7 +1,8 @@
 // Package admin implements the administration interface: runtime
-// management of the daemon itself — servers, workerpools, client limits,
-// connected-client introspection and forced disconnect, and the logging
-// subsystem — over its own protocol program. This is the published
+// management of the daemon itself — servers, connected-client
+// introspection and forced disconnect, metrics, and the live settings of
+// govirtd.conf (workerpool and client limits, logging, admission
+// control) — over its own protocol program. This is the published
 // follow-on feature set to the management architecture (daemon
 // self-management), built on the same RPC substrate.
 package admin
@@ -11,28 +12,31 @@ import (
 	"repro/internal/typedparams"
 )
 
-// Admin program procedures.
+// Admin program procedures. Numbers are protocol constants: a retired
+// one stays a blank row, never handed out again.
 const (
 	ProcConnectOpen uint32 = 1 + iota
 	ProcServerList
 	ProcServerLookup
-	ProcThreadpoolGet
-	ProcThreadpoolSet
-	ProcClientLimitsGet
-	ProcClientLimitsSet
+	_ // 4: retired with the live settings (was ThreadpoolGet)
+	_ // 5: retired with the live settings (was ThreadpoolSet)
+	_ // 6: retired with the live settings (was ClientLimitsGet)
+	_ // 7: retired with the live settings (was ClientLimitsSet)
 	ProcClientList
 	ProcClientInfo
 	ProcClientDisconnect
-	ProcLogLevelGet
-	ProcLogLevelSet
-	ProcLogFiltersGet
-	ProcLogFiltersSet
-	ProcLogOutputsGet
-	ProcLogOutputsSet
+	_ // 11: retired with the live settings (was LogLevelGet)
+	_ // 12: retired with the live settings (was LogLevelSet)
+	_ // 13: retired with the live settings (was LogFiltersGet)
+	_ // 14: retired with the live settings (was LogFiltersSet)
+	_ // 15: retired with the live settings (was LogOutputsGet)
+	_ // 16: retired with the live settings (was LogOutputsSet)
 	ProcServerMetrics
 	ProcServerSlowCalls
-	ProcQoSGet
-	ProcQoSSet
+	_ // 19: retired with the live settings (was QoSGet)
+	_ // 20: retired with the live settings (was QoSSet)
+	ProcSettingsGet
+	ProcSettingsSet
 )
 
 // Procs is the admin program's procedure table, indexed by procedure
@@ -45,43 +49,14 @@ var Procs = []rpc.Proc{
 	ProcConnectOpen:      {Name: "ConnectOpen", Priority: true},
 	ProcServerList:       {Name: "ServerList", Priority: true},
 	ProcServerLookup:     {Name: "ServerLookup", Priority: true, Object: true},
-	ProcThreadpoolGet:    {Name: "ThreadpoolGet", Priority: true, Object: true},
-	ProcThreadpoolSet:    {Name: "ThreadpoolSet", Priority: true, Object: true},
-	ProcClientLimitsGet:  {Name: "ClientLimitsGet", Priority: true, Object: true},
-	ProcClientLimitsSet:  {Name: "ClientLimitsSet", Priority: true, Object: true},
 	ProcClientList:       {Name: "ClientList", Priority: true, Object: true},
 	ProcClientInfo:       {Name: "ClientInfo", Priority: true, Object: true},
 	ProcClientDisconnect: {Name: "ClientDisconnect", Priority: true, Object: true},
-	ProcLogLevelGet:      {Name: "LogLevelGet", Priority: true},
-	ProcLogLevelSet:      {Name: "LogLevelSet", Priority: true},
-	ProcLogFiltersGet:    {Name: "LogFiltersGet", Priority: true},
-	ProcLogFiltersSet:    {Name: "LogFiltersSet", Priority: true},
-	ProcLogOutputsGet:    {Name: "LogOutputsGet", Priority: true},
-	ProcLogOutputsSet:    {Name: "LogOutputsSet", Priority: true},
 	ProcServerMetrics:    {Name: "ServerMetrics", Priority: true},
 	ProcServerSlowCalls:  {Name: "ServerSlowCalls", Priority: true},
-	ProcQoSGet:           {Name: "QoSGet", Priority: true, Object: true},
-	ProcQoSSet:           {Name: "QoSSet", Priority: true, Object: true},
+	ProcSettingsGet:      {Name: "SettingsGet", Priority: true, Object: true},
+	ProcSettingsSet:      {Name: "SettingsSet", Priority: true, Object: true},
 }
-
-// Typed-parameter field names of the threadpool interface. Read-only
-// fields are reported by Get and rejected by Set.
-const (
-	FieldMinWorkers     = "minWorkers"
-	FieldMaxWorkers     = "maxWorkers"
-	FieldPrioWorkers    = "prioWorkers"
-	FieldFreeWorkers    = "freeWorkers"   // read-only
-	FieldCurrentWorkers = "nWorkers"      // read-only
-	FieldJobQueueDepth  = "jobQueueDepth" // read-only
-)
-
-// Typed-parameter field names of the client-limits interface.
-const (
-	FieldMaxClients           = "nclients_max"
-	FieldCurrentClients       = "nclients" // read-only
-	FieldMaxUnauthClients     = "nclients_unauth_max"
-	FieldCurrentUnauthClients = "nclients_unauth" // read-only
-)
 
 // Typed-parameter field names of client identity.
 const (
@@ -93,37 +68,6 @@ const (
 	FieldUnixGroupID   = "unix_group_id"
 	FieldUnixProcessID = "unix_process_id"
 )
-
-// ThreadpoolSetSchema validates Set parameters.
-var ThreadpoolSetSchema = map[string]typedparams.Kind{
-	FieldMinWorkers:     typedparams.UInt,
-	FieldMaxWorkers:     typedparams.UInt,
-	FieldPrioWorkers:    typedparams.UInt,
-	FieldFreeWorkers:    typedparams.UInt,
-	FieldCurrentWorkers: typedparams.UInt,
-	FieldJobQueueDepth:  typedparams.UInt,
-}
-
-// ThreadpoolReadOnly lists fields rejected by ThreadpoolSet.
-var ThreadpoolReadOnly = map[string]bool{
-	FieldFreeWorkers:    true,
-	FieldCurrentWorkers: true,
-	FieldJobQueueDepth:  true,
-}
-
-// ClientLimitsSetSchema validates Set parameters.
-var ClientLimitsSetSchema = map[string]typedparams.Kind{
-	FieldMaxClients:           typedparams.UInt,
-	FieldMaxUnauthClients:     typedparams.UInt,
-	FieldCurrentClients:       typedparams.UInt,
-	FieldCurrentUnauthClients: typedparams.UInt,
-}
-
-// ClientLimitsReadOnly lists fields rejected by ClientLimitsSet.
-var ClientLimitsReadOnly = map[string]bool{
-	FieldCurrentClients:       true,
-	FieldCurrentUnauthClients: true,
-}
 
 // WireParam is one typed parameter on the wire.
 type WireParam struct {
@@ -204,6 +148,12 @@ type ServerListReply struct {
 	Servers []string
 }
 
+// SettingsArgs names live settings of a server; no key names them all.
+type SettingsArgs struct {
+	Server string
+	Keys   []string
+}
+
 // ParamsReply returns typed parameters.
 type ParamsReply struct {
 	Params []WireParam
@@ -239,26 +189,6 @@ type ClientArgs struct {
 type ClientInfoReply struct {
 	Record ClientRecord
 	Params []WireParam
-}
-
-// LevelArgs carries a logging level.
-type LevelArgs struct {
-	Level uint32
-}
-
-// LevelReply returns a logging level.
-type LevelReply struct {
-	Level uint32
-}
-
-// StringArgs carries a definition string (filters or outputs).
-type StringArgs struct {
-	Value string
-}
-
-// StringReply returns a definition string.
-type StringReply struct {
-	Value string
 }
 
 // MetricCounter is one counter sample in a metrics reply.
@@ -315,34 +245,4 @@ type SlowCallsReply struct {
 	Slow        uint64
 	ThresholdNs int64
 	Calls       []SlowCallRecord
-}
-
-// QoSClassInfo is one admission class: its canonical spec string (the
-// same grammar qos_classes accepts) plus live accounting.
-type QoSClassInfo struct {
-	Spec             string
-	Inflight         int64
-	Queued           int64
-	RejectedRate     uint64
-	RejectedACL      uint64
-	RejectedInflight uint64
-	RejectedShed     uint64
-}
-
-// QoSReply returns a server's admission-control state.
-type QoSReply struct {
-	Enabled       bool
-	ShedWatermark uint32
-	Classes       []QoSClassInfo
-}
-
-// QoSSetArgs replaces a server's admission configuration wholesale: the
-// complete class list plus shed watermark, installed atomically as a
-// new engine. Disable removes admission control entirely (Specs and
-// ShedWatermark are then ignored).
-type QoSSetArgs struct {
-	Server        string
-	Specs         []string
-	ShedWatermark uint32
-	Disable       bool
 }

@@ -9,74 +9,59 @@ import (
 
 func TestQoSAdminGetSetRoundTrip(t *testing.T) {
 	td := startDaemon(t)
+	srv, _ := td.d.Server("govirtd")
 
 	// Fresh daemon: admission control is off.
-	rep, err := td.adm.QoS("govirtd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Enabled || len(rep.Classes) != 0 {
-		t.Fatalf("QoS enabled on a fresh daemon: %+v", rep)
+	if got := td.settings(t, "govirtd", "qos_classes"); got["qos_classes"] != "[]" || srv.QoS() != nil {
+		t.Fatalf("QoS enabled on a fresh daemon: %v", got)
 	}
 
 	// Install two classes live and read them back.
-	specs := []string{
-		"gold rate_limit_calls_per_s=500 burst=100 priority=8 users=alice",
-		"bronze rate_limit_calls_per_s=20 max_inflight_calls=4 users=bob",
-	}
-	if err := td.adm.SetQoS("govirtd", specs, 64); err != nil {
+	classes := `["gold rate_limit_calls_per_s=500 burst=100 priority=8 users=alice", ` +
+		`"bronze rate_limit_calls_per_s=20 max_inflight_calls=4 users=bob"]`
+	if err := td.set("govirtd", "qos_classes", classes, "qos_shed_watermark", "64"); err != nil {
 		t.Fatal(err)
 	}
-	rep, err = td.adm.QoS("govirtd")
-	if err != nil {
-		t.Fatal(err)
+	got := td.settings(t, "govirtd", "qos_classes", "qos_shed_watermark")
+	if got["qos_classes"] != classes || got["qos_shed_watermark"] != "64" {
+		t.Fatalf("settings after set: %v", got)
 	}
-	if !rep.Enabled || rep.ShedWatermark != 64 {
-		t.Fatalf("engine not installed: %+v", rep)
+	eng := srv.QoS()
+	if eng == nil || eng.ShedWatermark() != 64 {
+		t.Fatal("engine not installed")
 	}
 	// The engine synthesizes the implicit default class alongside the
-	// two configured ones.
-	if len(rep.Classes) != 3 {
-		t.Fatalf("classes %d: %+v", len(rep.Classes), rep.Classes)
-	}
-	var sawGold bool
-	for _, c := range rep.Classes {
-		if strings.HasPrefix(c.Spec, "gold ") {
-			sawGold = true
-			if !strings.Contains(c.Spec, "rate_limit_calls_per_s=500") ||
-				!strings.Contains(c.Spec, "users=alice") {
-				t.Fatalf("gold spec lost fields: %q", c.Spec)
-			}
-			if c.Inflight != 0 || c.RejectedRate != 0 {
-				t.Fatalf("fresh class has nonzero counters: %+v", c)
-			}
+	// two configured ones; every class starts with clean accounting.
+	gauges := td.gauges(t)
+	for _, class := range []string{"gold", "bronze", "default"} {
+		if n, ok := gauges[`daemon_qos_inflight{class="`+class+`"}`]; !ok || n != 0 {
+			t.Errorf("class %s: inflight gauge %d, present %v", class, n, ok)
 		}
-	}
-	if !sawGold {
-		t.Fatalf("gold class missing from %+v", rep.Classes)
 	}
 
 	// A malformed spec is rejected wholesale; the previous engine stays.
-	err = td.adm.SetQoS("govirtd", []string{"bad"}, 0)
-	if !core.IsCode(err, core.ErrInvalidArg) {
+	if err := td.set("govirtd", "qos_classes", `["bad"]`); !core.IsCode(err, core.ErrInvalidArg) ||
+		!strings.Contains(err.Error(), "qos_classes:") {
 		t.Fatalf("malformed spec: %v", err)
 	}
-	rep, _ = td.adm.QoS("govirtd")
-	if !rep.Enabled || len(rep.Classes) != 3 {
-		t.Fatalf("failed update clobbered the engine: %+v", rep)
-	}
-
-	// Disable removes the engine entirely.
-	if err := td.adm.DisableQoS("govirtd"); err != nil {
+	// Nor does a change elsewhere rebuild it: its accounting carries on.
+	if err := td.set("govirtd", "max_workers", "12"); err != nil {
 		t.Fatal(err)
 	}
-	rep, _ = td.adm.QoS("govirtd")
-	if rep.Enabled {
-		t.Fatalf("QoS still enabled after disable: %+v", rep)
+	if srv.QoS() != eng {
+		t.Fatal("engine replaced by a failed or unrelated set")
+	}
+
+	// An empty class list removes the engine entirely.
+	if err := td.set("govirtd", "qos_classes", "[]"); err != nil {
+		t.Fatal(err)
+	}
+	if srv.QoS() != nil {
+		t.Fatal("QoS still enabled after disable")
 	}
 
 	// Unknown server fails cleanly.
-	if _, err := td.adm.QoS("ghost"); !core.IsCode(err, core.ErrAdmin) {
+	if err := td.set("ghost", "qos_classes", "[]"); !core.IsCode(err, core.ErrAdmin) {
 		t.Fatalf("unknown server: %v", err)
 	}
 }

@@ -14,10 +14,12 @@ import (
 )
 
 // TestStressMixedLoadWithAdminChurn hammers the daemon with concurrent
-// management clients running full lifecycles while the admin connection
-// continuously resizes the workerpool and rewrites logging settings. It
-// passes when nothing deadlocks, no operation fails unexpectedly, and
-// the daemon stays coherent afterwards.
+// management clients running full lifecycles while two admin connections
+// continuously change live settings at the same time: one resizes the
+// workerpool and rewrites the log filters, the other the client limit
+// and the log level. It passes when nothing deadlocks, no operation
+// fails unexpectedly, and the daemon ends with each connection's last
+// values.
 func TestStressMixedLoadWithAdminChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -77,15 +79,13 @@ func TestStressMixedLoadWithAdminChurn(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			set := typedparams.NewList()
-			set.AddUInt(admin.FieldMaxWorkers, uint32(4+i%12)) //nolint:errcheck
-			set.AddUInt(admin.FieldPrioWorkers, uint32(i%4))   //nolint:errcheck
-			if err := td.adm.SetThreadpoolParams("govirtd", set); err != nil {
+			err := td.set("govirtd", "max_workers", fmt.Sprint(4+i%12), "prio_workers", fmt.Sprint(i%4))
+			if err != nil {
 				t.Errorf("admin churn %d: %v", i, err)
 				failures.Add(1)
 				return
 			}
-			if err := td.adm.SetLoggingFilters(fmt.Sprintf("%d:daemon %d:rpc", i%4+1, (i+1)%4+1)); err != nil {
+			if err := td.set("govirtd", "log_filters", fmt.Sprintf(`"%d:daemon %d:rpc"`, i%4+1, (i+1)%4+1)); err != nil {
 				t.Errorf("log churn %d: %v", i, err)
 				failures.Add(1)
 				return
@@ -98,28 +98,42 @@ func TestStressMixedLoadWithAdminChurn(t *testing.T) {
 		}
 	}()
 
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		adm, err := admin.Open(td.adminSock)
+		if err != nil {
+			t.Errorf("second admin connection: %v", err)
+			failures.Add(1)
+			return
+		}
+		defer adm.Close()
+		for i := 0; i < 200; i++ {
+			l := typedparams.NewList()
+			l.AddString("max_clients", fmt.Sprint(50+i)) //nolint:errcheck
+			l.AddString("log_level", fmt.Sprint(i%4+1))  //nolint:errcheck
+			if err := adm.SetSettings("govirtd", l); err != nil {
+				t.Errorf("limit churn %d: %v", i, err)
+				failures.Add(1)
+				return
+			}
+		}
+	}()
+
 	wg.Wait()
 	if failures.Load() != 0 {
 		t.Fatalf("%d failures under stress", failures.Load())
 	}
 	// The daemon is still coherent: workerpool params readable, within
 	// bounds, and no clients leaked (they all closed).
-	params, err := td.adm.ThreadpoolParams("govirtd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	min, _ := params.GetUInt(admin.FieldMinWorkers)
-	max, _ := params.GetUInt(admin.FieldMaxWorkers)
-	if min > max {
-		t.Fatalf("pool limits incoherent after stress: min=%d max=%d", min, max)
+	settings := td.settings(t, "govirtd")
+	if settings["min_workers"] != "2" || settings["max_workers"] != fmt.Sprint(4+199%12) ||
+		settings["max_clients"] != "249" || settings["log_level"] != "4" {
+		t.Fatalf("settings after stress: %v", settings)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		limits, err := td.adm.ClientLimits("govirtd")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur, _ := limits.GetUInt(admin.FieldCurrentClients)
+		cur := td.gauges(t)[`daemon_clients{server="govirtd"}`]
 		if cur == 0 {
 			break
 		}

@@ -38,14 +38,13 @@ func (v *values) keys() []conf.Key {
 	}
 }
 
-// render writes v back in the dialect.
+// render writes v back in the dialect, through the rows' own formatters.
 func (v *values) render() string {
-	l := make([]string, len(v.L))
-	for i, s := range v.L {
-		l[i] = `"` + s + `"`
+	var b strings.Builder
+	for _, k := range v.keys() {
+		fmt.Fprintf(&b, "%s = %s\n", k.Name, k.Value())
 	}
-	return fmt.Sprintf("s = \"%s\"\ni = %d\np = %d\nu = %d\nf = %g\nb = %t\nl = [%s]\n",
-		v.S, v.I, v.P, v.U, v.F, v.B, strings.Join(l, ", "))
+	return b.String()
 }
 
 func TestParse(t *testing.T) {
@@ -85,28 +84,28 @@ func TestParse(t *testing.T) {
 	rejected := []struct{ text, want string }{
 		{"i = 1\nno equals sign", "config line 2: missing '='"},
 		{"\n\nwarp = 1", `config line 3: unknown key "warp"`},
-		{"s = bare", "config line 1: expected a quoted string"},
-		{`s = "a"b"`, "config line 1: expected a quoted string"},
-		{`s = "a" # trailing`, "config line 1: expected a quoted string"},
-		{`s = "`, "config line 1: expected a quoted string"},
-		{"s =", "config line 1: expected a quoted string"},
-		{"# c\ni = lots", "config line 2: expected an integer"},
-		{"i = 1.5", "config line 1: expected an integer"},
-		{"i = 6", "config line 1: i 6 outside [-5, 5]"},
-		{"p = 0", "config line 1: p must be >= 1"},
-		{"u = -1", "config line 1: expected a non-negative integer"},
-		{"f = x", "config line 1: expected a number"},
-		{"f = 1.5", "config line 1: f 1.5 outside [0, 1]"},
-		{"f = NaN", "config line 1: f NaN outside [0, 1]"},
-		{"i = 1\nb = maybe", "config line 2: expected a boolean"},
-		{`l = "a"`, "config line 1: expected a [\"...\", \"...\"] list"},
-		{"l = [oops]", "config line 1: expected a ["},
-		{`l = ["a" "b"]`, "config line 1: expected a ["},
-		{`l = ["a",,]`, "config line 1: expected a ["},
-		{`l = [,]`, "config line 1: expected a ["},
-		{`l = ["a"] x`, "config line 1: expected a ["},
-		{"i = 1\nl = [\"a\",\n\"b\"", "config line 2: expected a ["},
-		{"l = [\"a\nb\"]", "config line 1: expected a ["},
+		{"s = bare", "config line 1: s: expected a quoted string"},
+		{`s = "a"b"`, "config line 1: s: expected a quoted string"},
+		{`s = "a" # trailing`, "config line 1: s: expected a quoted string"},
+		{`s = "`, "config line 1: s: expected a quoted string"},
+		{"s =", "config line 1: s: expected a quoted string"},
+		{"# c\ni = lots", "config line 2: i: expected an integer"},
+		{"i = 1.5", "config line 1: i: expected an integer"},
+		{"i = 6", "config line 1: i: 6 outside [-5, 5]"},
+		{"p = 0", "config line 1: p: must be >= 1"},
+		{"u = -1", "config line 1: u: expected a non-negative integer"},
+		{"f = x", "config line 1: f: expected a number"},
+		{"f = 1.5", "config line 1: f: 1.5 outside [0, 1]"},
+		{"f = NaN", "config line 1: f: NaN outside [0, 1]"},
+		{"i = 1\nb = maybe", "config line 2: b: expected a boolean"},
+		{`l = "a"`, "config line 1: l: expected a [\"...\", \"...\"] list"},
+		{"l = [oops]", "config line 1: l: expected a ["},
+		{`l = ["a" "b"]`, "config line 1: l: expected a ["},
+		{`l = ["a",,]`, "config line 1: l: expected a ["},
+		{`l = [,]`, "config line 1: l: expected a ["},
+		{`l = ["a"] x`, "config line 1: l: expected a ["},
+		{"i = 1\nl = [\"a\",\n\"b\"", "config line 2: l: expected a ["},
+		{"l = [\"a\nb\"]", "config line 1: l: expected a ["},
 	}
 	for _, tc := range rejected {
 		var got values
@@ -127,6 +126,45 @@ func TestParse(t *testing.T) {
 	}
 	if got := conf.Lines(nil).Errorf("l", "bad").Error(); got != "l: bad" {
 		t.Errorf("Errorf without a line = %q", got)
+	}
+}
+
+// TestSetLive: a live row takes the text a file line would hold, with
+// the complaint Parse makes minus the line; a row not marked live, or
+// none at all, refuses. Value writes back what SetLive takes.
+func TestSetLive(t *testing.T) {
+	v := values{P: 1} // p's bound excludes the zero value
+	keys := v.keys()
+	for i := range keys {
+		if keys[i].Name != "s" {
+			keys[i] = conf.Live(keys[i])
+		}
+	}
+	for name, text := range map[string]string{"i": "-3", "l": `["a", "b,c"]`, "f": "0.5", "b": "on"} {
+		if err := conf.SetLive(keys, name, text); err != nil {
+			t.Errorf("SetLive(%s, %s): %v", name, text, err)
+		}
+	}
+	if want := (values{I: -3, P: 1, L: []string{"a", "b,c"}, F: 0.5, B: true}); !reflect.DeepEqual(v, want) {
+		t.Errorf("after SetLive: %+v, want %+v", v, want)
+	}
+	for _, k := range keys {
+		if err := conf.SetLive(keys, k.Name, k.Value()); k.Live && err != nil {
+			t.Errorf("%s: its own Value %q does not set: %v", k.Name, k.Value(), err)
+		}
+	}
+	for _, tc := range []struct{ name, text string }{{"i", "6"}, {"p", "0"}, {"l", "[oops]"}, {"b", "maybe"}} {
+		_, fileErr := conf.Parse(tc.name+" = "+tc.text, new(values).keys())
+		err := conf.SetLive(keys, tc.name, tc.text)
+		if err == nil || "config line 1: "+err.Error() != fileErr.Error() {
+			t.Errorf("SetLive(%s, %s) = %v, want %q minus the line", tc.name, tc.text, err, fileErr)
+		}
+	}
+	if err := conf.SetLive(keys, "s", `"x"`); err == nil || err.Error() != "s: read at start-up only" {
+		t.Errorf("non-live row: %v", err)
+	}
+	if err := conf.SetLive(keys, "warp", "1"); err == nil || err.Error() != `unknown key "warp"` {
+		t.Errorf("unknown key: %v", err)
 	}
 }
 
@@ -221,9 +259,9 @@ func TestOneDialect(t *testing.T) {
 	_, errF := fleet.ParseFileConfig("\nmigrate_postcopy = 2")
 	_, errA := uri.ParseAliases("# c\n\nuri_aliases = [\n\"noequals\"]")
 	for want, err := range map[string]error{
-		"daemon: config line 2: expected a boolean":       errD,
-		"fleet: config line 2: expected a boolean":        errF,
-		"uri: config line 3: uri_aliases: entries are \"": errA,
+		"daemon: config line 2: listen_tcp: expected a boolean":      errD,
+		"fleet: config line 2: migrate_postcopy: expected a boolean": errF,
+		"uri: config line 3: uri_aliases: entries are \"":            errA,
 	} {
 		if err == nil || !strings.HasPrefix(err.Error(), want) {
 			t.Errorf("got %v, want error starting %q", err, want)

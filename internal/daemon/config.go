@@ -6,14 +6,16 @@ import (
 
 	"repro/internal/conf"
 	"repro/internal/faultpoint"
+	"repro/internal/logging"
 	"repro/internal/qos"
 	"repro/internal/uri"
 )
 
 // Config is the daemon's persistent configuration, read once at start-up
-// from a libvirtd.conf-style file. Everything here that has a runtime
-// counterpart (workerpool limits, client limits, logging) can later be
-// changed through the admin interface without a restart.
+// from a libvirtd.conf-style file. The fields whose rows in Keys are
+// marked live (workerpool and client limits, logging, admission control)
+// can later be changed through the admin interface without a restart;
+// Server.Apply is how a Config reaches a running server either way.
 type Config struct {
 	// Sockets.
 	UnixSocketPath  string
@@ -110,14 +112,14 @@ func (c *Config) Keys(creds *[]string) []conf.Key {
 		conf.Int("tcp_port", &c.TCPPort, 1, 65535),
 		conf.String("auth_tcp", &c.AuthTCP),
 		conf.Strings("sasl_credentials", creds),
-		conf.Int("min_workers", &c.MinWorkers, 0),
-		conf.Int("max_workers", &c.MaxWorkers, 1),
-		conf.Int("prio_workers", &c.PrioWorkers, 0),
-		conf.Int("max_clients", &c.MaxClients, 1),
-		conf.Int("max_anonymous_clients", &c.MaxUnauthClients, 0),
-		conf.Int("log_level", &c.LogLevel, 1, 4),
-		conf.String("log_filters", &c.LogFilters),
-		conf.String("log_outputs", &c.LogOutputs),
+		conf.Live(conf.Int("min_workers", &c.MinWorkers, 0)),
+		conf.Live(conf.Int("max_workers", &c.MaxWorkers, 1)),
+		conf.Live(conf.Int("prio_workers", &c.PrioWorkers, 0)),
+		conf.Live(conf.Int("max_clients", &c.MaxClients, 1)),
+		conf.Live(conf.Int("max_anonymous_clients", &c.MaxUnauthClients, 0)),
+		conf.Live(conf.Int("log_level", &c.LogLevel, 1, 4)),
+		conf.Live(conf.String("log_filters", &c.LogFilters)),
+		conf.Live(conf.String("log_outputs", &c.LogOutputs)),
 		conf.String("metrics_address", &c.MetricsAddress),
 		conf.Int("slow_call_threshold_ms", &c.SlowCallThresholdMs, 0),
 		conf.String("domain_metrics", &c.DomainMetricsURI),
@@ -128,11 +130,28 @@ func (c *Config) Keys(creds *[]string) []conf.Key {
 		conf.String("state_dir", &c.StateDir),
 		conf.Int("call_timeout_ms", &c.CallTimeoutMs, 0),
 		conf.Int("shutdown_grace_ms", &c.ShutdownGraceMs, 0),
-		conf.Strings("qos_classes", &c.QoSClasses),
-		conf.Int("qos_shed_watermark", &c.QoSShedWatermark, 0),
+		conf.Live(conf.Strings("qos_classes", &c.QoSClasses)),
+		conf.Live(conf.Int("qos_shed_watermark", &c.QoSShedWatermark, 0)),
 		conf.String("fault_injection", &c.FaultInjection),
 		conf.Int("fault_seed", &c.FaultSeed),
 	}
+}
+
+// Setting is one live setting: its key and its value written as in
+// govirtd.conf.
+type Setting struct {
+	Key, Value string
+}
+
+// Live returns c's live settings in key-table order.
+func (c Config) Live() []Setting {
+	var out []Setting
+	for _, k := range c.Keys(new([]string)) {
+		if k.Live {
+			out = append(out, Setting{k.Name, k.Value()})
+		}
+	}
+	return out
 }
 
 // ParseConfig reads a govirtd.conf document over the shipped defaults.
@@ -173,6 +192,12 @@ func (c *Config) validate(at conf.Lines) error {
 	}
 	if c.MaxUnauthClients > c.MaxClients {
 		return fmt.Errorf("max_anonymous_clients outside [0, max_clients]")
+	}
+	if _, err := logging.ParseFilters(c.LogFilters); err != nil {
+		return at.Errorf("log_filters", "%v", err)
+	}
+	if _, err := logging.ParseOutputs(c.LogOutputs); err != nil {
+		return at.Errorf("log_outputs", "%v", err)
 	}
 	if c.AuthTCP != "none" && c.AuthTCP != "sasl" {
 		return at.Errorf("auth_tcp", `must be "none" or "sasl"`)

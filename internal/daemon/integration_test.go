@@ -247,7 +247,7 @@ func TestClientLimitRejectsConnections(t *testing.T) {
 		t.Fatal("rejection not counted")
 	}
 	// Raising the limit at runtime admits new clients.
-	if err := srv.SetLimits(daemon.ClientLimits{MaxClients: 10}); err != nil {
+	if err := srv.Set([]daemon.Setting{{Key: "max_clients", Value: "10"}}); err != nil {
 		t.Fatal(err)
 	}
 	c3, err := core.Open(unixURI(sock))

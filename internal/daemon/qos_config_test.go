@@ -49,7 +49,7 @@ func TestQoSConfigValidateErrors(t *testing.T) {
 		},
 		{
 			"qos_shed_watermark = -1",
-			"qos_shed_watermark must be non-negative",
+			"config line 1: qos_shed_watermark: must be non-negative",
 		},
 	}
 	for _, tc := range cases {

@@ -3,11 +3,13 @@ package daemon
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/conf"
 	"repro/internal/core"
 	"repro/internal/faultpoint"
 	"repro/internal/logging"
@@ -147,6 +149,9 @@ type Server struct {
 
 	// SASL credential store for services requiring authentication.
 	creds map[string]string
+
+	applyMu sync.Mutex // serialises Apply and Set
+	applied Config     // the Config last applied; Settings reads the live fields back
 }
 
 func newServer(name string, pool *Workerpool, limits ClientLimits, log *logging.Logger) *Server {
@@ -158,6 +163,7 @@ func newServer(name string, pool *Workerpool, limits ClientLimits, log *logging.
 		limits:   limits,
 		programs: make(map[uint32]*program),
 		creds:    make(map[string]string),
+		applied:  DefaultConfig(),
 	}
 	s.eventQueueDepth.Store(watch.DefaultDepth)
 	s.eventCoalesce.Store(int64(watch.DefaultCoalesceWindow))
@@ -251,19 +257,85 @@ func (s *Server) Limits() (limits ClientLimits, current, currentUnauth int) {
 	return s.limits, len(s.clients), currentUnauth
 }
 
-// SetLimits adjusts the client limits at runtime. Existing connections
-// are never cut by a lowered limit; only new connections see it.
-func (s *Server) SetLimits(l ClientLimits) error {
-	if l.MaxClients < 1 {
-		return core.Errorf(core.ErrInvalidArg, "max clients must be >= 1")
+// Settings returns the server's Config: the one last applied, with its
+// live fields read back from what the server runs now.
+func (s *Server) Settings() Config {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	return s.settings()
+}
+
+func (s *Server) settings() Config {
+	c := s.applied
+	p := s.pool.Params()
+	c.MinWorkers, c.MaxWorkers, c.PrioWorkers = p.MinWorkers, p.MaxWorkers, p.PrioWorkers
+	limits, _, _ := s.Limits()
+	c.MaxClients, c.MaxUnauthClients = limits.MaxClients, limits.MaxUnauthClients
+	c.LogLevel, c.LogFilters, c.LogOutputs = int(s.log.Level()), s.log.FiltersString(), s.log.OutputsString()
+	return c
+}
+
+// Apply makes cfg the server's Config. It is the one path from a parsed
+// govirtd.conf to a running server, at start-up and for every live
+// change: cfg is validated whole, then its live fields are installed,
+// all of them or none. They are the workerpool, the client limits, the
+// daemon's logging and admission control. Lowered client limits never
+// cut existing connections; only new ones see them.
+func (s *Server) Apply(cfg Config) error {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	return s.apply(cfg)
+}
+
+// Set changes live settings by key, each value written as in
+// govirtd.conf: every value goes through its row, then the whole Config
+// through Apply.
+func (s *Server) Set(settings []Setting) error {
+	s.applyMu.Lock()
+	defer s.applyMu.Unlock()
+	cfg := s.settings()
+	keys := cfg.Keys(new([]string))
+	for _, st := range settings {
+		if err := conf.SetLive(keys, st.Key, st.Value); err != nil {
+			return fmt.Errorf("daemon: %v", err)
+		}
 	}
-	if l.MaxUnauthClients < 0 || l.MaxUnauthClients > l.MaxClients {
-		return core.Errorf(core.ErrInvalidArg,
-			"max unauthenticated clients must be within [0, max clients]")
+	return s.apply(cfg)
+}
+
+func (s *Server) apply(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
+	cur := s.settings()
+	// Opening an output's file is the one step Validate cannot vouch for,
+	// so it goes first: when it fails, nothing has changed.
+	if cfg.LogOutputs != cur.LogOutputs {
+		if err := s.log.DefineOutputs(cfg.LogOutputs); err != nil {
+			return fmt.Errorf("daemon: log_outputs: %v", err)
+		}
+	}
+	if err := s.pool.SetParams(cfg.MinWorkers, cfg.MaxWorkers, cfg.PrioWorkers); err != nil {
+		return err // a shut-down pool; Validate vouched for the numbers
+	}
+	s.log.SetLevel(logging.Priority(cfg.LogLevel)) //nolint:errcheck // the row bounds it
+	s.log.DefineFilters(cfg.LogFilters)            //nolint:errcheck // Validate parsed it
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.limits = l
+	s.limits = ClientLimits{MaxClients: cfg.MaxClients, MaxUnauthClients: cfg.MaxUnauthClients}
+	s.mu.Unlock()
+	// A new engine starts every class's accounting afresh, so one is
+	// built only when admission control itself changes.
+	if !slices.Equal(cfg.QoSClasses, cur.QoSClasses) || cfg.QoSShedWatermark != cur.QoSShedWatermark {
+		var eng *qos.Engine
+		if len(cfg.QoSClasses) > 0 {
+			classes, _ := qos.ParseClasses(cfg.QoSClasses) // Validate parsed them
+			eng = qos.NewEngine(qos.Config{Classes: classes, ShedWatermark: cfg.QoSShedWatermark})
+		}
+		s.SetQoS(eng)
+		s.log.Infof("daemon", "server %s: admission control: %d class(es), shed watermark %d",
+			s.name, len(cfg.QoSClasses), cfg.QoSShedWatermark)
+	}
+	s.applied = cfg
 	return nil
 }
 

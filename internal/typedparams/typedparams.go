@@ -256,25 +256,6 @@ func (l *List) Fields() []string {
 	return out
 }
 
-// Validate checks the whole list against an allowed-field schema: the map
-// gives the required kind per permitted field; readOnly lists fields that
-// may be reported but never set.
-func (l *List) Validate(allowed map[string]Kind, readOnly map[string]bool) error {
-	for _, p := range l.params {
-		k, ok := allowed[p.Field]
-		if !ok {
-			return fmt.Errorf("typedparams: unknown field %q", p.Field)
-		}
-		if readOnly[p.Field] {
-			return fmt.Errorf("typedparams: field %q is read-only", p.Field)
-		}
-		if p.Kind != k {
-			return fmt.Errorf("typedparams: field %q has kind %v, want %v", p.Field, p.Kind, k)
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep copy of the list.
 func (l *List) Clone() *List {
 	out := NewList()

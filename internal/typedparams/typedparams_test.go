@@ -90,41 +90,6 @@ func TestKindMismatch(t *testing.T) {
 	}
 }
 
-func TestValidateSchema(t *testing.T) {
-	allowed := map[string]Kind{
-		"minWorkers":  UInt,
-		"maxWorkers":  UInt,
-		"nWorkers":    UInt,
-		"prioWorkers": UInt,
-	}
-	readOnly := map[string]bool{"nWorkers": true}
-
-	good := NewList()
-	good.AddUInt("minWorkers", 5)  //nolint:errcheck
-	good.AddUInt("maxWorkers", 20) //nolint:errcheck
-	if err := good.Validate(allowed, readOnly); err != nil {
-		t.Fatalf("valid list rejected: %v", err)
-	}
-
-	ro := NewList()
-	ro.AddUInt("nWorkers", 3) //nolint:errcheck
-	if err := ro.Validate(allowed, readOnly); err == nil {
-		t.Fatal("read-only field accepted")
-	}
-
-	unknown := NewList()
-	unknown.AddUInt("bogus", 3) //nolint:errcheck
-	if err := unknown.Validate(allowed, readOnly); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-
-	wrongKind := NewList()
-	wrongKind.AddString("minWorkers", "5") //nolint:errcheck
-	if err := wrongKind.Validate(allowed, readOnly); err == nil {
-		t.Fatal("wrong kind accepted")
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	l := NewList()
 	l.AddUInt("a", 1) //nolint:errcheck
