@@ -27,8 +27,9 @@ func (p *Program) Procs() []rpc.Proc { return Procs }
 // per-client state.
 func (p *Program) ClientClosed(*daemon.Client) {}
 
-// Dispatch implements daemon.Program.
-func (p *Program) Dispatch(c *daemon.Client, proc uint32, payload []byte) ([]byte, error) {
+// Dispatch implements daemon.Program. Admin calls are rare, so each
+// reply is marshalled into a buffer of its own.
+func (p *Program) Dispatch(c *daemon.Client, proc uint32, payload, _ []byte) ([]byte, error) {
 	if uint64(proc) >= uint64(len(handlers)) || handlers[proc] == nil {
 		return nil, core.Errorf(core.ErrNoSupport, "unknown admin procedure %d", proc)
 	}

@@ -238,3 +238,48 @@ func TestBulkRepliesSteadyState(t *testing.T) {
 		}
 	}
 }
+
+// TestRemoteHopSteadyState is the per-call allocation gate of the remote
+// hop, counted process-wide so both sides of the call are in it, with
+// telemetry, tracing and admission control on the path. What is left is
+// what the caller keeps: the strings a reply carries to it, the name the
+// daemon decodes, the handle LookupDomain returns. The dispatch record,
+// its span and reply buffer, the frames and the codec's argument and
+// reply structs are all recycled or on a stack.
+func TestRemoteHopSteadyState(t *testing.T) {
+	sock, _, d := startDaemon(t, daemon.ClientLimits{}, nil)
+	setQoS(t, d, 0, "default rate_limit_calls_per_s=100000000 burst=100000000")
+	conn, err := core.Open(unixURI(sock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	dom, err := conn.LookupDomain("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, call := range []struct {
+		name string
+		max  float64
+		fn   func() error
+	}{
+		{"Hostname", 1, func() error { _, err := conn.Hostname(); return err }},
+		{"Domain.Info", 1, func() error { _, err := dom.Info(); return err }},
+		{"LookupDomain", 3, func() error { _, err := conn.LookupDomain("test"); return err }},
+	} {
+		for i := 0; i < 10; i++ { // warms the pools
+			if err := call.fn(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := testing.AllocsPerRun(200, func() {
+			if err := call.fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > call.max && !raceEnabled {
+			t.Errorf("%s: %.0f allocs per call, want <= %.0f", call.name, got, call.max)
+		}
+		t.Logf("%s: %.0f allocs per call", call.name, got)
+	}
+}

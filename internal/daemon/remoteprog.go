@@ -94,32 +94,38 @@ func (p *RemoteProgram) conn(c *Client) (*core.Connect, error) {
 }
 
 // Dispatch implements Program.
-func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload []byte) ([]byte, error) {
+func (p *RemoteProgram) Dispatch(c *Client, proc uint32, payload, reply []byte) ([]byte, error) {
 	if uint64(proc) >= uint64(len(handlers)) || handlers[proc] == nil {
 		return nil, core.Errorf(core.ErrNoSupport, "unknown procedure %d", proc)
 	}
-	return handlers[proc](p, c, payload)
+	return handlers[proc](p, c, payload, reply)
 }
 
 // handler executes one procedure for a client and returns the
-// marshalled reply.
-type handler func(p *RemoteProgram, c *Client, payload []byte) ([]byte, error)
+// marshalled reply, appended to reply.
+type handler func(p *RemoteProgram, c *Client, payload, reply []byte) ([]byte, error)
 
 // noArgs adapts a procedure that takes nothing: it runs on the client's
 // open driver connection and never reads the payload.
-func noArgs(fn func(conn *core.Connect) ([]byte, error)) handler {
-	return func(p *RemoteProgram, c *Client, _ []byte) ([]byte, error) {
+func noArgs[R any](fn func(conn *core.Connect) (R, error)) handler {
+	return func(p *RemoteProgram, c *Client, _, reply []byte) ([]byte, error) {
 		conn, err := p.conn(c)
 		if err != nil {
 			return nil, err
 		}
-		return fn(conn)
+		r, err := fn(conn)
+		if err != nil {
+			return nil, err
+		}
+		return encode(reply, &r)
 	}
 }
 
-// withArgs adapts a procedure whose payload decodes into an A.
-func withArgs[A any](fn func(conn *core.Connect, args *A) ([]byte, error)) handler {
-	return func(p *RemoteProgram, c *Client, payload []byte) ([]byte, error) {
+// withArgs adapts a procedure whose payload decodes into an A. The
+// arguments and the reply pass by value, so neither leaves the worker's
+// stack.
+func withArgs[A, R any](fn func(conn *core.Connect, args A) (R, error)) handler {
+	return func(p *RemoteProgram, c *Client, payload, reply []byte) ([]byte, error) {
 		conn, err := p.conn(c)
 		if err != nil {
 			return nil, err
@@ -128,17 +134,22 @@ func withArgs[A any](fn func(conn *core.Connect, args *A) ([]byte, error)) handl
 		if err := rpc.Unmarshal(payload, &args); err != nil {
 			return nil, badArgs(err)
 		}
-		return fn(conn, &args)
+		r, err := fn(conn, args)
+		if err != nil {
+			return nil, err
+		}
+		return encode(reply, &r)
 	}
 }
 
 // withSupport is withArgs for procedures served by an optional driver
 // interface I; a driver lacking it answers ErrNoSupport.
-func withSupport[I, A any](what string, fn func(sup I, args *A) ([]byte, error)) handler {
-	return withArgs(func(conn *core.Connect, args *A) ([]byte, error) {
+func withSupport[I, A, R any](what string, fn func(sup I, args A) (R, error)) handler {
+	return withArgs(func(conn *core.Connect, args A) (R, error) {
 		sup, ok := conn.Driver().(I)
 		if !ok {
-			return nil, core.Errorf(core.ErrNoSupport, "driver does not support %s", what)
+			var none R
+			return none, core.Errorf(core.ErrNoSupport, "driver does not support %s", what)
 		}
 		return fn(sup, args)
 	})
@@ -146,8 +157,8 @@ func withSupport[I, A any](what string, fn func(sup I, args *A) ([]byte, error))
 
 // nameOp adapts an operation on one named object that returns nothing.
 func nameOp(op func(conn *core.Connect, name string) error) handler {
-	return withArgs(func(conn *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return voidReply(op(conn, a.Name))
+	return withArgs(func(conn *core.Connect, a wire.NameArgs) (struct{}, error) {
+		return void(op(conn, a.Name))
 	})
 }
 
@@ -159,8 +170,8 @@ func onDriver(op func(core.DriverConn, string) error) func(*core.Connect, string
 // migratePages serves both page-chunk procedures; pull marks the
 // post-copy demand faults that ride the priority workers.
 func migratePages(pull bool) handler {
-	return withSupport("inbound migration", func(ms core.MigrationSink, a *wire.MigratePagesArgs) ([]byte, error) {
-		return voidReply(ms.MigratePages(&core.MigrateChunk{
+	return withSupport("inbound migration", func(ms core.MigrationSink, a wire.MigratePagesArgs) (struct{}, error) {
+		return void(ms.MigratePages(&core.MigrateChunk{
 			Cookie:   a.Cookie,
 			Stream:   int(a.Stream),
 			Round:    int(a.Round),
@@ -178,33 +189,29 @@ func migratePages(pull bool) handler {
 // reverse).
 var handlers = []handler{
 	wire.ProcConnectOpen: (*RemoteProgram).connectOpen,
-	wire.ProcConnectClose: func(p *RemoteProgram, c *Client, _ []byte) ([]byte, error) {
+	wire.ProcConnectClose: func(p *RemoteProgram, c *Client, _, reply []byte) ([]byte, error) {
 		p.ClientClosed(c)
-		return voidReply(nil)
+		return reply, nil
 	},
-	wire.ProcGetType:         noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.Type()) }),
-	wire.ProcGetVersion:      noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.Version()) }),
-	wire.ProcGetHostname:     noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.Hostname()) }),
-	wire.ProcGetCapabilities: noArgs(func(c *core.Connect) ([]byte, error) { return stringReply(c.CapabilitiesXML()) }),
-	wire.ProcNodeGetInfo: noArgs(func(c *core.Connect) ([]byte, error) {
+	wire.ProcGetType:         noArgs(func(c *core.Connect) (wire.StringReply, error) { return str(c.Type()) }),
+	wire.ProcGetVersion:      noArgs(func(c *core.Connect) (wire.StringReply, error) { return str(c.Version()) }),
+	wire.ProcGetHostname:     noArgs(func(c *core.Connect) (wire.StringReply, error) { return str(c.Hostname()) }),
+	wire.ProcGetCapabilities: noArgs(func(c *core.Connect) (wire.StringReply, error) { return str(c.CapabilitiesXML()) }),
+	wire.ProcNodeGetInfo: noArgs(func(c *core.Connect) (wire.NodeInfoReply, error) {
 		ni, err := c.NodeInfo()
-		if err != nil {
-			return nil, err
-		}
-		reply := nodeInfoToWire(ni)
-		return marshal(&reply)
+		return nodeInfoToWire(ni), err
 	}),
-	wire.ProcDomainList: withArgs(func(c *core.Connect, a *wire.DomainListArgs) ([]byte, error) {
-		return namesReply(c.Driver().ListDomains(core.ListFlags(a.Flags)))
+	wire.ProcDomainList: withArgs(func(c *core.Connect, a wire.DomainListArgs) (wire.NameListReply, error) {
+		return names(c.Driver().ListDomains(core.ListFlags(a.Flags)))
 	}),
-	wire.ProcDomainLookupByName: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return metaReply(c.Driver().LookupDomain(a.Name))
+	wire.ProcDomainLookupByName: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.DomainMetaReply, error) {
+		return meta(c.Driver().LookupDomain(a.Name))
 	}),
-	wire.ProcDomainLookupByUUID: withArgs(func(c *core.Connect, a *wire.UUIDArgs) ([]byte, error) {
-		return metaReply(c.Driver().LookupDomainByUUID(a.UUID))
+	wire.ProcDomainLookupByUUID: withArgs(func(c *core.Connect, a wire.UUIDArgs) (wire.DomainMetaReply, error) {
+		return meta(c.Driver().LookupDomainByUUID(a.UUID))
 	}),
-	wire.ProcDomainDefine: withArgs(func(c *core.Connect, a *wire.XMLArgs) ([]byte, error) {
-		return metaReply(c.Driver().DefineDomain(a.XML))
+	wire.ProcDomainDefine: withArgs(func(c *core.Connect, a wire.XMLArgs) (wire.DomainMetaReply, error) {
+		return meta(c.Driver().DefineDomain(a.XML))
 	}),
 	wire.ProcDomainUndefine: nameOp(onDriver(core.DriverConn.UndefineDomain)),
 	wire.ProcDomainCreate:   nameOp(onDriver(core.DriverConn.CreateDomain)),
@@ -213,173 +220,161 @@ var handlers = []handler{
 	wire.ProcDomainReboot:   nameOp(onDriver(core.DriverConn.RebootDomain)),
 	wire.ProcDomainSuspend:  nameOp(onDriver(core.DriverConn.SuspendDomain)),
 	wire.ProcDomainResume:   nameOp(onDriver(core.DriverConn.ResumeDomain)),
-	wire.ProcDomainGetInfo: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+	wire.ProcDomainGetInfo: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.DomainInfoReply, error) {
 		info, err := c.Driver().DomainInfo(a.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.DomainInfoReply{
+		return wire.DomainInfoReply{
 			State: uint32(info.State), MaxMemKiB: info.MaxMemKiB,
 			MemKiB: info.MemKiB, VCPUs: uint32(info.VCPUs), CPUTimeNs: info.CPUTimeNs,
-		})
+		}, err
 	}),
-	wire.ProcDomainGetStats: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+	wire.ProcDomainGetStats: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.DomainStatsReply, error) {
 		st, err := c.Driver().DomainStats(a.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.DomainStatsReply{
+		return wire.DomainStatsReply{
 			State: uint32(st.State), CPUTimeNs: st.CPUTimeNs, MemKiB: st.MemKiB,
 			MaxMemKiB: st.MaxMemKiB, VCPUs: uint32(st.VCPUs),
 			RdBytes: st.RdBytes, WrBytes: st.WrBytes, RdReqs: st.RdReqs, WrReqs: st.WrReqs,
 			RxBytes: st.RxBytes, TxBytes: st.TxBytes, RxPkts: st.RxPkts, TxPkts: st.TxPkts,
 			DirtyPages: st.DirtyPages,
-		})
+		}, err
 	}),
-	wire.ProcDomainGetXML: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return stringReply(c.Driver().DomainXML(a.Name))
+	wire.ProcDomainGetXML: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.StringReply, error) {
+		return str(c.Driver().DomainXML(a.Name))
 	}),
-	wire.ProcDomainSetMemory: withArgs(func(c *core.Connect, a *wire.SetMemoryArgs) ([]byte, error) {
-		return voidReply(c.Driver().SetDomainMemory(a.Name, a.MemKiB))
+	wire.ProcDomainSetMemory: withArgs(func(c *core.Connect, a wire.SetMemoryArgs) (struct{}, error) {
+		return void(c.Driver().SetDomainMemory(a.Name, a.MemKiB))
 	}),
-	wire.ProcDomainSetVCPUs: withArgs(func(c *core.Connect, a *wire.SetVCPUsArgs) ([]byte, error) {
-		return voidReply(c.Driver().SetDomainVCPUs(a.Name, int(a.VCPUs)))
+	wire.ProcDomainSetVCPUs: withArgs(func(c *core.Connect, a wire.SetVCPUsArgs) (struct{}, error) {
+		return void(c.Driver().SetDomainVCPUs(a.Name, int(a.VCPUs)))
 	}),
-	wire.ProcNetworkList: noArgs(func(c *core.Connect) ([]byte, error) { return namesReply(c.ListNetworks()) }),
-	wire.ProcNetworkDefine: withArgs(func(c *core.Connect, a *wire.XMLArgs) ([]byte, error) {
-		return voidReply(c.DefineNetwork(a.XML))
+	wire.ProcNetworkList: noArgs(func(c *core.Connect) (wire.NameListReply, error) { return names(c.ListNetworks()) }),
+	wire.ProcNetworkDefine: withArgs(func(c *core.Connect, a wire.XMLArgs) (struct{}, error) {
+		return void(c.DefineNetwork(a.XML))
 	}),
 	wire.ProcNetworkUndefine: nameOp((*core.Connect).UndefineNetwork),
 	wire.ProcNetworkStart:    nameOp((*core.Connect).StartNetwork),
 	wire.ProcNetworkStop:     nameOp((*core.Connect).StopNetwork),
-	wire.ProcNetworkGetXML: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return stringReply(c.NetworkXML(a.Name))
+	wire.ProcNetworkGetXML: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.StringReply, error) {
+		return str(c.NetworkXML(a.Name))
 	}),
-	wire.ProcNetworkIsActive: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return boolReply(c.NetworkIsActive(a.Name))
+	wire.ProcNetworkIsActive: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.BoolReply, error) {
+		active, err := c.NetworkIsActive(a.Name)
+		return wire.BoolReply{Value: active}, err
 	}),
-	wire.ProcNetworkDHCPLeases: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+	wire.ProcNetworkDHCPLeases: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.LeasesReply, error) {
 		leases, err := c.NetworkDHCPLeases(a.Name)
-		if err != nil {
-			return nil, err
-		}
 		out := wire.LeasesReply{Leases: make([]wire.DHCPLease, len(leases))}
 		for i, l := range leases {
 			out.Leases[i] = wire.DHCPLease{MAC: l.MAC, IP: l.IP, Hostname: l.Hostname}
 		}
-		return marshal(&out)
+		return out, err
 	}),
-	wire.ProcPoolList: noArgs(func(c *core.Connect) ([]byte, error) { return namesReply(c.ListStoragePools()) }),
-	wire.ProcPoolDefine: withArgs(func(c *core.Connect, a *wire.XMLArgs) ([]byte, error) {
-		return voidReply(c.DefineStoragePool(a.XML))
+	wire.ProcPoolList: noArgs(func(c *core.Connect) (wire.NameListReply, error) { return names(c.ListStoragePools()) }),
+	wire.ProcPoolDefine: withArgs(func(c *core.Connect, a wire.XMLArgs) (struct{}, error) {
+		return void(c.DefineStoragePool(a.XML))
 	}),
 	wire.ProcPoolUndefine: nameOp((*core.Connect).UndefineStoragePool),
 	wire.ProcPoolStart:    nameOp((*core.Connect).StartStoragePool),
 	wire.ProcPoolStop:     nameOp((*core.Connect).StopStoragePool),
-	wire.ProcPoolGetXML: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return stringReply(c.StoragePoolXML(a.Name))
+	wire.ProcPoolGetXML: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.StringReply, error) {
+		return str(c.StoragePoolXML(a.Name))
 	}),
-	wire.ProcPoolGetInfo: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
+	wire.ProcPoolGetInfo: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.PoolInfoReply, error) {
 		info, err := c.StoragePoolInfo(a.Name)
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.PoolInfoReply{
+		return wire.PoolInfoReply{
 			Active: info.Active, CapacityKiB: info.CapacityKiB,
 			AllocationKiB: info.AllocationKiB, AvailableKiB: info.AvailableKiB,
-		})
+		}, err
 	}),
-	wire.ProcVolList: withArgs(func(c *core.Connect, a *wire.NameArgs) ([]byte, error) {
-		return namesReply(c.ListVolumes(a.Name))
+	wire.ProcVolList: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.NameListReply, error) {
+		return names(c.ListVolumes(a.Name))
 	}),
-	wire.ProcVolCreate: withArgs(func(c *core.Connect, a *wire.VolCreateArgs) ([]byte, error) {
-		return voidReply(c.CreateVolume(a.Pool, a.XML))
+	wire.ProcVolCreate: withArgs(func(c *core.Connect, a wire.VolCreateArgs) (struct{}, error) {
+		return void(c.CreateVolume(a.Pool, a.XML))
 	}),
-	wire.ProcVolDelete: withArgs(func(c *core.Connect, a *wire.VolArgs) ([]byte, error) {
-		return voidReply(c.DeleteVolume(a.Pool, a.Name))
+	wire.ProcVolDelete: withArgs(func(c *core.Connect, a wire.VolArgs) (struct{}, error) {
+		return void(c.DeleteVolume(a.Pool, a.Name))
 	}),
-	wire.ProcVolGetXML: withArgs(func(c *core.Connect, a *wire.VolArgs) ([]byte, error) {
-		return stringReply(c.VolumeXML(a.Pool, a.Name))
+	wire.ProcVolGetXML: withArgs(func(c *core.Connect, a wire.VolArgs) (wire.StringReply, error) {
+		return str(c.VolumeXML(a.Pool, a.Name))
 	}),
-	wire.ProcAuthList: func(p *RemoteProgram, _ *Client, _ []byte) ([]byte, error) {
-		return marshal(&wire.AuthListReply{Mechanisms: p.mechanisms()})
+	wire.ProcAuthList: func(p *RemoteProgram, _ *Client, _, reply []byte) ([]byte, error) {
+		return encode(reply, &wire.AuthListReply{Mechanisms: p.mechanisms()})
 	},
 	wire.ProcAuthSASLStart: (*RemoteProgram).saslStart,
-	wire.ProcSnapshotCreate: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotCreateArgs) ([]byte, error) {
-		return stringReply(ss.CreateSnapshot(a.Domain, a.XML))
+	wire.ProcSnapshotCreate: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotCreateArgs) (wire.StringReply, error) {
+		return str(ss.CreateSnapshot(a.Domain, a.XML))
 	}),
-	wire.ProcSnapshotList: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.NameArgs) ([]byte, error) {
-		return namesReply(ss.ListSnapshots(a.Name))
+	wire.ProcSnapshotList: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.NameArgs) (wire.NameListReply, error) {
+		return names(ss.ListSnapshots(a.Name))
 	}),
-	wire.ProcSnapshotGetXML: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotArgs) ([]byte, error) {
-		return stringReply(ss.SnapshotXML(a.Domain, a.Name))
+	wire.ProcSnapshotGetXML: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotArgs) (wire.StringReply, error) {
+		return str(ss.SnapshotXML(a.Domain, a.Name))
 	}),
-	wire.ProcSnapshotRevert: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotArgs) ([]byte, error) {
-		return voidReply(ss.RevertSnapshot(a.Domain, a.Name))
+	wire.ProcSnapshotRevert: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotArgs) (struct{}, error) {
+		return void(ss.RevertSnapshot(a.Domain, a.Name))
 	}),
-	wire.ProcSnapshotDelete: withSupport("snapshots", func(ss core.SnapshotSupport, a *wire.SnapshotArgs) ([]byte, error) {
-		return voidReply(ss.DeleteSnapshot(a.Domain, a.Name))
+	wire.ProcSnapshotDelete: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotArgs) (struct{}, error) {
+		return void(ss.DeleteSnapshot(a.Domain, a.Name))
 	}),
-	wire.ProcManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a *wire.NameArgs) ([]byte, error) {
-		return voidReply(ms.ManagedSave(a.Name))
+	wire.ProcManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a wire.NameArgs) (struct{}, error) {
+		return void(ms.ManagedSave(a.Name))
 	}),
-	wire.ProcHasManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a *wire.NameArgs) ([]byte, error) {
-		return boolReply(ms.HasManagedSave(a.Name))
+	wire.ProcHasManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a wire.NameArgs) (wire.BoolReply, error) {
+		has, err := ms.HasManagedSave(a.Name)
+		return wire.BoolReply{Value: has}, err
 	}),
-	wire.ProcManagedSaveRemove: withSupport("managed save", func(ms core.ManagedSaveSupport, a *wire.NameArgs) ([]byte, error) {
-		return voidReply(ms.ManagedSaveRemove(a.Name))
+	wire.ProcManagedSaveRemove: withSupport("managed save", func(ms core.ManagedSaveSupport, a wire.NameArgs) (struct{}, error) {
+		return void(ms.ManagedSaveRemove(a.Name))
 	}),
-	wire.ProcDeviceAttach: withSupport("device hot-plug", func(ds core.DeviceSupport, a *wire.DeviceArgs) ([]byte, error) {
-		return voidReply(ds.AttachDevice(a.Domain, a.XML))
+	wire.ProcDeviceAttach: withSupport("device hot-plug", func(ds core.DeviceSupport, a wire.DeviceArgs) (struct{}, error) {
+		return void(ds.AttachDevice(a.Domain, a.XML))
 	}),
-	wire.ProcDeviceDetach: withSupport("device hot-plug", func(ds core.DeviceSupport, a *wire.DeviceArgs) ([]byte, error) {
-		return voidReply(ds.DetachDevice(a.Domain, a.XML))
+	wire.ProcDeviceDetach: withSupport("device hot-plug", func(ds core.DeviceSupport, a wire.DeviceArgs) (struct{}, error) {
+		return void(ds.DetachDevice(a.Domain, a.XML))
 	}),
-	wire.ProcDomainListInfo: withArgs(func(c *core.Connect, a *wire.DomainListInfoArgs) ([]byte, error) {
-		rows, err := core.ListDomainInfo(c.Driver(), core.ListFlags(a.Flags), a.Names)
-		if err != nil {
-			return nil, err
-		}
+	wire.ProcDomainListInfo: withArgs(func(c *core.Connect, a wire.DomainListInfoArgs) (struct{ Domains []core.NamedDomainInfo }, error) {
 		// Core rows encode in the wire.DomainInfoRow layout (the field
 		// widths are pinned by TestDomainInfoRowMatchesCore), so bulk
 		// replies skip the per-row conversion copy.
-		return marshal(&struct{ Domains []core.NamedDomainInfo }{rows})
+		rows, err := core.ListDomainInfo(c.Driver(), core.ListFlags(a.Flags), a.Names)
+		return struct{ Domains []core.NamedDomainInfo }{rows}, err
 	}),
-	wire.ProcNodeInventory: noArgs(func(c *core.Connect) ([]byte, error) {
+	wire.ProcNodeInventory: func(p *RemoteProgram, c *Client, _, reply []byte) ([]byte, error) {
+		conn, err := p.conn(c)
+		if err != nil {
+			return nil, err
+		}
 		// The inventory is pooled across requests: a driver supporting
 		// BulkMonitorInto rebuilds the rows inside the retained slice,
 		// so steady-state monitoring traffic allocates almost nothing
 		// daemon-side. The payload is fully encoded before the Put.
 		inv := invPool.Get().(*core.NodeInventory)
 		defer invPool.Put(inv)
-		if err := core.CollectInventoryInto(c.Driver(), inv); err != nil {
+		if err := core.CollectInventoryInto(conn.Driver(), inv); err != nil {
 			return nil, err
 		}
-		return marshal(&struct {
+		return encode(reply, &struct {
 			Node    wire.NodeInfoReply
 			Domains []core.NamedDomainInfo
 		}{nodeInfoToWire(inv.Node), inv.Domains})
-	}),
+	},
 	wire.ProcEventSubscribe:   (*RemoteProgram).eventSubscribe,
 	wire.ProcEventUnsubscribe: (*RemoteProgram).eventUnsubscribe,
-	wire.ProcMigratePrepare: withSupport("inbound migration", func(ms core.MigrationSink, a *wire.MigratePrepareArgs) ([]byte, error) {
+	wire.ProcMigratePrepare: withSupport("inbound migration", func(ms core.MigrationSink, a wire.MigratePrepareArgs) (wire.MigratePrepareReply, error) {
 		cookie, err := ms.MigratePrepare(a.Domain, a.TotalPages, int(a.Streams))
-		if err != nil {
-			return nil, err
-		}
-		return marshal(&wire.MigratePrepareReply{Cookie: cookie})
+		return wire.MigratePrepareReply{Cookie: cookie}, err
 	}),
 	wire.ProcMigratePages:    migratePages(false),
 	wire.ProcMigratePagePull: migratePages(true),
-	wire.ProcMigrateFinish: withSupport("inbound migration", func(ms core.MigrationSink, a *wire.MigrateFinishArgs) ([]byte, error) {
-		return voidReply(ms.MigrateFinish(a.Cookie, a.Commit))
+	wire.ProcMigrateFinish: withSupport("inbound migration", func(ms core.MigrationSink, a wire.MigrateFinishArgs) (struct{}, error) {
+		return void(ms.MigrateFinish(a.Cookie, a.Commit))
 	}),
 }
 
 // connectOpen opens the server-side driver connection for a client. The
 // daemon strips the transport parts of the URI: the hypervisor driver
 // itself always runs locally to the daemon.
-func (p *RemoteProgram) connectOpen(c *Client, payload []byte) ([]byte, error) {
+func (p *RemoteProgram) connectOpen(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.ConnectOpenArgs
 	if err := rpc.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
@@ -406,7 +401,7 @@ func (p *RemoteProgram) connectOpen(c *Client, payload []byte) ([]byte, error) {
 	}
 	st.conn = conn
 	st.mu.Unlock()
-	return marshal(&struct{}{})
+	return reply, nil
 }
 
 // clientSink pushes watch frames onto the client's connection over the
@@ -427,7 +422,7 @@ func (s clientSink) SendEvent(ev *wire.WatchEvent) error {
 // eventSubscribe opens a watch stream: a bounded subscriber queue fed by
 // the driver's event bus and drained onto the connection as sequenced
 // ProcEventWatch frames.
-func (p *RemoteProgram) eventSubscribe(c *Client, payload []byte) ([]byte, error) {
+func (p *RemoteProgram) eventSubscribe(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.EventSubscribeArgs
 	if err := rpc.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
@@ -467,14 +462,14 @@ func (p *RemoteProgram) eventSubscribe(c *Client, payload []byte) ([]byte, error
 	}
 	st.watches[subID] = &watchSub{sub: sub, busID: busID}
 	st.mu.Unlock()
-	return marshal(&wire.EventSubscribeReply{
+	return encode(reply, &wire.EventSubscribeReply{
 		SubscriptionID: subID,
 		QueueDepth:     uint32(sub.Depth()),
 		CoalesceMs:     uint32(sub.Coalesce() / time.Millisecond),
 	})
 }
 
-func (p *RemoteProgram) eventUnsubscribe(c *Client, payload []byte) ([]byte, error) {
+func (p *RemoteProgram) eventUnsubscribe(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.EventUnsubscribeArgs
 	if err := rpc.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
@@ -497,7 +492,7 @@ func (p *RemoteProgram) eventUnsubscribe(c *Client, payload []byte) ([]byte, err
 		src.EventBus().Unsubscribe(ws.busID)
 	}
 	ws.sub.Close()
-	return marshal(&struct{}{})
+	return reply, nil
 }
 
 func (p *RemoteProgram) mechanisms() []string {
@@ -510,7 +505,7 @@ func (p *RemoteProgram) mechanisms() []string {
 }
 
 // saslStart validates a SIM-PLAIN exchange: data is "user\x00password".
-func (p *RemoteProgram) saslStart(c *Client, payload []byte) ([]byte, error) {
+func (p *RemoteProgram) saslStart(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.SASLStartArgs
 	if err := rpc.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
@@ -530,7 +525,7 @@ func (p *RemoteProgram) saslStart(c *Client, payload []byte) ([]byte, error) {
 		return nil, core.Errorf(core.ErrAuthFailed, "invalid credentials for %q", user)
 	}
 	c.setAuthenticated(user)
-	return marshal(&wire.SASLStartReply{Complete: true})
+	return encode(reply, &wire.SASLStartReply{Complete: true})
 }
 
 // nodeInfoToWire converts the core node summary to its wire form.
@@ -542,51 +537,32 @@ func nodeInfoToWire(ni core.NodeInfo) wire.NodeInfoReply {
 	}
 }
 
-func marshal(v interface{}) ([]byte, error) {
-	out, err := rpc.AppendMarshal(replyBufFor(v), v)
+// encode appends v's encoding to reply, or, when v is too big for a
+// recycled buffer, to the process's one jumbo spare.
+func encode(reply []byte, v interface{}) ([]byte, error) {
+	if n := rpc.MarshalSize(v); n > maxPooledReply {
+		reply = jumboReply.Take(n)
+	}
+	out, err := rpc.AppendMarshal(reply, v)
 	if err != nil {
-		putReplyBuf(out)
 		return nil, core.Errorf(core.ErrInternal, "marshal reply: %v", err)
 	}
 	return out, nil
 }
 
-func stringReply(s string, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return marshal(&wire.StringReply{Value: s})
+// str, names, meta and void build the reply shapes most procedures
+// share from a driver call's results.
+func str(s string, err error) (wire.StringReply, error) { return wire.StringReply{Value: s}, err }
+
+func names(n []string, err error) (wire.NameListReply, error) {
+	return wire.NameListReply{Names: n}, err
 }
 
-func namesReply(names []string, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return marshal(&wire.NameListReply{Names: names})
+func meta(m core.DomainMeta, err error) (wire.DomainMetaReply, error) {
+	return wire.DomainMetaReply{Meta: wire.DomainMeta{Name: m.Name, UUID: m.UUID, ID: int32(m.ID)}}, err
 }
 
-func boolReply(v bool, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return marshal(&wire.BoolReply{Value: v})
-}
-
-func voidReply(err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return marshal(&struct{}{})
-}
-
-func metaReply(meta core.DomainMeta, err error) ([]byte, error) {
-	if err != nil {
-		return nil, err
-	}
-	return marshal(&wire.DomainMetaReply{Meta: wire.DomainMeta{
-		Name: meta.Name, UUID: meta.UUID, ID: int32(meta.ID),
-	}})
-}
+func void(err error) (struct{}, error) { return struct{}{}, err }
 
 func badArgs(err error) error {
 	return core.Errorf(core.ErrInvalidArg, "decode arguments: %v", err)

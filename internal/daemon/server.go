@@ -20,16 +20,10 @@ import (
 	"repro/internal/watch"
 )
 
-// replyBufPool recycles reply payload buffers between a Program's
-// Dispatch and the post-write release in serveClient, so steady-state
-// replies reuse one buffer instead of allocating per call. It holds
-// buffers up to maxPooledReply only: a sync.Pool keeps what it is given
-// per processor and through two collections, which is right for a few
-// kilobytes and wrong for a bulk listing.
-var replyBufPool = sync.Pool{
-	New: func() interface{} { b := make([]byte, 0, 512); return &b },
-}
-
+// maxPooledReply caps the reply buffer a dispatch record keeps between
+// calls: a recycled record is kept per processor and through two
+// collections, which is right for a few kilobytes and wrong for a bulk
+// listing.
 const maxPooledReply = 64 << 10
 
 // jumboReply retains the process's one reply buffer above
@@ -40,39 +34,18 @@ const maxPooledReply = 64 << 10
 // of the two is kept.
 var jumboReply rpc.JumboSpare
 
-func getReplyBuf() []byte { return (*replyBufPool.Get().(*[]byte))[:0] }
-
-// replyBufFor returns the buffer to marshal v into, chosen by v's
-// encoded size.
-func replyBufFor(v interface{}) []byte {
-	if n := rpc.MarshalSize(v); n > maxPooledReply {
-		return jumboReply.Take(n)
-	}
-	return getReplyBuf()
-}
-
-func putReplyBuf(b []byte) {
-	switch {
-	case cap(b) == 0:
-	case cap(b) > maxPooledReply:
-		jumboReply.Put(b)
-	default:
-		jumboReply.Idle()
-		replyBufPool.Put(&b)
-	}
-}
-
 // Program dispatches the procedures of one protocol program.
 type Program interface {
 	// ID returns the program number.
 	ID() uint32
 	// Dispatch executes one procedure and returns the marshalled reply
-	// payload. Errors are transported to the client with their core code.
-	// The server owns the returned payload and recycles it once the
-	// reply is written (see putReplyBuf): implementations must return a
-	// buffer they neither retain nor share.
+	// payload, appended to reply (an empty buffer of the server's) or
+	// in a buffer of its own. Errors are transported to the client with
+	// their core code. The server owns the returned payload and reuses
+	// it once the reply is written: implementations must return a buffer
+	// they neither retain nor share.
 	// The server only passes procedure numbers that have a row in Procs.
-	Dispatch(c *Client, proc uint32, payload []byte) ([]byte, error)
+	Dispatch(c *Client, proc uint32, payload, reply []byte) ([]byte, error)
 	// Procs returns the program's procedure table, indexed by procedure
 	// number. The server's read loop takes everything it decides before
 	// dispatch from the row: whether the number exists at all, the name
@@ -564,90 +537,23 @@ func (s *Server) serveClient(c *Client) {
 			go s.Kill()
 			return
 		}
-		hdr := h
-		frame := f
-		st := s.dispatchStat(prog, h.Procedure)
-		var span *telemetry.Span
-		if st != nil {
-			span = s.tracer.Start(prog.name, row.Name, c.id, hdr.Serial)
+		rec := callPool.Get().(*call)
+		rec.s, rec.c, rec.prog, rec.hdr, rec.frame, rec.cqs = s, c, prog, h, f, cqs
+		if rec.st = s.dispatchStat(prog, h.Procedure); rec.st != nil {
+			rec.span = s.tracer.Start(prog.name, row.Name, c.id, h.Serial)
 		}
 		// The dispatch deadline starts now, so time spent queued counts
 		// against it — a wedged pool times calls out just like a wedged
 		// hypervisor. The replied flag guarantees exactly one reply per
 		// serial whichever side (timer or worker) finishes first.
-		var replied *atomic.Bool
-		var timer *time.Timer
+		rec.deadline = nil
 		if d := s.CallTimeout(); d > 0 {
-			replied = new(atomic.Bool)
-			flag, header := replied, hdr
-			timer = time.AfterFunc(d, func() {
-				if flag.CompareAndSwap(false, true) {
-					s.replyError(c, header, core.Errorf(core.ErrTimedOut,
-						"call %d exceeded %v dispatch deadline", header.Procedure, d))
+			rec.deadline = time.AfterFunc(d, func() {
+				if rec.replied.CompareAndSwap(false, true) {
+					s.replyError(c, h, core.Errorf(core.ErrTimedOut,
+						"call %d exceeded %v dispatch deadline", h.Procedure, d))
 				}
 			})
-		}
-		enqueued := time.Now()
-		// One closure serves both outcomes — run or shed — so the QoS
-		// path allocates exactly what the plain path always has: this
-		// closure, and nothing else.
-		job := func(shed bool, wait time.Duration) {
-			if cqs != nil {
-				cqs.MarkDequeued()
-			}
-			if shed {
-				frame.Release()
-				if timer != nil {
-					timer.Stop()
-				}
-				var serr error
-				if cqs != nil {
-					serr = cqs.RejectShed()
-					cqs.EndCall()
-				} else {
-					serr = core.Overloadedf(qos.ShedRetryHint, "queued call shed under overload")
-				}
-				if replied == nil || replied.CompareAndSwap(false, true) {
-					s.replyError(c, hdr, serr)
-				}
-				return
-			}
-			start := time.Now()
-			reply, err := prog.Dispatch(c, hdr.Procedure, frame.Payload)
-			frame.Release()
-			if cqs != nil {
-				cqs.EndCall()
-			}
-			if st != nil {
-				st.calls.Inc()
-				st.latency.Observe(time.Since(start))
-				if err != nil {
-					st.errors.Inc()
-				}
-				if span != nil {
-					span.QueueWait = start.Sub(enqueued)
-					span.Finish()
-				}
-			}
-			if timer != nil {
-				timer.Stop()
-			}
-			if replied != nil && !replied.CompareAndSwap(false, true) {
-				putReplyBuf(reply)
-				return // the deadline already answered this serial
-			}
-			if err != nil {
-				putReplyBuf(reply)
-				s.replyError(c, hdr, err)
-				return
-			}
-			out := hdr
-			out.Type = uint32(rpc.TypeReply)
-			out.Status = uint32(rpc.StatusOK)
-			if err := c.Send(out, reply); err != nil {
-				s.log.Warnf("daemon.server", "client %d: send reply: %v", c.id, err)
-			}
-			putReplyBuf(reply)
 		}
 		priority := row.Priority
 		shedPrio := int8(5)
@@ -661,20 +567,136 @@ func (s *Server) serveClient(c *Client) {
 			maxWait = cqs.MaxQueueWait()
 			cqs.MarkQueued()
 		}
-		if err := s.pool.SubmitQoS(job, priority, shedPrio, maxWait); err != nil {
-			frame.Release() // the job never ran
+		// From here on the record belongs to the pool: a worker may run
+		// and recycle it before SubmitQoS returns.
+		if err := s.pool.SubmitQoS(rec, priority, shedPrio, maxWait); err != nil {
+			f.Release() // the job never ran
 			if cqs != nil {
 				cqs.MarkDequeued()
 				cqs.EndCall()
 			}
-			if timer != nil {
-				timer.Stop()
-			}
-			if replied == nil || replied.CompareAndSwap(false, true) {
+			if rec.claim() {
 				s.replyError(c, h, core.Errorf(core.ErrInternal, "workerpool: %v", err))
+			}
+			rec.done()
+		}
+	}
+}
+
+// call is the dispatch record of one admitted request. The read loop
+// fills it, the workerpool queues it, and a worker runs it, replies and
+// recycles it. Everything a call carries from its frame to its reply
+// lives here, its trace span and reply buffer included, so once the pool
+// is warm a call costs the daemon no allocation of its own.
+type call struct {
+	s     *Server
+	c     *Client
+	prog  *program
+	hdr   rpc.Header
+	frame *rpc.Frame
+	cqs   *qos.ClientState // nil when admission control is off
+	st    *procStat        // nil when uninstrumented
+	span  telemetry.Span   // open while st is set
+
+	// deadline is the dispatch-deadline timer, nil without one or once
+	// stopped before it fired. A timer that fired races the worker for
+	// the call's one reply through replied, and may still hold the
+	// record when the worker is done, so such a record is left to the
+	// collector instead of recycled: replied is false in every record
+	// the pool hands out.
+	deadline *time.Timer
+	replied  atomic.Bool
+
+	reply []byte // reply buffer kept across calls, at most maxPooledReply
+}
+
+var callPool = sync.Pool{
+	New: func() interface{} { return &call{reply: make([]byte, 0, 512)} },
+}
+
+// RunQueued implements ShedJob: it dispatches the call and replies, or
+// answers a shed call with its rejection.
+func (r *call) RunQueued(shed bool, wait time.Duration) {
+	s, c := r.s, r.c
+	if r.cqs != nil {
+		r.cqs.MarkDequeued()
+	}
+	if shed {
+		r.frame.Release()
+		var serr error
+		if r.cqs != nil {
+			serr = r.cqs.RejectShed()
+			r.cqs.EndCall()
+		} else {
+			serr = core.Overloadedf(qos.ShedRetryHint, "queued call shed under overload")
+		}
+		if r.claim() {
+			s.replyError(c, r.hdr, serr)
+		}
+		r.done()
+		return
+	}
+	start := time.Now()
+	reply, err := r.prog.Dispatch(c, r.hdr.Procedure, r.frame.Payload, r.reply[:0])
+	r.frame.Release()
+	if r.cqs != nil {
+		r.cqs.EndCall()
+	}
+	if st := r.st; st != nil {
+		st.calls.Inc()
+		st.latency.Observe(time.Since(start))
+		if err != nil {
+			st.errors.Inc()
+		}
+		r.span.QueueWait = wait
+		r.span.Finish()
+	}
+	if r.claim() { // else the deadline already answered this serial
+		if err != nil {
+			s.replyError(c, r.hdr, err)
+		} else {
+			out := r.hdr
+			out.Type = uint32(rpc.TypeReply)
+			out.Status = uint32(rpc.StatusOK)
+			if err := c.Send(out, reply); err != nil {
+				s.log.Warnf("daemon.server", "client %d: send reply: %v", c.id, err)
 			}
 		}
 	}
+	// Keep the buffer Dispatch answered in for the next call; a jumbo
+	// one goes back to the process's one spare instead.
+	switch {
+	case cap(reply) > maxPooledReply:
+		jumboReply.Put(reply)
+	case cap(reply) > 0:
+		jumboReply.Idle()
+		r.reply = reply[:0]
+	}
+	r.done()
+}
+
+// claim reports whether this side owns the call's one reply: always
+// without a dispatch deadline, else when it beats the deadline's timer.
+func (r *call) claim() bool {
+	if r.deadline == nil {
+		return true
+	}
+	if r.deadline.Stop() {
+		r.deadline = nil // it will never fire, nor touch the record
+		return true
+	}
+	return r.replied.CompareAndSwap(false, true)
+}
+
+// done recycles the record, unless a fired deadline timer may still
+// hold it.
+func (r *call) done() {
+	if r.deadline != nil {
+		return
+	}
+	r.s, r.c, r.prog, r.frame, r.cqs, r.st = nil, nil, nil, nil, nil, nil
+	r.span = telemetry.Span{}
+	callPool.Put(r)
 }
 
 // qosAdmit applies the resolved class's checks to one decoded call, in
@@ -712,20 +734,19 @@ func (s *Server) replyError(c *Client, h rpc.Header, err error) {
 		// Round up so sub-millisecond hints survive the wire encoding.
 		retryMs = uint32((ra + time.Millisecond - 1) / time.Millisecond)
 	}
-	payload, merr := rpc.AppendMarshal(getReplyBuf(), &rpc.ErrorPayload{
-		Code:         uint32(core.CodeOf(err)),
-		Message:      err.Error(),
-		RetryAfterMs: retryMs,
-	})
-	if merr != nil {
-		putReplyBuf(payload)
-		s.log.Errorf("daemon.server", "marshal error payload: %v", merr)
-		return
+	// The code travels beside the message and clients put it back in
+	// front, so an API error sends its message alone.
+	msg := err.Error()
+	if ce, ok := err.(*core.Error); ok {
+		msg = ce.Message
 	}
-	if serr := c.Send(out, payload); serr != nil {
+	if serr := c.SendMarshal(out, &rpc.ErrorPayload{
+		Code:         uint32(core.CodeOf(err)),
+		Message:      msg,
+		RetryAfterMs: retryMs,
+	}); serr != nil {
 		s.log.Warnf("daemon.server", "client %d: send error reply: %v", c.id, serr)
 	}
-	putReplyBuf(payload)
 }
 
 func (s *Server) removeClient(c *Client) {

@@ -15,13 +15,16 @@ import (
 // Job is one unit of work for a workerpool.
 type Job func()
 
-// ShedJob is a QoS-managed job. The pool invokes it exactly once: with
-// shed=false to run the call normally, or shed=true when admission
+// ShedJob is a QoS-managed job. The pool invokes RunQueued exactly once:
+// with shed=false to run the call normally, or shed=true when admission
 // control evicted it — either at submit time to make room under the
 // shed watermark, or at dequeue when it out-waited its class's
 // max_queue_wait bound. Both ways it receives the time the call spent
-// queued.
-type ShedJob func(shed bool, wait time.Duration)
+// queued. It is an interface so that the daemon can queue its recycled
+// dispatch record itself, not a closure allocated around it.
+type ShedJob interface {
+	RunQueued(shed bool, wait time.Duration)
+}
 
 // queuedJob is a job with its enqueue time, so dequeuing can report how
 // long the job sat in the queue. Exactly one of job/sjob is set; a slot
@@ -204,7 +207,7 @@ func runQueued(qj queuedJob, priority bool, obs func(time.Duration, bool)) bool 
 	}
 	if qj.sjob != nil {
 		shed := qj.maxWait > 0 && wait > qj.maxWait
-		qj.sjob(shed, wait)
+		qj.sjob.RunQueued(shed, wait)
 		return shed
 	}
 	qj.job()
@@ -297,7 +300,7 @@ func (p *Workerpool) SubmitQoS(job ShedJob, priority bool, shedPrio int8, maxWai
 			if obs != nil {
 				obs(0, priority)
 			}
-			job(true, 0)
+			job.RunQueued(true, 0)
 			return nil
 		}
 	}
@@ -318,7 +321,7 @@ func (p *Workerpool) SubmitQoS(job ShedJob, priority bool, shedPrio int8, maxWai
 		if obs != nil {
 			obs(wait, false)
 		}
-		victim.sjob(true, wait)
+		victim.sjob.RunQueued(true, wait)
 	}
 	return nil
 }

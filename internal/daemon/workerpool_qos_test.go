@@ -7,6 +7,11 @@ import (
 	"time"
 )
 
+// shedFunc adapts a function to ShedJob.
+type shedFunc func(shed bool, wait time.Duration)
+
+func (f shedFunc) RunQueued(shed bool, wait time.Duration) { f(shed, wait) }
+
 // obsRecorder collects wait-observer callbacks for assertions.
 type obsRecorder struct {
 	mu    sync.Mutex
@@ -50,13 +55,13 @@ func TestQoSSubmitWatermarkEvictsLowestPriority(t *testing.T) {
 	var shedState [2]atomic.Int32 // 0 = not run, 1 = ran, 2 = shed
 	for i := 0; i < 2; i++ {
 		i := i
-		err := p.SubmitQoS(func(shed bool, wait time.Duration) {
+		err := p.SubmitQoS(shedFunc(func(shed bool, wait time.Duration) {
 			if shed {
 				shedState[i].Store(2)
 			} else {
 				shedState[i].Store(1)
 			}
-		}, false, 2, 0)
+		}), false, 2, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,10 +70,10 @@ func TestQoSSubmitWatermarkEvictsLowestPriority(t *testing.T) {
 	// immediately, on the submitter's goroutine.
 	var goldShed atomic.Bool
 	var goldRan atomic.Bool
-	err := p.SubmitQoS(func(shed bool, wait time.Duration) {
+	err := p.SubmitQoS(shedFunc(func(shed bool, wait time.Duration) {
 		goldShed.Store(shed)
 		goldRan.Store(true)
-	}, false, 8, 0)
+	}), false, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +110,15 @@ func TestQoSSubmitWatermarkShedsIncomingLowest(t *testing.T) {
 
 	// Queue holds one gold call; a bronze arrival over the watermark
 	// finds no lower-priority victim and is shed itself, synchronously.
-	if err := p.SubmitQoS(func(bool, time.Duration) {}, false, 8, 0); err != nil {
+	if err := p.SubmitQoS(shedFunc(func(bool, time.Duration) {}), false, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	var shed atomic.Bool
 	done := make(chan struct{})
-	err := p.SubmitQoS(func(s bool, wait time.Duration) {
+	err := p.SubmitQoS(shedFunc(func(s bool, wait time.Duration) {
 		shed.Store(s)
 		close(done)
-	}, false, 2, 0)
+	}), false, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +148,7 @@ func TestQoSSubmitPlainEntriesNeverEvicted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var shed atomic.Bool
-	err := p.SubmitQoS(func(s bool, wait time.Duration) { shed.Store(s) }, false, 9, 0)
+	err := p.SubmitQoS(shedFunc(func(s bool, wait time.Duration) { shed.Store(s) }), false, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,15 +170,15 @@ func TestQoSSubmitPriorityBypassesWatermark(t *testing.T) {
 	// submission must neither evict it nor be shed — a priority worker
 	// picks it up promptly.
 	var ordShed atomic.Bool
-	if err := p.SubmitQoS(func(s bool, wait time.Duration) { ordShed.Store(s) }, false, 2, 0); err != nil {
+	if err := p.SubmitQoS(shedFunc(func(s bool, wait time.Duration) { ordShed.Store(s) }), false, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	var ctrlShed atomic.Bool
 	ran := make(chan struct{})
-	err := p.SubmitQoS(func(s bool, wait time.Duration) {
+	err := p.SubmitQoS(shedFunc(func(s bool, wait time.Duration) {
 		ctrlShed.Store(s)
 		close(ran)
-	}, true, 9, 0)
+	}), true, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +211,11 @@ func TestQoSDeadlineShedOnDequeueObservesWait(t *testing.T) {
 	var shed atomic.Bool
 	var shedWait atomic.Int64
 	done := make(chan struct{})
-	err := p.SubmitQoS(func(s bool, wait time.Duration) {
+	err := p.SubmitQoS(shedFunc(func(s bool, wait time.Duration) {
 		shed.Store(s)
 		shedWait.Store(int64(wait))
 		close(done)
-	}, false, 5, 5*time.Millisecond)
+	}), false, 5, 5*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,11 +249,11 @@ func TestQoSSubmitWithoutWatermarkBehavesLikeSubmit(t *testing.T) {
 	defer p.Shutdown()
 	var done atomic.Int64
 	for i := 0; i < 50; i++ {
-		err := p.SubmitQoS(func(shed bool, wait time.Duration) {
+		err := p.SubmitQoS(shedFunc(func(shed bool, wait time.Duration) {
 			if !shed {
 				done.Add(1)
 			}
-		}, false, 5, 0)
+		}), false, 5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

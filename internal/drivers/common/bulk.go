@@ -45,7 +45,7 @@ func (b *Base) DomainListInfo(flags core.ListFlags, names []string) ([]core.Name
 // capacity) and returns the filled slice; DomainListInfo passes nil,
 // NodeInventoryInto passes the retained inventory's rows.
 func (b *Base) domainListInfo(flags core.ListFlags, names []string, dst []core.NamedDomainInfo) ([]core.NamedDomainInfo, error) {
-	if err := b.beginOp("bulkinfo"); err != nil {
+	if err := b.beginOp("driver.op.bulkinfo"); err != nil {
 		return nil, err
 	}
 	if flags == 0 {

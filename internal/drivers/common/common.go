@@ -244,7 +244,7 @@ func (b *Base) LookupDomainByUUID(uuidStr string) (core.DomainMeta, error) {
 
 // DefineDomain implements core.DriverConn.
 func (b *Base) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
-	if err := b.beginOp("define"); err != nil {
+	if err := b.beginOp("driver.op.define"); err != nil {
 		return core.DomainMeta{}, err
 	}
 	def, err := xmlspec.ParseDomain([]byte(xmlDesc))
@@ -307,7 +307,7 @@ func (b *Base) persistDomain(def *xmlspec.Domain) error {
 
 // UndefineDomain implements core.DriverConn.
 func (b *Base) UndefineDomain(name string) error {
-	if err := b.beginOp("undefine"); err != nil {
+	if err := b.beginOp("driver.op.undefine"); err != nil {
 		return err
 	}
 	b.mu.Lock()
@@ -338,7 +338,7 @@ func (b *Base) UndefineDomain(name string) error {
 
 // CreateDomain implements core.DriverConn: start a defined domain.
 func (b *Base) CreateDomain(name string) error {
-	if err := b.beginOp("create"); err != nil {
+	if err := b.beginOp("driver.op.create"); err != nil {
 		return err
 	}
 	b.mu.Lock()
@@ -454,7 +454,7 @@ func (b *Base) stop(name string, graceful bool) error {
 
 // DestroyDomain implements core.DriverConn.
 func (b *Base) DestroyDomain(name string) error {
-	if err := b.beginOp("destroy"); err != nil {
+	if err := b.beginOp("driver.op.destroy"); err != nil {
 		return err
 	}
 	return b.stop(name, false)
@@ -462,7 +462,7 @@ func (b *Base) DestroyDomain(name string) error {
 
 // ShutdownDomain implements core.DriverConn.
 func (b *Base) ShutdownDomain(name string) error {
-	if err := b.beginOp("shutdown"); err != nil {
+	if err := b.beginOp("driver.op.shutdown"); err != nil {
 		return err
 	}
 	return b.stop(name, true)
@@ -470,7 +470,7 @@ func (b *Base) ShutdownDomain(name string) error {
 
 // RebootDomain implements core.DriverConn.
 func (b *Base) RebootDomain(name string) error {
-	if err := b.beginOp("reboot"); err != nil {
+	if err := b.beginOp("driver.op.reboot"); err != nil {
 		return err
 	}
 	r, err := b.activeRecord(name)
@@ -486,7 +486,7 @@ func (b *Base) RebootDomain(name string) error {
 
 // SuspendDomain implements core.DriverConn.
 func (b *Base) SuspendDomain(name string) error {
-	if err := b.beginOp("suspend"); err != nil {
+	if err := b.beginOp("driver.op.suspend"); err != nil {
 		return err
 	}
 	r, err := b.activeRecord(name)
@@ -502,7 +502,7 @@ func (b *Base) SuspendDomain(name string) error {
 
 // ResumeDomain implements core.DriverConn.
 func (b *Base) ResumeDomain(name string) error {
-	if err := b.beginOp("resume"); err != nil {
+	if err := b.beginOp("driver.op.resume"); err != nil {
 		return err
 	}
 	r, err := b.activeRecord(name)
@@ -531,7 +531,7 @@ func (b *Base) activeRecord(name string) (*record, error) {
 
 // DomainInfo implements core.DriverConn.
 func (b *Base) DomainInfo(name string) (core.DomainInfo, error) {
-	if err := b.beginOp("info"); err != nil {
+	if err := b.beginOp("driver.op.info"); err != nil {
 		return core.DomainInfo{}, err
 	}
 	b.mu.Lock()
@@ -584,7 +584,7 @@ func (b *Base) inactiveInfo(r *record) core.DomainInfo {
 
 // DomainStats implements core.DriverConn.
 func (b *Base) DomainStats(name string) (core.DomainStats, error) {
-	if err := b.beginOp("stats"); err != nil {
+	if err := b.beginOp("driver.op.stats"); err != nil {
 		return core.DomainStats{}, err
 	}
 	b.mu.Lock()
@@ -607,7 +607,7 @@ func (b *Base) DomainStats(name string) (core.DomainStats, error) {
 
 // DomainXML implements core.DriverConn.
 func (b *Base) DomainXML(name string) (string, error) {
-	if err := b.beginOp("getxml"); err != nil {
+	if err := b.beginOp("driver.op.getxml"); err != nil {
 		return "", err
 	}
 	b.mu.Lock()
@@ -625,7 +625,7 @@ func (b *Base) DomainXML(name string) (string, error) {
 
 // SetDomainMemory implements core.DriverConn.
 func (b *Base) SetDomainMemory(name string, kib uint64) error {
-	if err := b.beginOp("setmemory"); err != nil {
+	if err := b.beginOp("driver.op.setmemory"); err != nil {
 		return err
 	}
 	if _, err := b.activeRecord(name); err != nil {
@@ -639,7 +639,7 @@ func (b *Base) SetDomainMemory(name string, kib uint64) error {
 
 // SetDomainVCPUs implements core.DriverConn.
 func (b *Base) SetDomainVCPUs(name string, n int) error {
-	if err := b.beginOp("setvcpus"); err != nil {
+	if err := b.beginOp("driver.op.setvcpus"); err != nil {
 		return err
 	}
 	if _, err := b.activeRecord(name); err != nil {

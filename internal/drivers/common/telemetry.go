@@ -2,6 +2,7 @@ package common
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faultpoint"
@@ -22,18 +23,19 @@ func (b *Base) countOp(op string) {
 	actual.(*telemetry.Counter).Inc()
 }
 
-// beginOp counts the operation and evaluates the "driver.op.<op>"
-// faultpoint: an armed error spec fails the operation before it touches
-// any state (delay specs sleep inside Eval). Disarmed — always, outside
-// chaos runs — this is countOp plus one atomic load.
-func (b *Base) beginOp(op string) error {
-	b.countOp(op)
-	if spec, ok := faultpoint.Default.Eval("driver.op." + op); ok {
+// beginOp counts the operation and evaluates its faultpoint, named in
+// full by the caller ("driver.op.<op>") so that no call builds the name:
+// an armed error spec fails the operation before it touches any state
+// (delay specs sleep inside Eval). Disarmed — always, outside chaos runs
+// — this is countOp plus one atomic load.
+func (b *Base) beginOp(site string) error {
+	b.countOp(strings.TrimPrefix(site, "driver.op."))
+	if spec, ok := faultpoint.Default.Eval(site); ok {
 		if spec.Mode == faultpoint.ModeError {
 			if spec.Err != nil {
 				return spec.Err
 			}
-			return core.Errorf(core.ErrInternal, "injected fault at driver.op.%s", op)
+			return core.Errorf(core.ErrInternal, "injected fault at %s", site)
 		}
 	}
 	return nil

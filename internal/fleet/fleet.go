@@ -516,7 +516,7 @@ func (r *Registry) service(h *host) time.Time {
 			// host — keep it up and poll again after the server's hint.
 			return r.overloadDelay(h, err)
 		}
-		if core.IsRetryable(err) || core.IsCode(err, core.ErrConnectionClosed) {
+		if hostFailed(err) {
 			conn.Close() //nolint:errcheck
 			r.setDown(h, err)
 			// Reconnect immediately once: the daemon may have bounced.
@@ -719,6 +719,12 @@ func (r *Registry) markDown(name string, err error) {
 	}
 	r.pokeHost(h)
 	_ = err
+}
+
+// hostFailed reports whether the host failed, not the operation: err is
+// retryable, or the registry closed the connection on seeing the host die.
+func hostFailed(err error) bool {
+	return core.IsRetryable(err) || core.IsCode(err, core.ErrConnectionClosed)
 }
 
 // notePlacement folds a just-placed domain into the host's cached

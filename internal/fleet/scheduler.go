@@ -231,7 +231,7 @@ func (r *Registry) Schedule(xmlDesc string) (Placement, error) {
 		p.Attempts++
 		dom, err := r.placeOn(hostName, xmlDesc)
 		if err != nil {
-			if core.IsRetryable(err) {
+			if hostFailed(err) {
 				r.log.Warnf("fleet", "placement of %q on %s failed (%v), trying next host",
 					req.Name, hostName, err)
 				r.markDown(hostName, err)
@@ -270,7 +270,7 @@ func (r *Registry) placeOn(hostName, xmlDesc string) (*core.Domain, error) {
 		r.hookAfterDefine(hostName)
 	}
 	if err := dom.Create(); err != nil {
-		if !core.IsRetryable(err) {
+		if !hostFailed(err) {
 			_ = dom.Undefine() // best effort; the host is still healthy
 		}
 		return nil, err

@@ -121,7 +121,7 @@ func (r *Registry) serviceWatch(h *host, conn *core.Connect) time.Time {
 		h.mu.Unlock()
 		return r.overloadDelay(h, err)
 	}
-	if core.IsRetryable(err) || core.IsCode(err, core.ErrConnectionClosed) {
+	if hostFailed(err) {
 		conn.Close() //nolint:errcheck
 		r.setDown(h, err)
 		return r.now()

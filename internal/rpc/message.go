@@ -215,6 +215,7 @@ type Conn struct {
 	// rspare holds the buffer of the last jumbo frame read, between its
 	// Release and the next jumbo frame.
 	rspare JumboSpare
+	lenBuf [4]byte // the length word being read; guarded by rmu
 }
 
 // NewConn wraps a stream connection.
@@ -229,10 +230,38 @@ func (c *Conn) RemoteAddr() net.Addr { return c.c.RemoteAddr() }
 // LocalAddr returns the local address.
 func (c *Conn) LocalAddr() net.Addr { return c.c.LocalAddr() }
 
-// writeFrame sends one fully built frame under the write lock. A
-// non-empty tail is the rest of the frame, written behind buf under the
-// same hold of the lock.
-func (c *Conn) writeFrame(buf, tail []byte) error {
+// send finishes a frame built in f's pooled buffer: buf holds the
+// length word, the header and the payload, or, for a jumbo payload,
+// only the first two, with tail the payload written behind them under
+// the same hold of the write lock. The "rpc.send" faultpoint can drop
+// the frame (reported as sent — the bytes just never leave, as on a
+// lossy network), corrupt its payload, or fail the write outright. f is
+// released either way.
+func (c *Conn) send(f *Frame, buf, tail []byte) error {
+	f.buf = buf
+	defer f.Release()
+	if total := len(buf) + len(tail); total > MaxMessageLen {
+		return fmt.Errorf("rpc: message of %d exceeds limit", total)
+	}
+	if spec, ok := faultpoint.Default.Eval("rpc.send"); ok {
+		switch spec.Mode {
+		case faultpoint.ModeDrop:
+			faultsDropped.Inc()
+			return nil
+		case faultpoint.ModeCorrupt:
+			if len(tail) > 0 {
+				tail = corruptCopy(tail) // the caller's; never flipped in place
+			} else {
+				corruptInPlace(buf[frameOverhead:])
+			}
+			faultsCorrupted.Inc()
+		case faultpoint.ModeError:
+			if spec.Err != nil {
+				return spec.Err
+			}
+			return fmt.Errorf("rpc: injected send fault")
+		}
+	}
 	c.wmu.Lock()
 	n, err := c.c.Write(buf)
 	if err == nil && len(tail) > 0 {
@@ -264,29 +293,9 @@ func putFrameHeader(buf []byte, total uint32, h Header) {
 // WriteMessage frames and sends one message. The frame is assembled in
 // a pooled buffer, so the steady-state write path allocates nothing; a
 // jumbo payload is not copied behind its header but sent after it.
-// The "rpc.send" faultpoint can drop the frame (reported as sent — the
-// bytes just never leave, as on a lossy network), corrupt its payload,
-// or fail the write outright.
+// Faults are injected as described at send.
 func (c *Conn) WriteMessage(h Header, payload []byte) error {
-	if spec, ok := faultpoint.Default.Eval("rpc.send"); ok {
-		switch spec.Mode {
-		case faultpoint.ModeDrop:
-			faultsDropped.Inc()
-			return nil
-		case faultpoint.ModeCorrupt:
-			payload = corruptCopy(payload)
-			faultsCorrupted.Inc()
-		case faultpoint.ModeError:
-			if spec.Err != nil {
-				return spec.Err
-			}
-			return fmt.Errorf("rpc: injected send fault")
-		}
-	}
 	total := frameOverhead + len(payload)
-	if total > MaxMessageLen {
-		return fmt.Errorf("rpc: message of %d exceeds limit", total)
-	}
 	f := getFrame()
 	var buf, tail []byte
 	if total > maxPooledFrame {
@@ -297,61 +306,30 @@ func (c *Conn) WriteMessage(h Header, payload []byte) error {
 		buf = append(grow(f.buf, total)[:frameOverhead], payload...)
 	}
 	putFrameHeader(buf, uint32(total), h)
-	err := c.writeFrame(buf, tail)
-	f.buf = buf
-	f.Release()
-	return err
+	return c.send(f, buf, tail)
 }
 
 // WriteMarshal XDR-encodes args directly into the pooled frame buffer
 // behind the header and sends the result: one buffer, zero payload
 // copies, no per-call allocation. A nil args sends an empty payload.
 // Encoding failures return a *codecError; everything else is a
-// transport-level error. Fault injection semantics match WriteMessage,
-// with the "rpc.send" faultpoint evaluated once the frame is built (a
-// marshalling bug is reported even on a dropped frame).
+// transport-level error. Faults are injected as described at send, once
+// the frame is built (a marshalling bug is reported even on a dropped
+// frame).
 func (c *Conn) WriteMarshal(h Header, args interface{}) error {
 	f := getFrame()
 	buf := grow(f.buf, 256)[:frameOverhead]
 	if args != nil {
-		var err error
-		buf, err = AppendMarshal(buf, args)
+		out, err := AppendMarshal(buf, args)
 		if err != nil {
 			f.buf = buf
 			f.Release()
 			return &codecError{err}
 		}
+		buf = out
 	}
-	total := len(buf)
-	if total > MaxMessageLen {
-		f.buf = buf
-		f.Release()
-		return fmt.Errorf("rpc: message of %d exceeds limit", total)
-	}
-	putFrameHeader(buf, uint32(total), h)
-	if spec, ok := faultpoint.Default.Eval("rpc.send"); ok {
-		switch spec.Mode {
-		case faultpoint.ModeDrop:
-			faultsDropped.Inc()
-			f.buf = buf
-			f.Release()
-			return nil
-		case faultpoint.ModeCorrupt:
-			corruptInPlace(buf[frameOverhead:])
-			faultsCorrupted.Inc()
-		case faultpoint.ModeError:
-			f.buf = buf
-			f.Release()
-			if spec.Err != nil {
-				return spec.Err
-			}
-			return fmt.Errorf("rpc: injected send fault")
-		}
-	}
-	err := c.writeFrame(buf, nil)
-	f.buf = buf
-	f.Release()
-	return err
+	putFrameHeader(buf, uint32(len(buf)), h)
+	return c.send(f, buf, nil)
 }
 
 // ReadFrame receives one framed message into a pooled buffer, or, for a
@@ -366,12 +344,11 @@ func (c *Conn) ReadFrame() (*Frame, error) {
 	defer c.rmu.Unlock()
 	f := getFrame()
 	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(c.c, lenBuf[:]); err != nil {
+		if _, err := io.ReadFull(c.c, c.lenBuf[:]); err != nil {
 			f.discard()
 			return nil, err
 		}
-		total := binary.BigEndian.Uint32(lenBuf[:])
+		total := binary.BigEndian.Uint32(c.lenBuf[:])
 		if total < frameOverhead || total > MaxMessageLen {
 			f.discard()
 			return nil, fmt.Errorf("rpc: invalid message length %d", total)

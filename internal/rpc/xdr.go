@@ -54,25 +54,37 @@ func AppendMarshal(buf []byte, v interface{}) ([]byte, error) {
 		return nil, &NoPlanError{Reason: "nil value"}
 	}
 	t := reflect.TypeOf(v)
-	ptr := t.Kind() == reflect.Ptr && t.Elem().Kind() == reflect.Struct
-	if ptr {
-		t = t.Elem()
+	if t.Kind() != reflect.Ptr || t.Elem().Kind() != reflect.Struct {
+		return appendValue(buf, v)
 	}
-	p, err := planFor(t)
+	p, err := planFor(t.Elem())
 	if err != nil {
 		return nil, err
 	}
 	rv := reflect.ValueOf(v)
-	if !ptr {
-		// A bare struct value inside an interface is not addressable;
-		// copy it once to get a stable base pointer.
-		cp := reflect.New(t)
-		cp.Elem().Set(rv)
-		rv = cp
-	} else if rv.IsNil() {
+	if rv.IsNil() {
 		return nil, fmt.Errorf("xdr: cannot encode nil pointer")
 	}
+	// v does not escape: a caller's reply or argument struct may live on
+	// its stack.
 	return appendPlanned(buf, p, rv.UnsafePointer())
+}
+
+// appendValue encodes a bare struct value. An interface holds a struct
+// that has a plan indirectly (only single-pointer structs are stored in
+// the data word, and pointers have no plan), so the data word is the
+// base, read in place without copying v.
+func appendValue(buf []byte, v interface{}) ([]byte, error) {
+	p, err := planFor(reflect.TypeOf(v))
+	if err != nil {
+		return nil, err
+	}
+	return appendPlanned(buf, p, (*eface)(unsafe.Pointer(&v)).data)
+}
+
+// eface is the runtime layout of an empty interface.
+type eface struct {
+	typ, data unsafe.Pointer
 }
 
 // MarshalSize returns the exact number of bytes AppendMarshal appends

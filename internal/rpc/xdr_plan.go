@@ -482,17 +482,17 @@ func decodePlan(buf []byte, pos int, ops []planOp, base unsafe.Pointer, a *byteA
 			// so a steady-state poller pays no per-sweep allocation.
 			// The caller opts in by passing a retained value; fresh
 			// destinations are zero and always take the MakeSlice path.
-			var eb unsafe.Pointer
-			if sh := (*sliceHeader)(p); n > 0 && sh.data != nil && sh.cap >= n {
-				sh.len = n
-				eb = sh.data
+			// The new header is stored through sliceHeader, whose data
+			// field is a pointer the collector's write barrier sees, so
+			// the destination never has to be boxed in a reflect.Value
+			// and may sit on the caller's stack.
+			sh := (*sliceHeader)(p)
+			if n == 0 || sh.data == nil || sh.cap < n {
+				*sh = sliceHeader{data: reflect.MakeSlice(op.typ, n, n).UnsafePointer(), len: n, cap: n}
 			} else {
-				sv := reflect.MakeSlice(op.typ, n, n)
-				if n > 0 {
-					eb = sv.Index(0).Addr().UnsafePointer()
-				}
-				reflect.NewAt(op.typ, p).Elem().Set(sv)
+				sh.len = n
 			}
+			eb := sh.data
 			var err error
 			for j := 0; j < n; j++ {
 				pos, err = decodePlan(buf, pos, op.elem.ops, unsafe.Add(eb, uintptr(j)*op.elemSize), a)

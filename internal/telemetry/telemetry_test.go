@@ -219,9 +219,10 @@ func TestTracerThresholdAndNil(t *testing.T) {
 	if tr.Threshold() != 0 {
 		t.Fatalf("threshold %v", tr.Threshold())
 	}
-	// Nil tracer and nil span are inert.
+	// A nil tracer opens a zero span, and a zero span is inert.
 	var nilTracer *Tracer
-	nilTracer.Start("x", "y", 0, 0).Finish()
+	sp = nilTracer.Start("x", "y", 0, 0)
+	sp.Finish()
 	if nilTracer.SlowCalls() != nil {
 		t.Fatal("nil tracer returned calls")
 	}

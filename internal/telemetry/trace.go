@@ -19,9 +19,11 @@ type SlowCall struct {
 	Duration  time.Duration
 }
 
-// Span is one in-flight traced call. Fill QueueWait before Finish;
-// Finish computes the duration and hands the span to the tracer. A nil
-// span is inert, so callers can trace unconditionally.
+// Span is one in-flight traced call, a value the caller keeps (the
+// daemon keeps it in the call's dispatch record), so tracing a call
+// allocates nothing. Fill QueueWait before Finish; Finish computes the
+// duration and hands the span to the tracer. A zero span is inert, so
+// callers can trace unconditionally.
 type Span struct {
 	tracer    *Tracer
 	Serial    uint32
@@ -36,7 +38,7 @@ type Span struct {
 // threshold the call is recorded in the slow ring and reported through
 // the OnSlow hook.
 func (s *Span) Finish() {
-	if s == nil || s.tracer == nil {
+	if s.tracer == nil {
 		return
 	}
 	s.tracer.finish(s, time.Since(s.Start))
@@ -89,13 +91,13 @@ func (t *Tracer) OnSlow(fn func(SlowCall)) {
 	t.onSlow.Store(fn)
 }
 
-// Start opens a span. Safe on a nil tracer, which returns a nil span.
-func (t *Tracer) Start(program, proc string, client uint64, serial uint32) *Span {
+// Start opens a span. Safe on a nil tracer, which returns a zero span.
+func (t *Tracer) Start(program, proc string, client uint64, serial uint32) Span {
 	if t == nil {
-		return nil
+		return Span{}
 	}
 	t.started.Add(1)
-	return &Span{
+	return Span{
 		tracer:  t,
 		Serial:  serial,
 		Program: program,

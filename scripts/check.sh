@@ -32,11 +32,13 @@ go test ./internal/conf -run '^$' -fuzz FuzzParse -fuzztime 10s
 echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
 
-echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (350000 / 400) and lifecycle-churn (20000 / 450)"
-# Both counts repeat to under half a percent. monitor-sweep read 3.5 MB
+echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (350000 / 100), lifecycle-churn (12000 / 250) and rpc-small (64 / 2)"
+# The counts repeat to under half a percent. monitor-sweep read 3.5 MB
 # and 2,777 objects per cycle before its buffers were retained
 # (EXPERIMENTS.md T9); lifecycle-churn read 77 KB and 1,522 objects per
-# op while qsim answered DomainInfo with four monitor round trips (T1).
+# op while qsim answered DomainInfo with four monitor round trips (T1);
+# rpc-small read 366 B and 9.6 objects per call before the remote hop
+# recycled its dispatch records (T2b).
 count() { printf '%s\n' "$line" | sed -n "s/.*\"$1\":{\"unit\":\"[A-Za-z]*\",\"value\":\([0-9.e+]*\)}.*/\1/p"; }
 while read -r workload maxbytes maxallocs; do
 	line=$(go run ./bench --workload "$workload" --seed 1 --seconds 2 --trace 0 </dev/null | tail -n 1)
@@ -49,8 +51,9 @@ while read -r workload maxbytes maxallocs; do
 		exit 1
 	}
 done <<'ROWS'
-monitor-sweep 350000 400
-lifecycle-churn 20000 450
+monitor-sweep 350000 100
+lifecycle-churn 12000 250
+rpc-small 64 2
 ROWS
 
 echo "== bench smoke: every benchmark runs once (-benchtime=1x)"
