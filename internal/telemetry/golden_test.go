@@ -7,6 +7,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // goldenRegistry holds every shape the registry renderer has to get
@@ -78,5 +80,61 @@ func TestExpositionGoldenIdentity(t *testing.T) {
 		if !bytes.Contains(body[len(want):], []byte("\ngovirt_domain_info{")) {
 			t.Fatalf("scrape %d: domain families missing behind the registry render", i)
 		}
+	}
+}
+
+// goldenDomainSets holds the row shapes the domain renderer has to get
+// right: names needing every label-value escape, a uuid resolved, one
+// needing escapes and one unresolved, every state string, and two sets
+// tagged host="..." the way virtfleetx builds them, one of them with a
+// truncation count. A fresh copy per call: rendering fills in rows.
+func goldenDomainSets() []DomainRowSet {
+	return []DomainRowSet{
+		{
+			Extra:     Labels("host", "node-a"),
+			Truncated: 3,
+			Rows: []DomainRow{
+				{Name: `we"ird`, UUID: "6f1c2d3e-0000-4000-8000-000000000001", State: core.DomainRunning,
+					MemKiB: 1 << 19, MaxMemKiB: 1 << 20, VCPUs: 2, CPUTimeNs: 1_500_000_000, UptimeNs: 90_000_000_000},
+				{Name: `back\slash`, State: core.DomainShutoff, MaxMemKiB: 1 << 20, VCPUs: 1},
+				{Name: "new\nline", UUID: `u"2\`, State: core.DomainPaused,
+					MemKiB: 262144, MaxMemKiB: 262144, VCPUs: 4, CPUTimeNs: 1_000, UptimeNs: 1},
+			},
+		},
+		{
+			Extra: Labels("host", `n"1\`),
+			Rows: []DomainRow{
+				{Name: "plain", UUID: "uuid-3", State: core.DomainCrashed, CPUTimeNs: 18446744073709551615},
+				{Name: "", UUID: "uuid-4", State: core.DomainPMSuspended, MemKiB: 1, MaxMemKiB: 2, VCPUs: 1,
+					UptimeNs: 3_600_000_000_000},
+				{Name: "blocked", State: core.DomainBlocked},
+				{Name: "nostate", State: core.DomainNoState},
+				{Name: "stopping", State: core.DomainShutdown},
+			},
+		},
+	}
+}
+
+const domainGoldenFile = "testdata/domain_golden.prom"
+
+// TestDomainExpositionGolden pins AppendDomainExposition byte for byte
+// for every label allowlist, for the fleet's host-tagged sets and for a
+// collector's single untagged set. testdata/domain_golden.prom was
+// written by the renderer that escaped every label value per sample.
+func TestDomainExpositionGolden(t *testing.T) {
+	want, err := os.ReadFile(domainGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for _, labels := range []DomainLabelSet{{}, {UUID: true}, {State: true}, AllDomainLabels()} {
+		got = AppendDomainExposition(got, goldenDomainSets(), labels)
+		single := goldenDomainSets()[:1]
+		single[0].Extra, single[0].Truncated = "", 0
+		got = AppendDomainExposition(got, single, labels)
+	}
+	got = AppendDomainExposition(got, nil, AllDomainLabels())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("domain render differs from the golden capture:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 }
