@@ -31,6 +31,12 @@
 // it to when they do. No exported method hands out the bare slice.
 // BenchmarkT9_Scrape, TestScrapeAllocsRegression and
 // TestColdScrapeSteadyState gate this.
+//
+// Per domain it keeps one record — uuid, up-since time and the escaped
+// clause domain="…"[,uuid="…"], built when the domain is first listed
+// and again only when its uuid resolves — so a sweep costs one map
+// lookup per row and the render copies that clause into all seven
+// families. A sweep drops the records of domains it did not list.
 package telemetry
 
 import (
@@ -54,6 +60,10 @@ type DomainRow struct {
 	VCPUs     int
 	CPUTimeNs uint64
 	UptimeNs  uint64 // observed time in an up state; 0 when down
+
+	// ident is the escaped identity clause (see domainIdent), kept per
+	// domain by the collector, filled in by AppendDomainExposition.
+	ident string
 }
 
 // DomainRowSet groups one host's rows for rendering. Extra is a
@@ -187,9 +197,18 @@ type DomainCollector struct {
 	// sweeping flag, so it needs no lock of its own.
 	inv      core.NodeInventory
 	rows     []DomainRow
-	uuids    map[string]string
-	upSince  map[string]time.Time
+	known    map[string]*domainRecord // by domain name
+	gen      uint64                   // sweeps through buildRows
 	sizeHint int
+}
+
+// domainRecord is what the collector keeps about one domain from one
+// sweep to the next.
+type domainRecord struct {
+	uuid    string    // "" until resolved
+	ident   string    // the rows' identity clause, built for the collector's labels
+	upSince time.Time // zero while the domain is down
+	seen    uint64    // the gen of the last sweep that listed the domain
 }
 
 // NewDomainCollector builds a collector over an arbitrary source.
@@ -209,14 +228,13 @@ func NewDomainCollector(src DomainSource, cfg DomainCollectorConfig) (*DomainCol
 		now = time.Now
 	}
 	c := &DomainCollector{
-		src:     src,
-		labels:  labels,
-		extra:   cfg.Extra,
-		stale:   cfg.Staleness,
-		maxDom:  cfg.MaxDomains,
-		now:     now,
-		uuids:   make(map[string]string),
-		upSince: make(map[string]time.Time),
+		src:    src,
+		labels: labels,
+		extra:  cfg.Extra,
+		stale:  cfg.Staleness,
+		maxDom: cfg.MaxDomains,
+		now:    now,
+		known:  make(map[string]*domainRecord),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c, nil
@@ -351,67 +369,53 @@ func isUp(s core.DomainState) bool {
 	}
 }
 
-// buildRows converts the swept inventory into export rows, applying the
-// cardinality cap, the uuid cache and the observed-uptime bookkeeping.
-// Only the active sweeper runs here.
+// buildRows converts the swept inventory into export rows through the
+// cardinality cap and the per-domain records, and forgets the domains it
+// did not list. Only the active sweeper runs here.
 func (c *DomainCollector) buildRows(now time.Time) {
 	doms := c.inv.Domains
 	if c.maxDom > 0 && len(doms) > c.maxDom {
 		c.truncated.Add(uint64(len(doms) - c.maxDom))
 		doms = doms[:c.maxDom]
 	}
+	c.gen++
 	rows := c.rows[:0]
 	for _, nd := range doms {
+		rec := c.known[nd.Name]
+		if rec == nil {
+			rec = new(domainRecord)
+			c.known[nd.Name] = rec
+		}
+		rec.seen = c.gen
+		if c.labels.UUID && rec.uuid == "" {
+			if u, ok := c.src.DomainUUID(nd.Name); ok && u != "" {
+				rec.uuid, rec.ident = u, ""
+			}
+		}
+		if rec.ident == "" {
+			rec.ident = domainIdent(nd.Name, rec.uuid, c.labels.UUID)
+		}
 		row := DomainRow{
-			Name: nd.Name, State: nd.Info.State,
+			Name: nd.Name, UUID: rec.uuid, State: nd.Info.State,
 			MemKiB: nd.Info.MemKiB, MaxMemKiB: nd.Info.MaxMemKiB,
 			VCPUs: nd.Info.VCPUs, CPUTimeNs: nd.Info.CPUTimeNs,
+			ident: rec.ident,
 		}
-		if c.labels.UUID {
-			if u, ok := c.uuids[nd.Name]; ok {
-				row.UUID = u
-			} else if u, ok := c.src.DomainUUID(nd.Name); ok {
-				c.uuids[nd.Name] = u
-				row.UUID = u
-			}
-		}
-		if isUp(nd.Info.State) {
-			since, ok := c.upSince[nd.Name]
-			if !ok {
-				since = now
-				c.upSince[nd.Name] = since
-			}
-			if d := now.Sub(since); d > 0 {
-				row.UptimeNs = uint64(d)
-			}
-		} else {
-			delete(c.upSince, nd.Name)
+		if !isUp(nd.Info.State) {
+			rec.upSince = time.Time{}
+		} else if rec.upSince.IsZero() {
+			rec.upSince = now
+		} else if d := now.Sub(rec.upSince); d > 0 {
+			row.UptimeNs = uint64(d)
 		}
 		rows = append(rows, row)
 	}
 	c.rows = rows
-	c.pruneCaches()
-}
-
-// pruneCaches drops cache entries for vanished domains once the maps
-// grow well past the live row count, bounding memory on churny hosts.
-func (c *DomainCollector) pruneCaches() {
-	limit := 2*len(c.rows) + 16
-	if len(c.uuids) <= limit && len(c.upSince) <= limit {
-		return
-	}
-	live := make(map[string]bool, len(c.rows))
-	for i := range c.rows {
-		live[c.rows[i].Name] = true
-	}
-	for name := range c.uuids {
-		if !live[name] {
-			delete(c.uuids, name)
-		}
-	}
-	for name := range c.upSince {
-		if !live[name] {
-			delete(c.upSince, name)
+	if len(c.known) > len(rows) {
+		for name, rec := range c.known {
+			if rec.seen != c.gen {
+				delete(c.known, name)
+			}
 		}
 	}
 }

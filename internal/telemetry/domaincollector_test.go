@@ -288,6 +288,106 @@ func TestDomainCollectorUUIDCache(t *testing.T) {
 	}
 }
 
+// TestDomainCollectorUUIDResolvesLate: a uuid lookup that fails leaves
+// the label empty and is retried next sweep; once it answers, the
+// domain's series carry the uuid and the lookups stop.
+func TestDomainCollectorUUIDResolvesLate(t *testing.T) {
+	src := &fakeSource{rows: fakeRows(1)}
+	c, err := NewDomainCollector(src, DomainCollectorConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := scrape(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), `govirt_domain_vcpus{domain="vm00000",uuid=""} 2`) {
+		t.Fatalf("unresolved uuid label missing:\n%s", out)
+	}
+	src.uuids = map[string]string{"vm00000": "uuid-late"}
+	for i := 0; i < 2; i++ {
+		if out, err = scrape(c); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(out, []byte(`uuid=""`)) ||
+			!strings.Contains(string(out), `govirt_domain_vcpus{domain="vm00000",uuid="uuid-late"} 2`) {
+			t.Fatalf("sweep %d after the uuid resolved:\n%s", i+2, out)
+		}
+	}
+	if got := src.lookups.Load(); got != 2 {
+		t.Fatalf("uuid lookups = %d, want 2 (one failed, one answered)", got)
+	}
+}
+
+// TestDomainCollectorForgetsVanishedDomain: a domain that one sweep does
+// not list comes back as a new domain — zero uptime, its new uuid — not
+// with the record it left behind.
+func TestDomainCollectorForgetsVanishedDomain(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(3000, 0)}
+	src := &fakeSource{rows: fakeRows(1), uuids: map[string]string{"vm00000": "uuid-old"}}
+	c, err := NewDomainCollector(src, DomainCollectorConfig{Now: clk.Now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(rows []core.NamedDomainInfo) []byte {
+		t.Helper()
+		src.mu.Lock()
+		src.rows = rows
+		src.mu.Unlock()
+		out, err := scrape(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	sweep(fakeRows(1))
+	clk.Advance(time.Minute)
+	sweep(fakeRows(1))
+	if got := c.Rows()[0].UptimeNs; got != uint64(time.Minute) {
+		t.Fatalf("uptime before vanishing = %v, want 1m", time.Duration(got))
+	}
+	sweep(nil)
+	src.uuids = map[string]string{"vm00000": "uuid-new"}
+	clk.Advance(time.Minute)
+	out := sweep(fakeRows(1))
+	if r := c.Rows()[0]; r.UptimeNs != 0 || r.UUID != "uuid-new" {
+		t.Fatalf("returning domain: uptime %v, uuid %q; want 0 and uuid-new", time.Duration(r.UptimeNs), r.UUID)
+	}
+	if bytes.Contains(out, []byte("uuid-old")) ||
+		!strings.Contains(string(out), `govirt_domain_info{domain="vm00000",uuid="uuid-new",state="running"} 1`) {
+		t.Fatalf("returning domain rendered with its old identity:\n%s", out)
+	}
+}
+
+// TestDomainCollectorRendersLikeRows: the identity clause the collector
+// keeps per domain is, byte for byte, the one AppendDomainExposition
+// builds for a row that arrives without one, for every label allowlist,
+// with escapes in names and uuids, a host clause and a truncation count.
+func TestDomainCollectorRendersLikeRows(t *testing.T) {
+	rows := fakeRows(4)
+	rows[0].Name, rows[1].Name, rows[2].Name = `we"ird`, `back\slash`, "new\nline"
+	src := &fakeSource{rows: rows, uuids: map[string]string{`we"ird`: `u"1\`, `back\slash`: "uuid-2"}}
+	extra := Labels("host", `h"1`)
+	for _, list := range [][]string{nil, {"domain"}, {"uuid"}, {"state"}} {
+		c, err := NewDomainCollector(src, DomainCollectorConfig{Labels: list, Extra: extra, MaxDomains: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := scrape(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain := c.Rows()
+		for i := range plain {
+			plain[i].ident = ""
+		}
+		want := AppendDomainExposition(nil, []DomainRowSet{{Extra: extra, Rows: plain, Truncated: 1}}, c.labels)
+		if !bytes.HasPrefix(out, want) {
+			t.Fatalf("labels %v: collector render differs from the rows' render:\n--- got\n%s\n--- want\n%s", list, out, want)
+		}
+	}
+}
+
 // TestDomainCollectorUptime: observed uptime accumulates across sweeps
 // while up and resets when the domain goes down.
 func TestDomainCollectorUptime(t *testing.T) {

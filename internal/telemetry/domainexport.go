@@ -6,11 +6,7 @@
 // family-by-family, not host-by-host.
 package telemetry
 
-import (
-	"strconv"
-
-	"repro/internal/core"
-)
+import "strconv"
 
 // domainFamily describes one govirt_domain_* metric family.
 type domainFamily struct {
@@ -77,17 +73,28 @@ var domainFamilies = []domainFamily{
 // AppendDomainExposition renders every per-domain family for the given
 // row sets into dst and returns it. Each family is emitted exactly once
 // with its HELP/TYPE header followed by all sets' samples, so the output
-// is spec-compliant however many hosts are aggregated.
+// is spec-compliant however many hosts are aggregated. A row without its
+// identity clause gets it filled in, in place, for these labels, and
+// keeps it: render a row with one label set only.
 func AppendDomainExposition(dst []byte, sets []DomainRowSet, labels DomainLabelSet) []byte {
+	for si := range sets {
+		rows := sets[si].Rows
+		for ri := range rows {
+			if rows[ri].ident == "" {
+				rows[ri].ident = domainIdent(rows[ri].Name, rows[ri].UUID, labels.UUID)
+			}
+		}
+	}
 	for fi := range domainFamilies {
 		f := &domainFamilies[fi]
+		withState := f.stateLabel && labels.State
 		dst = appendFamilyHeader(dst, f.name, f.kind, f.help)
 		for si := range sets {
 			set := &sets[si]
 			for ri := range set.Rows {
 				r := &set.Rows[ri]
 				dst = append(dst, f.name...)
-				dst = appendDomainLabels(dst, r, labels, f.stateLabel, set.Extra)
+				dst = appendDomainLabels(dst, r, withState, set.Extra)
 				dst = append(dst, ' ')
 				dst = f.value(dst, r)
 				dst = append(dst, '\n')
@@ -123,18 +130,21 @@ func appendSetSample(dst []byte, name, extra string, v uint64) []byte {
 	return append(dst, '\n')
 }
 
-// appendDomainLabels writes the label clause for one row: domain always,
-// uuid/state per the allowlist, then the set's extra clause.
-func appendDomainLabels(dst []byte, r *DomainRow, labels DomainLabelSet, withState bool, extra string) []byte {
-	dst = append(dst, `{domain="`...)
-	dst = appendEscapedLabelValue(dst, r.Name)
-	dst = append(dst, '"')
-	if labels.UUID {
-		dst = append(dst, `,uuid="`...)
-		dst = appendEscapedLabelValue(dst, r.UUID)
-		dst = append(dst, '"')
+// domainIdent renders a row's identity clause: the escaped domain name
+// and, with the uuid label on, the escaped uuid.
+func domainIdent(name, uuid string, withUUID bool) string {
+	if withUUID {
+		return Labels("domain", name, "uuid", uuid)
 	}
-	if withState && labels.State {
+	return Labels("domain", name)
+}
+
+// appendDomainLabels writes the label clause for one row: its identity
+// clause as is, the state when asked for, then the set's extra clause.
+func appendDomainLabels(dst []byte, r *DomainRow, withState bool, extra string) []byte {
+	dst = append(dst, '{')
+	dst = append(dst, r.ident...)
+	if withState {
 		dst = append(dst, `,state="`...)
 		dst = appendEscapedLabelValue(dst, r.State.String())
 		dst = append(dst, '"')
@@ -171,19 +181,4 @@ func appendSeconds(dst []byte, ns uint64) []byte {
 	}
 	dst = append(dst, '.')
 	return append(dst, digits[:n]...)
-}
-
-// DomainRowsFromInventory converts raw sweep rows to export rows —
-// for callers aggregating inventories they already hold (virtfleetx)
-// rather than sweeping through a collector.
-func DomainRowsFromInventory(rows []core.NamedDomainInfo) []DomainRow {
-	out := make([]DomainRow, len(rows))
-	for i, nd := range rows {
-		out[i] = DomainRow{
-			Name: nd.Name, State: nd.Info.State,
-			MemKiB: nd.Info.MemKiB, MaxMemKiB: nd.Info.MaxMemKiB,
-			VCPUs: nd.Info.VCPUs, CPUTimeNs: nd.Info.CPUTimeNs,
-		}
-	}
-	return out
 }

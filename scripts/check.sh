@@ -32,7 +32,7 @@ go test ./internal/conf -run '^$' -fuzz FuzzParse -fuzztime 10s
 echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
 
-echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (350000 / 100), lifecycle-churn (12000 / 250) and rpc-small (64 / 2)"
+echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (32768 / 64), lifecycle-churn (12000 / 250) and rpc-small (64 / 2)"
 # The counts repeat to under half a percent. monitor-sweep read 3.5 MB
 # and 2,777 objects per cycle before its buffers were retained
 # (EXPERIMENTS.md T9); lifecycle-churn read 77 KB and 1,522 objects per
@@ -51,7 +51,7 @@ while read -r workload maxbytes maxallocs; do
 		exit 1
 	}
 done <<'ROWS'
-monitor-sweep 350000 100
+monitor-sweep 32768 64
 lifecycle-churn 12000 250
 rpc-small 64 2
 ROWS
