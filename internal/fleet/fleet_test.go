@@ -155,6 +155,11 @@ func TestFleetParseRequest(t *testing.T) {
 	if _, err := ParseRequest("<domain>"); !core.IsCode(err, core.ErrXML) {
 		t.Fatalf("bad XML error = %v", err)
 	}
+	// Well-formed but invalid: ParseDomain's validation is the only check.
+	invalid := "<domain type='test'><name>vm1</name><memory>1024</memory><vcpu>0</vcpu></domain>"
+	if _, err := ParseRequest(invalid); !core.IsCode(err, core.ErrXML) || !strings.Contains(err.Error(), "vcpu count") {
+		t.Fatalf("invalid definition error = %v", err)
+	}
 }
 
 func TestFleetPlanRebalanceSkew(t *testing.T) {

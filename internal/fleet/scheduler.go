@@ -26,9 +26,6 @@ func ParseRequest(xmlDesc string) (Request, error) {
 	if err != nil {
 		return Request{}, core.Errorf(core.ErrXML, "%v", err)
 	}
-	if err := def.Validate(); err != nil {
-		return Request{}, core.Errorf(core.ErrXML, "%v", err)
-	}
 	memKiB, err := def.Memory.KiB()
 	if err != nil {
 		return Request{}, core.Errorf(core.ErrXML, "%v", err)

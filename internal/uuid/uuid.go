@@ -42,11 +42,11 @@ func FromName(name string) UUID {
 }
 
 // Parse accepts the canonical 8-4-4-4-12 form, with or without braces,
-// and the bare 32-hex-digit form.
+// and the bare 32-hex-digit form, in any case. It decodes the digits
+// straight into the result and allocates only on error.
 func Parse(s string) (UUID, error) {
 	s = strings.TrimPrefix(strings.TrimSuffix(s, "}"), "{")
-	cleaned := strings.ReplaceAll(s, "-", "")
-	if len(cleaned) != 32 {
+	if len(s)-strings.Count(s, "-") != 32 {
 		return Nil, fmt.Errorf("uuid: invalid length in %q", s)
 	}
 	if len(s) == 36 {
@@ -59,12 +59,15 @@ func Parse(s string) (UUID, error) {
 	} else if len(s) != 32 {
 		return Nil, fmt.Errorf("uuid: invalid format %q", s)
 	}
-	raw, err := hex.DecodeString(cleaned)
-	if err != nil {
-		return Nil, fmt.Errorf("uuid: %q: %v", s, err)
-	}
 	var u UUID
-	copy(u[:], raw)
+	for i, n := 0, 0; n < len(u); n, i = n+1, i+2 {
+		if s[i] == '-' { // only ever before a pair, checked above
+			i++
+		}
+		if _, err := hex.Decode(u[n:n+1], []byte(s[i:i+2])); err != nil {
+			return Nil, fmt.Errorf("uuid: %q: %v", s, err)
+		}
+	}
 	return u, nil
 }
 

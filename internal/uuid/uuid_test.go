@@ -70,6 +70,37 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+func TestParseErrorMessages(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"short", `uuid: invalid length in "short"`},
+		{"12345678-1234-1234-1234-12345678901", `uuid: invalid length in "12345678-1234-1234-1234-12345678901"`},
+		{"12345678x1234-1234-1234-123456789012", `uuid: invalid length in "12345678x1234-1234-1234-123456789012"`},
+		{"1234567-81234-1234-1234-123456789012", `uuid: misplaced hyphen in "1234567-81234-1234-1234-123456789012"`},
+		{"12345678-12341234-1234-123456789012", `uuid: invalid format "12345678-12341234-1234-123456789012"`},
+		{"{zzzzzzzz-zzzz-zzzz-zzzz-zzzzzzzzzzzz}", `uuid: "zzzzzzzz-zzzz-zzzz-zzzz-zzzzzzzzzzzz": encoding/hex: invalid byte: U+007A 'z'`},
+		{"0123456789abcdef0123456789abcdeG", `uuid: "0123456789abcdef0123456789abcdeG": encoding/hex: invalid byte: U+0047 'G'`},
+	} {
+		if _, err := Parse(tc.in); err == nil || err.Error() != tc.want {
+			t.Errorf("Parse(%q) error = %v, want %s", tc.in, err, tc.want)
+		}
+	}
+}
+
+// TestParseAllocs pins that a successful parse decodes in place: the
+// define path parses every domain's UUID up to twice.
+func TestParseAllocs(t *testing.T) {
+	s := New().String()
+	for _, form := range []string{s, "{" + s + "}", strings.ReplaceAll(s, "-", ""), strings.ToUpper(s)} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(form); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Parse(%q) allocates %v times per call, want 0", form, n)
+		}
+	}
+}
+
 func TestStringFormat(t *testing.T) {
 	u := UUID{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
 	want := "00112233-4455-6677-8899-aabbccddeeff"

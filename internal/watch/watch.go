@@ -50,7 +50,8 @@ const (
 // Sink delivers one watch frame toward the subscriber's connection.
 // SendEvent runs on the subscriber's drainer goroutine; it may block on
 // the transport but must eventually return. A returned error is fatal
-// for the subscription (the connection is gone).
+// for the subscription (the connection is gone). ev is the drainer's
+// one reused frame: SendEvent must not keep it after it returns.
 type Sink interface {
 	SendEvent(ev *wire.WatchEvent) error
 }
@@ -316,14 +317,17 @@ func (s *Subscriber) run() {
 	defer timer.Stop()
 	var hb <-chan time.Time
 	hbLeft := 0
+	// One frame per drainer: every delivery, heartbeats included, reuses
+	// it, so an event costs no heap frame of its own.
+	var frame wire.WatchEvent
 	for {
 		sent := false
 		for {
-			ev, ok := s.dequeue()
-			if !ok {
+			var ok bool
+			if frame, ok = s.dequeue(); !ok {
 				break
 			}
-			if err := s.deliver(&ev); err != nil {
+			if err := s.deliver(&frame); err != nil {
 				s.Close()
 				return
 			}
@@ -349,7 +353,8 @@ func (s *Subscriber) run() {
 		case <-s.wake:
 		case <-hb:
 			hbLeft--
-			if frame, ok := s.heartbeatFrame(); ok {
+			if hbFrame, ok := s.heartbeatFrame(); ok {
+				frame = hbFrame
 				if err := s.deliver(&frame); err != nil {
 					s.Close()
 					return

@@ -169,6 +169,52 @@ func TestWatchHeartbeatTrailer(t *testing.T) {
 	}
 }
 
+// TestWatchDrainerReusesFrame pins the Sink contract: one subscriber
+// hands every delivery, heartbeats included, through the same frame, so
+// a sink that kept ev would see it overwritten.
+func TestWatchDrainerReusesFrame(t *testing.T) {
+	type delivery struct {
+		ptr *wire.WatchEvent
+		ev  wire.WatchEvent
+	}
+	got := make(chan delivery, 16)
+	s := New(Config{
+		ID: 5, Depth: 8, Coalesce: 0,
+		HeartbeatInterval: 10 * time.Millisecond,
+		HeartbeatCount:    1,
+		Sink: SinkFunc(func(ev *wire.WatchEvent) error {
+			got <- delivery{ev, *ev}
+			return nil
+		}),
+	})
+	defer s.Close()
+
+	const n = 4
+	for i := 0; i < n; i++ {
+		s.Enqueue(events.Event{Type: events.EventStarted, Domain: domainName(i)})
+	}
+	var first *wire.WatchEvent
+	for i := 0; i <= n; i++ { // n events, then the one heartbeat
+		var d delivery
+		select {
+		case d = <-got:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("timed out waiting for frame %d", i)
+		}
+		if want := uint64(min(i+1, n)); d.ev.Seq != want {
+			t.Fatalf("frame %d: seq = %d, want %d", i, d.ev.Seq, want)
+		}
+		if i == n && d.ev.Type != 0 {
+			t.Fatalf("frame %d: type = %d, want the heartbeat", i, d.ev.Type)
+		}
+		if first == nil {
+			first = d.ptr
+		} else if d.ptr != first {
+			t.Fatalf("frame %d delivered through %p, frame 0 through %p: the drainer allocated a new frame", i, d.ptr, first)
+		}
+	}
+}
+
 func TestWatchCloseDiscardsAndIgnores(t *testing.T) {
 	sink, _, _ := collectSink(1, true)
 	s := New(Config{ID: 1, Depth: 4, HeartbeatCount: 0, Sink: sink})

@@ -57,7 +57,7 @@ type Capabilities struct {
 // ParseCapabilities parses a capabilities document.
 func ParseCapabilities(data []byte) (*Capabilities, error) {
 	var c Capabilities
-	if err := xml.Unmarshal(data, &c); err != nil {
+	if err := decode(data, &c); err != nil {
 		return nil, fmt.Errorf("xmlspec: parse capabilities: %w", err)
 	}
 	return &c, nil

@@ -1,8 +1,6 @@
 package xmlspec
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
 	"io"
 )
@@ -28,34 +26,26 @@ func (d *Device) Kind() string {
 // ParseDevice parses a standalone device document — a single <disk> or
 // <interface> element, the payload of attach/detach operations.
 func ParseDevice(data []byte) (*Device, error) {
-	dec := xml.NewDecoder(bytes.NewReader(data))
-	var root xml.StartElement
-	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return nil, fmt.Errorf("xmlspec: device document is empty")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("xmlspec: parse device: %w", err)
-		}
-		if se, ok := tok.(xml.StartElement); ok {
-			root = se
-			break
-		}
+	d := decoder{data: data}
+	var root []byte
+	if err := try(func() { root = d.root() }); err == io.EOF {
+		return nil, fmt.Errorf("xmlspec: device document is empty")
+	} else if err != nil {
+		return nil, fmt.Errorf("xmlspec: parse device: %w", err)
 	}
-	switch root.Name.Local {
+	switch string(localName(root)) {
 	case "disk":
-		var d Disk
-		if err := dec.DecodeElement(&d, &root); err != nil {
+		var disk Disk
+		if err := try(func() { decodeRoot(&d, &disk, root) }); err != nil {
 			return nil, fmt.Errorf("xmlspec: parse disk: %w", err)
 		}
-		if err := validateDisk(&d, 0); err != nil {
+		if err := validateDisk(&disk, 0); err != nil {
 			return nil, err
 		}
-		return &Device{Disk: &d}, nil
+		return &Device{Disk: &disk}, nil
 	case "interface":
 		var nic Interface
-		if err := dec.DecodeElement(&nic, &root); err != nil {
+		if err := try(func() { decodeRoot(&d, &nic, root) }); err != nil {
 			return nil, fmt.Errorf("xmlspec: parse interface: %w", err)
 		}
 		if err := validateInterface(&nic, 0); err != nil {
@@ -63,7 +53,7 @@ func ParseDevice(data []byte) (*Device, error) {
 		}
 		return &Device{Interface: &nic}, nil
 	default:
-		return nil, fmt.Errorf("xmlspec: unsupported device element <%s>", root.Name.Local)
+		return nil, fmt.Errorf("xmlspec: unsupported device element <%s>", localName(root))
 	}
 }
 

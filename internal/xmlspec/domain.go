@@ -5,6 +5,12 @@
 // configuration. Parsing is strict enough to reject structurally invalid
 // documents while tolerating unknown elements, preserving the stable-API
 // property of the management layer.
+//
+// Documents are decoded by a plan compiled once per type from the
+// struct tags Marshal reads (decode.go), run by a strict pull scanner
+// (scan.go) that accepts exactly what encoding/xml accepts and decodes
+// the same values. encoding/xml renders definitions in Marshal and is
+// the reference the tests compare the decoder against.
 package xmlspec
 
 import (
@@ -167,7 +173,7 @@ type Domain struct {
 // ParseDomain parses and validates a domain definition document.
 func ParseDomain(data []byte) (*Domain, error) {
 	var d Domain
-	if err := xml.Unmarshal(data, &d); err != nil {
+	if err := decode(data, &d); err != nil {
 		return nil, fmt.Errorf("xmlspec: parse domain: %w", err)
 	}
 	if err := d.Validate(); err != nil {

@@ -59,7 +59,7 @@ type Network struct {
 // ParseNetwork parses and validates a network definition document.
 func ParseNetwork(data []byte) (*Network, error) {
 	var n Network
-	if err := xml.Unmarshal(data, &n); err != nil {
+	if err := decode(data, &n); err != nil {
 		return nil, fmt.Errorf("xmlspec: parse network: %w", err)
 	}
 	if err := n.Validate(); err != nil {

@@ -22,7 +22,7 @@ type DomainSnapshot struct {
 // ("<domainsnapshot/>") is valid: the driver generates a name.
 func ParseDomainSnapshot(data []byte) (*DomainSnapshot, error) {
 	var s DomainSnapshot
-	if err := xml.Unmarshal(data, &s); err != nil {
+	if err := decode(data, &s); err != nil {
 		return nil, fmt.Errorf("xmlspec: parse snapshot: %w", err)
 	}
 	if s.Name != "" && !validName(s.Name) {

@@ -49,7 +49,7 @@ var validPoolTypes = map[string]bool{"dir": true, "logical": true, "iscsi": true
 // ParseStoragePool parses and validates a pool definition document.
 func ParseStoragePool(data []byte) (*StoragePool, error) {
 	var p StoragePool
-	if err := xml.Unmarshal(data, &p); err != nil {
+	if err := decode(data, &p); err != nil {
 		return nil, fmt.Errorf("xmlspec: parse pool: %w", err)
 	}
 	if err := p.Validate(); err != nil {
@@ -121,7 +121,7 @@ var validVolFormats = map[string]bool{"raw": true, "qcow2": true, "vmdk": true}
 // ParseStorageVolume parses and validates a volume definition document.
 func ParseStorageVolume(data []byte) (*StorageVolume, error) {
 	var v StorageVolume
-	if err := xml.Unmarshal(data, &v); err != nil {
+	if err := decode(data, &v); err != nil {
 		return nil, fmt.Errorf("xmlspec: parse volume: %w", err)
 	}
 	if err := v.Validate(); err != nil {

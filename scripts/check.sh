@@ -26,17 +26,20 @@ go build ./...
 echo "== go test -race -shuffle=on ./..."
 go test -race -shuffle=on ./...
 
-echo "== fuzz: 10 s of FuzzParse over the config dialect (seeds: the three configs/*.conf)"
+echo "== fuzz: 10 s of FuzzParse over the config dialect (seeds: the three configs/*.conf), 10 s of the definition decoder against encoding/xml"
 go test ./internal/conf -run '^$' -fuzz FuzzParse -fuzztime 10s
+go test ./internal/xmlspec -run '^$' -fuzz FuzzDecodeMatchesEncodingXML -fuzztime 10s
 
 echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
 
-echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (32768 / 64), lifecycle-churn (12000 / 250) and rpc-small (64 / 2)"
+echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (32768 / 64), lifecycle-churn (8192 / 128) and rpc-small (64 / 2)"
 # The counts repeat to under half a percent. monitor-sweep read 3.5 MB
 # and 2,777 objects per cycle before its buffers were retained
 # (EXPERIMENTS.md T9); lifecycle-churn read 77 KB and 1,522 objects per
-# op while qsim answered DomainInfo with four monitor round trips (T1);
+# op while qsim answered DomainInfo with four monitor round trips (T1),
+# and 8.4 KB and 176 objects while definitions were decoded by
+# encoding/xml;
 # rpc-small read 366 B and 9.6 objects per call before the remote hop
 # recycled its dispatch records (T2b).
 count() { printf '%s\n' "$line" | sed -n "s/.*\"$1\":{\"unit\":\"[A-Za-z]*\",\"value\":\([0-9.e+]*\)}.*/\1/p"; }
@@ -52,7 +55,7 @@ while read -r workload maxbytes maxallocs; do
 	}
 done <<'ROWS'
 monitor-sweep 32768 64
-lifecycle-churn 12000 250
+lifecycle-churn 8192 128
 rpc-small 64 2
 ROWS
 
