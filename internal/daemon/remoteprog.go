@@ -131,7 +131,7 @@ func withArgs[A, R any](fn func(conn *core.Connect, args A) (R, error)) handler 
 			return nil, err
 		}
 		var args A
-		if err := rpc.Unmarshal(payload, &args); err != nil {
+		if err := c.conn.Unmarshal(payload, &args); err != nil {
 			return nil, badArgs(err)
 		}
 		r, err := fn(conn, args)
@@ -376,7 +376,7 @@ var handlers = []handler{
 // itself always runs locally to the daemon.
 func (p *RemoteProgram) connectOpen(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.ConnectOpenArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
+	if err := c.conn.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
 	}
 	u, err := uri.Parse(args.URI)
@@ -424,7 +424,7 @@ func (s clientSink) SendEvent(ev *wire.WatchEvent) error {
 // ProcEventWatch frames.
 func (p *RemoteProgram) eventSubscribe(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.EventSubscribeArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
+	if err := c.conn.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
 	}
 	conn, err := p.conn(c)
@@ -471,7 +471,7 @@ func (p *RemoteProgram) eventSubscribe(c *Client, payload, reply []byte) ([]byte
 
 func (p *RemoteProgram) eventUnsubscribe(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.EventUnsubscribeArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
+	if err := c.conn.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
 	}
 	conn, err := p.conn(c)
@@ -507,7 +507,7 @@ func (p *RemoteProgram) mechanisms() []string {
 // saslStart validates a SIM-PLAIN exchange: data is "user\x00password".
 func (p *RemoteProgram) saslStart(c *Client, payload, reply []byte) ([]byte, error) {
 	var args wire.SASLStartArgs
-	if err := rpc.Unmarshal(payload, &args); err != nil {
+	if err := c.conn.Unmarshal(payload, &args); err != nil {
 		return nil, badArgs(err)
 	}
 	if args.Mechanism != "SIM-PLAIN" {

@@ -8,10 +8,11 @@
 package common
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 
 	"repro/internal/core"
 	"repro/internal/events"
@@ -719,23 +720,33 @@ func DefToConfig(def *xmlspec.Domain) (hyper.Config, error) {
 }
 
 // applyWorkloadHints parses "cpu_util=0.5 dirty_pages_sec=2000 ..." from
-// the free-form description element.
+// the free-form description element; a value counts only if it parses whole.
 func applyWorkloadHints(cfg *hyper.Config, desc string) {
-	for _, field := range strings.Fields(desc) {
-		k, v, found := strings.Cut(field, "=")
-		if !found {
-			continue
+	for desc != "" {
+		end := strings.IndexFunc(desc, unicode.IsSpace)
+		if end < 0 {
+			end = len(desc)
 		}
+		k, v, _ := strings.Cut(desc[:end], "=")
+		desc = strings.TrimLeftFunc(desc[end:], unicode.IsSpace)
 		switch k {
 		case "cpu_util":
-			fmt.Sscanf(v, "%f", &cfg.CPUUtil) //nolint:errcheck
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				cfg.CPUUtil = f
+			}
 		case "dirty_pages_sec":
-			fmt.Sscanf(v, "%d", &cfg.DirtyPagesSec) //nolint:errcheck
+			setUint(&cfg.DirtyPagesSec, v)
 		case "block_iops":
-			fmt.Sscanf(v, "%d", &cfg.BlockIOPS) //nolint:errcheck
+			setUint(&cfg.BlockIOPS, v)
 		case "net_pps":
-			fmt.Sscanf(v, "%d", &cfg.NetPPS) //nolint:errcheck
+			setUint(&cfg.NetPPS, v)
 		}
+	}
+}
+
+func setUint(dst *uint64, v string) {
+	if n, err := strconv.ParseUint(v, 10, 64); err == nil {
+		*dst = n
 	}
 }
 

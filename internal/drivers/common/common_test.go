@@ -72,6 +72,25 @@ func TestApplyWorkloadHintsIgnoresMalformed(t *testing.T) {
 	if cfg.BlockIOPS != 0 || cfg.DirtyPagesSec != 0 {
 		t.Fatalf("malformed hints applied: %+v", cfg)
 	}
+	// A value with trailing garbage is malformed too, not read up to it.
+	var trailing hyper.Config
+	applyWorkloadHints(&trailing, "net_pps=10x cpu_util=0.5.1 block_iops=7")
+	if trailing.NetPPS != 0 || trailing.CPUUtil != 0 || trailing.BlockIOPS != 7 {
+		t.Fatalf("trailing garbage applied: %+v", trailing)
+	}
+}
+
+// TestApplyWorkloadHintsAllocs pins parsing a well-formed description
+// without allocating.
+func TestApplyWorkloadHintsAllocs(t *testing.T) {
+	var cfg hyper.Config
+	desc := "bench guest\tcpu_util=0.25 dirty_pages_sec=2000\nblock_iops=150 net_pps=10"
+	if got := testing.AllocsPerRun(100, func() { applyWorkloadHints(&cfg, desc) }); got != 0 {
+		t.Errorf("%.1f allocs per parse, want 0", got)
+	}
+	if cfg.CPUUtil != 0.25 || cfg.DirtyPagesSec != 2000 || cfg.BlockIOPS != 150 || cfg.NetPPS != 10 {
+		t.Fatalf("hints not applied: %+v", cfg)
+	}
 }
 
 func TestStateMapping(t *testing.T) {

@@ -302,7 +302,7 @@ func (c *Conn) handleEvent(proc uint32, payload []byte) {
 // a gap; a heartbeat confirming the last seen sequence is absorbed.
 func (c *Conn) handleWatchFrame(payload []byte) {
 	var ev wire.WatchEvent
-	if err := rpc.Unmarshal(payload, &ev); err != nil {
+	if err := c.client.Unmarshal(payload, &ev); err != nil {
 		return // corrupt frame; the sequence gap it leaves triggers a resync
 	}
 	c.wmu.Lock()

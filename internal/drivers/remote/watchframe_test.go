@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"net"
 	"testing"
 
 	"repro/internal/events"
@@ -8,17 +9,22 @@ import (
 	"repro/internal/wire"
 )
 
-// frameConn builds a client connection with one registered watch
-// stream and returns the delivery log the handler appends to.
+// frameRec is one delivery the watch handler saw.
 type frameRec struct {
 	ev  events.Event
 	gap bool
 }
 
+// watchFrameConn builds a client connection, its rpc client on an idle
+// pipe, with one registered watch stream and returns the delivery log
+// the handler appends to.
 func watchFrameConn(t *testing.T, subID int32) (*Conn, *[]frameRec) {
 	t.Helper()
 	var log []frameRec
-	c := &Conn{watches: map[int32]*watchSub{}}
+	a, b := net.Pipe()
+	client := rpc.NewClient(a, rpc.ProgramRemote, nil)
+	t.Cleanup(func() { client.Close(); b.Close() })
+	c := &Conn{client: client, watches: map[int32]*watchSub{}}
 	ws := &watchSub{conn: c, id: subID}
 	ws.handler = func(ev events.Event, gap bool) {
 		log = append(log, frameRec{ev, gap})

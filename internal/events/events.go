@@ -6,6 +6,7 @@ package events
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -63,10 +64,12 @@ type Bus struct {
 	mu     sync.Mutex
 	nextID int
 	seq    uint64
-	subs   map[int]*subscription
+	// subs is copied on write, so Emit may walk it outside the lock.
+	subs []*subscription
 }
 
 type subscription struct {
+	id     int
 	domain string // empty = all
 	types  map[Type]bool
 	cb     Callback
@@ -74,7 +77,7 @@ type subscription struct {
 
 // NewBus creates an empty bus.
 func NewBus() *Bus {
-	return &Bus{subs: make(map[int]*subscription)}
+	return &Bus{}
 }
 
 // Subscribe registers cb for events. domain filters to one domain name
@@ -94,15 +97,16 @@ func (b *Bus) Subscribe(domain string, types []Type, cb Callback) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.nextID++
-	b.subs[b.nextID] = s
-	return b.nextID
+	s.id = b.nextID
+	b.subs = append(slices.Clip(b.subs), s)
+	return s.id
 }
 
 // Unsubscribe removes a subscription; unknown ids are ignored.
 func (b *Bus) Unsubscribe(id int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	delete(b.subs, id)
+	b.subs = slices.DeleteFunc(slices.Clone(b.subs), func(s *subscription) bool { return s.id == id })
 }
 
 // SubscriberCount returns the number of live subscriptions.
@@ -119,19 +123,12 @@ func (b *Bus) Emit(ev Event) {
 	b.mu.Lock()
 	b.seq++
 	ev.Seq = b.seq
-	cbs := make([]Callback, 0, len(b.subs))
-	for _, s := range b.subs {
-		if s.domain != "" && s.domain != ev.Domain {
-			continue
-		}
-		if s.types != nil && !s.types[ev.Type] {
-			continue
-		}
-		cbs = append(cbs, s.cb)
-	}
+	subs := b.subs
 	b.mu.Unlock()
-	for _, cb := range cbs {
-		cb(ev)
+	for _, s := range subs {
+		if (s.domain == "" || s.domain == ev.Domain) && (s.types == nil || s.types[ev.Type]) {
+			s.cb(ev)
+		}
 	}
 }
 

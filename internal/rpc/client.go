@@ -393,7 +393,7 @@ func (c *Client) CallContext(ctx context.Context, procedure uint32, args interfa
 	replyChanPool.Put(ch)
 	if r.status == StatusError {
 		var ep ErrorPayload
-		err := Unmarshal(r.payload, &ep)
+		err := c.conn.Unmarshal(r.payload, &ep)
 		r.release()
 		if err != nil {
 			return fmt.Errorf("rpc: proc %d failed with undecodable error: %v", procedure, err)
@@ -402,7 +402,7 @@ func (c *Client) CallContext(ctx context.Context, procedure uint32, args interfa
 	}
 	var uerr error
 	if ret != nil {
-		uerr = Unmarshal(r.payload, ret)
+		uerr = c.conn.Unmarshal(r.payload, ret)
 	}
 	r.release()
 	if uerr != nil {
@@ -410,6 +410,9 @@ func (c *Client) CallContext(ctx context.Context, procedure uint32, args interfa
 	}
 	return nil
 }
+
+// Unmarshal decodes an event payload through the client's connection.
+func (c *Client) Unmarshal(data []byte, v interface{}) error { return c.conn.Unmarshal(data, v) }
 
 // RemoteError is a server-reported failure with its transported code.
 // RetryAfterMs carries the server's backoff hint on overload

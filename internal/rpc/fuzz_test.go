@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -38,18 +39,31 @@ func FuzzUnmarshalStats(f *testing.F) {
 }
 
 // FuzzRoundTrip checks that whatever the decoder accepts re-encodes to
-// an equivalent value (decode∘encode∘decode is stable).
+// an equivalent value (decode∘encode∘decode is stable), and that the
+// connection's recent-string table cannot be observed: each input is
+// also decoded twice through one Conn, which carries its table from
+// input to input, and must read exactly as package Unmarshal does.
 func FuzzRoundTrip(f *testing.F) {
 	type msg struct {
 		A uint32
 		S string
 		B []byte
+		N []string
 	}
-	seed, _ := Marshal(&msg{A: 7, S: "x", B: []byte{9}})
+	seed, _ := Marshal(&msg{A: 7, S: "x", B: []byte{9}, N: []string{"x", "vm01", "vm02"}})
 	f.Add(seed)
+	conn := new(Conn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var first msg
-		if err := Unmarshal(data, &first); err != nil {
+		err := Unmarshal(data, &first)
+		for i := 0; i < 2; i++ {
+			var viaConn msg
+			cerr := conn.Unmarshal(data, &viaConn)
+			if (cerr == nil) != (err == nil) || (err == nil && !reflect.DeepEqual(viaConn, first)) {
+				t.Fatalf("Conn.Unmarshal %+v (%v), Unmarshal %+v (%v)", viaConn, cerr, first, err)
+			}
+		}
+		if err != nil {
 			return
 		}
 		re, err := Marshal(&first)
@@ -60,7 +74,7 @@ func FuzzRoundTrip(f *testing.F) {
 		if err := Unmarshal(re, &second); err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}
-		if first.A != second.A || first.S != second.S || string(first.B) != string(second.B) {
+		if !reflect.DeepEqual(first, second) {
 			t.Fatalf("unstable round trip: %+v vs %+v", first, second)
 		}
 	})

@@ -216,7 +216,12 @@ type Conn struct {
 	// Release and the next jumbo frame.
 	rspare JumboSpare
 	lenBuf [4]byte // the length word being read; guarded by rmu
+	recent recentStrings
 }
+
+// Unmarshal is package Unmarshal for a payload that arrived on c, except
+// that a short string c decoded lately comes back shared, not copied.
+func (c *Conn) Unmarshal(data []byte, v interface{}) error { return unmarshal(data, v, &c.recent) }
 
 // NewConn wraps a stream connection.
 func NewConn(c net.Conn) *Conn { return &Conn{c: c} }

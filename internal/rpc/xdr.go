@@ -123,8 +123,10 @@ func appendPlanned(buf []byte, p *codecPlan, base unsafe.Pointer) ([]byte, error
 
 // Unmarshal decodes XDR bytes into v, which must be a non-nil pointer to
 // a struct, through the same compiled plans as Marshal. It errors on
-// truncated input and on trailing bytes.
-func Unmarshal(data []byte, v interface{}) error {
+// truncated input and on trailing bytes. A peer's bytes go to Conn.Unmarshal.
+func Unmarshal(data []byte, v interface{}) error { return unmarshal(data, v, nil) }
+
+func unmarshal(data []byte, v interface{}, recent *recentStrings) error {
 	if v == nil {
 		return &NoPlanError{Reason: "nil value"}
 	}
@@ -136,7 +138,7 @@ func Unmarshal(data []byte, v interface{}) error {
 	if err != nil {
 		return err
 	}
-	var a byteArena
+	a := byteArena{recent: recent}
 	pos, err := decodePlan(data, 0, p.ops, rv.UnsafePointer(), &a)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package rpc
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"sync"
@@ -373,24 +374,47 @@ func appendPlan(buf []byte, ops []planOp, base unsafe.Pointer) ([]byte, error) {
 // never exceeds the bytes remaining in the message, bounding retained
 // waste by the message size.
 type byteArena struct {
-	buf []byte
+	buf    []byte
+	recent *recentStrings // the decoding connection's, or nil
 }
 
-func (a *byteArena) alloc(n, remaining int) []byte {
+// dup copies b, which is not empty, into the arena.
+func (a *byteArena) dup(b []byte, remaining int) string {
 	const chunk = 1024
-	if n >= chunk/2 {
-		return make([]byte, n)
-	}
-	if cap(a.buf)-len(a.buf) < n {
-		c := chunk
-		if remaining < c {
-			c = remaining
+	if cap(a.buf)-len(a.buf) < len(b) {
+		if len(b) >= chunk/2 {
+			return string(b)
 		}
-		a.buf = make([]byte, 0, c)
+		a.buf = make([]byte, 0, min(chunk, remaining))
 	}
-	s := a.buf[len(a.buf) : len(a.buf)+n : len(a.buf)+n]
-	a.buf = a.buf[:len(a.buf)+n]
-	return s
+	a.buf = append(a.buf, b...)
+	return unsafe.String(&a.buf[len(a.buf)-len(b)], len(b))
+}
+
+// str returns b, which is not empty, as a string: an equal one from the
+// connection's recent table, else an arena copy that joins the table.
+func (a *byteArena) str(b []byte, remaining int) string {
+	t := a.recent
+	if t == nil || len(b) > 64 {
+		return a.dup(b, remaining)
+	}
+	set := &t.sets[crc32.ChecksumIEEE(b)%uint32(len(t.sets))]
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if set[0] != string(b) {
+		if set[1] != string(b) {
+			set[1] = a.dup(b, remaining)
+		}
+		set[0], set[1] = set[1], set[0]
+	}
+	return set[0]
+}
+
+// recentStrings holds the strings of up to 64 bytes a connection decoded
+// last, in sets of two picked by a fixed hash, most recent first.
+type recentStrings struct {
+	mu   sync.Mutex
+	sets [32][2]string
 }
 
 // decodePlan executes the decode ops into the struct at base, returning
@@ -458,9 +482,7 @@ func decodePlan(buf []byte, pos int, ops []planOp, base unsafe.Pointer, a *byteA
 					// (stable names across monitoring sweeps): keep the
 					// existing string, allocate nothing.
 				} else {
-					s := a.alloc(int(n), len(buf)-pos)
-					copy(s, buf[pos:])
-					*(*string)(p) = unsafe.String(&s[0], len(s))
+					*(*string)(p) = a.str(buf[pos:pos+int(n)], len(buf)-pos)
 				}
 			} else {
 				out := make([]byte, n)
