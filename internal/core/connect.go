@@ -60,11 +60,22 @@ func (c *Connect) conn() (DriverConn, error) {
 	return c.drv, nil
 }
 
+// do runs a driver operation that takes one string and returns only an
+// error (a domain, network or pool name, or an XML definition).
+func (c *Connect) do(op func(DriverConn, string) error, arg string) error {
+	d, err := c.conn()
+	if err != nil {
+		return err
+	}
+	return op(d, arg)
+}
+
 // URI returns the connection URI.
 func (c *Connect) URI() *uri.URI { return c.uri }
 
-// Driver exposes the underlying driver connection for subsystems that
-// need optional interfaces (migration, daemon dispatch).
+// Driver exposes the underlying driver connection to subsystems that
+// call it directly (migration, daemon dispatch, fleet and telemetry
+// sweeps).
 func (c *Connect) Driver() DriverConn { return c.drv }
 
 // Type returns the driver name.
@@ -113,35 +124,34 @@ func (c *Connect) NodeInfo() (NodeInfo, error) {
 }
 
 // DomainListInfo collects name+info rows for every domain matching
-// flags in one sweep — a single round trip on connections whose driver
-// implements BulkMonitor, a list + info loop otherwise.
+// flags in one driver call (one round trip over the remote driver).
 func (c *Connect) DomainListInfo(flags ListFlags) ([]NamedDomainInfo, error) {
 	d, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	return ListDomainInfo(d, flags, nil)
+	return d.DomainListInfo(flags, nil)
 }
 
 // NodeInventory returns a whole-host monitoring snapshot: the node
-// summary plus every domain's info, in one driver call when possible.
+// summary plus every domain's info, in one driver call.
 func (c *Connect) NodeInventory() (NodeInventory, error) {
-	d, err := c.conn()
-	if err != nil {
+	var inv NodeInventory
+	if err := c.NodeInventoryInto(&inv); err != nil {
 		return NodeInventory{}, err
 	}
-	return CollectInventory(d)
+	return inv, nil
 }
 
 // NodeInventoryInto refreshes *inv in place — the steady-state form of
 // NodeInventory for monitoring pollers, reusing the inventory's row
-// storage when the driver supports it.
+// storage.
 func (c *Connect) NodeInventoryInto(inv *NodeInventory) error {
 	d, err := c.conn()
 	if err != nil {
 		return err
 	}
-	return CollectInventoryInto(d, inv)
+	return d.NodeInventoryInto(inv)
 }
 
 // ListAllDomains enumerates domains matching flags (0 = all) as handles.
@@ -292,67 +302,25 @@ func (d *Domain) Connect() *Connect { return d.c }
 func (d *Domain) drv() (DriverConn, error) { return d.c.conn() }
 
 // Create starts the defined domain.
-func (d *Domain) Create() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.CreateDomain(d.meta.Name)
-}
+func (d *Domain) Create() error { return d.c.do(DriverConn.CreateDomain, d.meta.Name) }
 
 // Destroy force-stops the domain.
-func (d *Domain) Destroy() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.DestroyDomain(d.meta.Name)
-}
+func (d *Domain) Destroy() error { return d.c.do(DriverConn.DestroyDomain, d.meta.Name) }
 
 // Shutdown asks the guest to shut down gracefully.
-func (d *Domain) Shutdown() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.ShutdownDomain(d.meta.Name)
-}
+func (d *Domain) Shutdown() error { return d.c.do(DriverConn.ShutdownDomain, d.meta.Name) }
 
 // Reboot restarts the guest.
-func (d *Domain) Reboot() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.RebootDomain(d.meta.Name)
-}
+func (d *Domain) Reboot() error { return d.c.do(DriverConn.RebootDomain, d.meta.Name) }
 
 // Suspend pauses the domain, keeping memory resident.
-func (d *Domain) Suspend() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.SuspendDomain(d.meta.Name)
-}
+func (d *Domain) Suspend() error { return d.c.do(DriverConn.SuspendDomain, d.meta.Name) }
 
 // Resume continues a suspended domain.
-func (d *Domain) Resume() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.ResumeDomain(d.meta.Name)
-}
+func (d *Domain) Resume() error { return d.c.do(DriverConn.ResumeDomain, d.meta.Name) }
 
 // Undefine removes the persistent definition (the domain must be off).
-func (d *Domain) Undefine() error {
-	drv, err := d.drv()
-	if err != nil {
-		return err
-	}
-	return drv.UndefineDomain(d.meta.Name)
-}
+func (d *Domain) Undefine() error { return d.c.do(DriverConn.UndefineDomain, d.meta.Name) }
 
 // Info returns the compact info block.
 func (d *Domain) Info() (DomainInfo, error) {
@@ -408,199 +376,129 @@ func (d *Domain) SetVCPUs(n int) error {
 	return drv.SetDomainVCPUs(d.meta.Name, n)
 }
 
-// network/storage delegation helpers
-
-func (c *Connect) networkDrv() (NetworkSupport, error) {
+// ListNetworks enumerates virtual network names.
+func (c *Connect) ListNetworks() ([]string, error) {
 	d, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	ns, ok := d.(NetworkSupport)
-	if !ok {
-		return nil, Errorf(ErrNoSupport, "driver %q does not manage networks", d.Type())
-	}
-	return ns, nil
-}
-
-// ListNetworks enumerates virtual network names.
-func (c *Connect) ListNetworks() ([]string, error) {
-	ns, err := c.networkDrv()
-	if err != nil {
-		return nil, err
-	}
-	return ns.ListNetworks()
+	return d.ListNetworks()
 }
 
 // DefineNetwork registers a virtual network from XML.
-func (c *Connect) DefineNetwork(xmlDesc string) error {
-	ns, err := c.networkDrv()
-	if err != nil {
-		return err
-	}
-	return ns.DefineNetwork(xmlDesc)
-}
+func (c *Connect) DefineNetwork(xmlDesc string) error { return c.do(DriverConn.DefineNetwork, xmlDesc) }
 
 // UndefineNetwork removes a network definition.
-func (c *Connect) UndefineNetwork(name string) error {
-	ns, err := c.networkDrv()
-	if err != nil {
-		return err
-	}
-	return ns.UndefineNetwork(name)
-}
+func (c *Connect) UndefineNetwork(name string) error { return c.do(DriverConn.UndefineNetwork, name) }
 
 // StartNetwork brings a network up.
-func (c *Connect) StartNetwork(name string) error {
-	ns, err := c.networkDrv()
-	if err != nil {
-		return err
-	}
-	return ns.StartNetwork(name)
-}
+func (c *Connect) StartNetwork(name string) error { return c.do(DriverConn.StartNetwork, name) }
 
 // StopNetwork tears a network down.
-func (c *Connect) StopNetwork(name string) error {
-	ns, err := c.networkDrv()
-	if err != nil {
-		return err
-	}
-	return ns.StopNetwork(name)
-}
+func (c *Connect) StopNetwork(name string) error { return c.do(DriverConn.StopNetwork, name) }
 
 // NetworkXML returns a network's definition document.
 func (c *Connect) NetworkXML(name string) (string, error) {
-	ns, err := c.networkDrv()
+	d, err := c.conn()
 	if err != nil {
 		return "", err
 	}
-	return ns.NetworkXML(name)
+	return d.NetworkXML(name)
 }
 
 // NetworkIsActive reports whether the network is up.
 func (c *Connect) NetworkIsActive(name string) (bool, error) {
-	ns, err := c.networkDrv()
+	d, err := c.conn()
 	if err != nil {
 		return false, err
 	}
-	return ns.NetworkIsActive(name)
+	return d.NetworkIsActive(name)
 }
 
 // NetworkDHCPLeases lists active leases on the network.
 func (c *Connect) NetworkDHCPLeases(name string) ([]DHCPLease, error) {
-	ns, err := c.networkDrv()
-	if err != nil {
-		return nil, err
-	}
-	return ns.NetworkDHCPLeases(name)
-}
-
-func (c *Connect) storageDrv() (StorageSupport, error) {
 	d, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	ss, ok := d.(StorageSupport)
-	if !ok {
-		return nil, Errorf(ErrNoSupport, "driver %q does not manage storage", d.Type())
-	}
-	return ss, nil
+	return d.NetworkDHCPLeases(name)
 }
 
 // ListStoragePools enumerates pool names.
 func (c *Connect) ListStoragePools() ([]string, error) {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	return ss.ListStoragePools()
+	return d.ListStoragePools()
 }
 
 // DefineStoragePool registers a pool from XML.
 func (c *Connect) DefineStoragePool(xmlDesc string) error {
-	ss, err := c.storageDrv()
-	if err != nil {
-		return err
-	}
-	return ss.DefineStoragePool(xmlDesc)
+	return c.do(DriverConn.DefineStoragePool, xmlDesc)
 }
 
 // UndefineStoragePool removes a pool definition.
 func (c *Connect) UndefineStoragePool(name string) error {
-	ss, err := c.storageDrv()
-	if err != nil {
-		return err
-	}
-	return ss.UndefineStoragePool(name)
+	return c.do(DriverConn.UndefineStoragePool, name)
 }
 
 // StartStoragePool activates a pool.
-func (c *Connect) StartStoragePool(name string) error {
-	ss, err := c.storageDrv()
-	if err != nil {
-		return err
-	}
-	return ss.StartStoragePool(name)
-}
+func (c *Connect) StartStoragePool(name string) error { return c.do(DriverConn.StartStoragePool, name) }
 
 // StopStoragePool deactivates a pool.
-func (c *Connect) StopStoragePool(name string) error {
-	ss, err := c.storageDrv()
-	if err != nil {
-		return err
-	}
-	return ss.StopStoragePool(name)
-}
+func (c *Connect) StopStoragePool(name string) error { return c.do(DriverConn.StopStoragePool, name) }
 
 // StoragePoolXML returns a pool's definition document.
 func (c *Connect) StoragePoolXML(name string) (string, error) {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return "", err
 	}
-	return ss.StoragePoolXML(name)
+	return d.StoragePoolXML(name)
 }
 
 // StoragePoolInfo returns a pool's space accounting.
 func (c *Connect) StoragePoolInfo(name string) (StoragePoolInfo, error) {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return StoragePoolInfo{}, err
 	}
-	return ss.StoragePoolInfo(name)
+	return d.StoragePoolInfo(name)
 }
 
 // ListVolumes enumerates volume names within a pool.
 func (c *Connect) ListVolumes(pool string) ([]string, error) {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return nil, err
 	}
-	return ss.ListVolumes(pool)
+	return d.ListVolumes(pool)
 }
 
 // CreateVolume creates a volume in a pool from XML.
 func (c *Connect) CreateVolume(pool, xmlDesc string) error {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return err
 	}
-	return ss.CreateVolume(pool, xmlDesc)
+	return d.CreateVolume(pool, xmlDesc)
 }
 
 // DeleteVolume removes a volume from a pool.
 func (c *Connect) DeleteVolume(pool, name string) error {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return err
 	}
-	return ss.DeleteVolume(pool, name)
+	return d.DeleteVolume(pool, name)
 }
 
 // VolumeXML returns a volume's definition document.
 func (c *Connect) VolumeXML(pool, name string) (string, error) {
-	ss, err := c.storageDrv()
+	d, err := c.conn()
 	if err != nil {
 		return "", err
 	}
-	return ss.VolumeXML(pool, name)
+	return d.VolumeXML(pool, name)
 }

@@ -9,11 +9,14 @@ import (
 	"repro/internal/uri"
 )
 
-// DriverConn is the contract every hypervisor driver implements. The
-// public Connect/Domain objects are thin wrappers delegating here, so the
-// same calls run in-process against a local driver or are forwarded by
-// the remote driver to a daemon which invokes the identical interface on
-// its side — the architecture's key property.
+// DriverConn is the whole uniform API: every hypervisor driver
+// implements every method. The public Connect/Domain objects are thin
+// wrappers delegating here, so the same calls run in-process against a
+// local driver or are forwarded by the remote driver to a daemon which
+// invokes the identical interface on its side — the architecture's key
+// property. Like an entry missing from libvirt's driver table, a
+// capability a back end lacks answers ErrNoSupport; that code is the
+// only way a driver says no, and it crosses the wire unchanged.
 type DriverConn interface {
 	Close() error
 	// Type returns the driver name ("qemu", "xen", "lxc", "test", "remote").
@@ -43,7 +46,102 @@ type DriverConn interface {
 	DomainXML(name string) (string, error)
 	SetDomainMemory(name string, kib uint64) error
 	SetDomainVCPUs(name string, n int) error
+
+	// Bulk monitoring: one call (one round trip over the remote driver)
+	// instead of a list + per-domain info loop.
+	//
+	// DomainListInfo returns name+info rows for domains matching flags,
+	// or — when names is non-empty — for exactly those names. Names not
+	// defined, and domains that disappear mid-sweep, are skipped, not
+	// errors.
+	DomainListInfo(flags ListFlags, names []string) ([]NamedDomainInfo, error)
+	// NodeInventoryInto refreshes *inv in place with the node summary and
+	// every domain's row, reusing its Domains capacity (and unchanged
+	// name strings) so sweeping a fixed fleet costs no per-sweep
+	// allocation. On error the contents of *inv are unspecified (but
+	// safe to reuse on the next call).
+	NodeInventoryInto(inv *NodeInventory) error
+
+	// Virtual networks.
+	ListNetworks() ([]string, error)
+	DefineNetwork(xmlDesc string) error
+	UndefineNetwork(name string) error
+	StartNetwork(name string) error
+	StopNetwork(name string) error
+	NetworkXML(name string) (string, error)
+	NetworkIsActive(name string) (bool, error)
+	NetworkDHCPLeases(name string) ([]DHCPLease, error)
+
+	// Storage pools and their volumes.
+	ListStoragePools() ([]string, error)
+	DefineStoragePool(xmlDesc string) error
+	UndefineStoragePool(name string) error
+	StartStoragePool(name string) error
+	StopStoragePool(name string) error
+	StoragePoolXML(name string) (string, error)
+	StoragePoolInfo(name string) (StoragePoolInfo, error)
+	ListVolumes(pool string) ([]string, error)
+	CreateVolume(pool, xmlDesc string) error
+	DeleteVolume(pool, name string) error
+	VolumeXML(pool, name string) (string, error)
+
+	// Snapshots capture the runtime state (lifecycle state, memory
+	// balloon, vCPUs, accounting); reverting discards the current
+	// execution.
+	//
+	// CreateSnapshot captures the named domain's state, described by an
+	// optional snapshot XML document ("" for defaults), and returns the
+	// snapshot name.
+	CreateSnapshot(domain, xmlDesc string) (string, error)
+	// ListSnapshots returns the domain's snapshot names, oldest first.
+	ListSnapshots(domain string) ([]string, error)
+	// SnapshotXML returns a snapshot's description document.
+	SnapshotXML(domain, snapshot string) (string, error)
+	// RevertSnapshot discards the domain's current state and restores
+	// the snapshot, including its lifecycle state.
+	RevertSnapshot(domain, snapshot string) error
+	// DeleteSnapshot removes a snapshot's record.
+	DeleteSnapshot(domain, snapshot string) error
+
+	// Managed save persists a running domain's state on the host and
+	// restores it transparently on the next start — the mechanism behind
+	// "save all guests across host reboot".
+	//
+	// ManagedSave stops the running domain, persisting its state; the
+	// next CreateDomain restores instead of booting.
+	ManagedSave(domain string) error
+	// HasManagedSave reports whether a managed save image exists.
+	HasManagedSave(domain string) (bool, error)
+	// ManagedSaveRemove discards the image so the next start boots fresh.
+	ManagedSaveRemove(domain string) error
+
+	// Device hot-plug: attaching adds the device to the definition (and
+	// to the live guest where that is meaningful, e.g. leasing an
+	// address for a network NIC); detaching removes it by identity.
+	AttachDevice(domain, deviceXML string) error
+	DetachDevice(domain, deviceXML string) error
+
+	// Inbound live migration: the connection receives page traffic for
+	// a prepared (defined) destination domain. A local driver accounts
+	// chunks against the destination machine; the remote driver forwards
+	// them over dedicated wire procedures so the pooled RPC frame path
+	// carries the load.
+	//
+	// The protocol is prepare → N× pages → finish. MigratePrepare
+	// registers the transfer against an already-defined destination
+	// domain for streams in [1, MaxMigrateStreams] and returns a cookie
+	// scoping the subsequent calls. MigrateFinish(cookie, false) abandons
+	// the transfer (abort path); finish-with-commit completes it. During
+	// post-copy the destination machine's page-presence model is advanced
+	// by every chunk that arrives after the domain started.
+	MigratePrepare(domain string, totalPages uint64, streams int) (uint64, error)
+	MigratePages(ch *MigrateChunk) error
+	MigrateFinish(cookie uint64, commit bool) error
 }
+
+// EventSource, WatchSource, ConnHealth and MachineAccess below are the
+// only optional driver interfaces: each splits a local driver from the
+// remote one, so callers probe for them.
 
 // EventSource is implemented by drivers that can deliver lifecycle
 // events.
@@ -81,16 +179,11 @@ type ConnHealth interface {
 	Alive() bool
 }
 
-// NetworkSupport is implemented by drivers managing virtual networks.
-type NetworkSupport interface {
-	ListNetworks() ([]string, error)
-	DefineNetwork(xmlDesc string) error
-	UndefineNetwork(name string) error
-	StartNetwork(name string) error
-	StopNetwork(name string) error
-	NetworkXML(name string) (string, error)
-	NetworkIsActive(name string) (bool, error)
-	NetworkDHCPLeases(name string) ([]DHCPLease, error)
+// MachineAccess is implemented by local drivers whose domains are backed
+// by the simulation substrate; the migration engine and workload clock
+// use it. Remote connections do not expose it.
+type MachineAccess interface {
+	Machine(name string) (*hyper.Machine, error)
 }
 
 // DHCPLease is one lease on a virtual network.
@@ -100,136 +193,12 @@ type DHCPLease struct {
 	Hostname string
 }
 
-// StorageSupport is implemented by drivers managing storage pools.
-type StorageSupport interface {
-	ListStoragePools() ([]string, error)
-	DefineStoragePool(xmlDesc string) error
-	UndefineStoragePool(name string) error
-	StartStoragePool(name string) error
-	StopStoragePool(name string) error
-	StoragePoolXML(name string) (string, error)
-	StoragePoolInfo(name string) (StoragePoolInfo, error)
-	ListVolumes(pool string) ([]string, error)
-	CreateVolume(pool, xmlDesc string) error
-	DeleteVolume(pool, name string) error
-	VolumeXML(pool, name string) (string, error)
-}
-
 // StoragePoolInfo summarises a pool's space accounting.
 type StoragePoolInfo struct {
 	Active        bool
 	CapacityKiB   uint64
 	AllocationKiB uint64
 	AvailableKiB  uint64
-}
-
-// BulkMonitor is implemented by drivers that can collect monitoring data
-// for many domains in one call. Over the remote driver this turns an
-// O(domains) monitoring sweep into a single round trip; local drivers
-// implement it to batch their own locking. Callers should fall back to
-// the per-domain loop when the interface is absent or the peer reports
-// ErrNoSupport — ListDomainInfo and CollectInventory do exactly that.
-type BulkMonitor interface {
-	// DomainListInfo returns name+info rows for domains matching flags,
-	// or — when names is non-empty — for exactly those names. Domains
-	// that disappear mid-sweep are skipped, not errors.
-	DomainListInfo(flags ListFlags, names []string) ([]NamedDomainInfo, error)
-	// NodeInventory returns the node summary and all domain rows.
-	NodeInventory() (NodeInventory, error)
-}
-
-// ListDomainInfo collects name+info rows from any driver: one bulk call
-// when the driver implements BulkMonitor, otherwise a list + per-domain
-// info loop with racing undefines skipped. A BulkMonitor whose peer
-// lacks the bulk procedure (an older daemon answering ErrNoSupport)
-// also falls back.
-func ListDomainInfo(d DriverConn, flags ListFlags, names []string) ([]NamedDomainInfo, error) {
-	if bm, ok := d.(BulkMonitor); ok {
-		rows, err := bm.DomainListInfo(flags, names)
-		if err == nil {
-			return rows, nil
-		}
-		if !IsCode(err, ErrNoSupport) {
-			return nil, err
-		}
-	}
-	var err error
-	if len(names) == 0 {
-		names, err = d.ListDomains(flags)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rows := make([]NamedDomainInfo, 0, len(names))
-	for _, name := range names {
-		info, err := d.DomainInfo(name)
-		if err != nil {
-			if IsCode(err, ErrNoDomain) {
-				continue // undefined between list and info
-			}
-			return nil, err
-		}
-		rows = append(rows, NamedDomainInfo{Name: name, Info: info})
-	}
-	return rows, nil
-}
-
-// CollectInventory returns a whole-host snapshot from any driver, using
-// the BulkMonitor fast path when available.
-func CollectInventory(d DriverConn) (NodeInventory, error) {
-	if bm, ok := d.(BulkMonitor); ok {
-		inv, err := bm.NodeInventory()
-		if err == nil {
-			return inv, nil
-		}
-		if !IsCode(err, ErrNoSupport) {
-			return NodeInventory{}, err
-		}
-	}
-	node, err := d.NodeInfo()
-	if err != nil {
-		return NodeInventory{}, err
-	}
-	rows, err := ListDomainInfo(d, 0, nil)
-	if err != nil {
-		return NodeInventory{}, err
-	}
-	return NodeInventory{Node: node, Domains: rows}, nil
-}
-
-// BulkMonitorInto is an optional BulkMonitor extension for steady-state
-// pollers: the inventory is refreshed into a caller-retained value,
-// reusing its Domains capacity (and unchanged name strings) so sweeping
-// a fixed fleet costs no per-sweep allocation.
-type BulkMonitorInto interface {
-	// NodeInventoryInto refreshes *inv in place. On error the contents
-	// of *inv are unspecified (but safe to reuse on the next call).
-	NodeInventoryInto(inv *NodeInventory) error
-}
-
-// CollectInventoryInto refreshes *inv from any driver, reusing its
-// storage when the driver supports BulkMonitorInto and falling back to
-// a fresh CollectInventory snapshot otherwise.
-func CollectInventoryInto(d DriverConn, inv *NodeInventory) error {
-	if bi, ok := d.(BulkMonitorInto); ok {
-		err := bi.NodeInventoryInto(inv)
-		if err == nil || !IsCode(err, ErrNoSupport) {
-			return err
-		}
-	}
-	fresh, err := CollectInventory(d)
-	if err != nil {
-		return err
-	}
-	*inv = fresh
-	return nil
-}
-
-// MachineAccess is implemented by local drivers whose domains are backed
-// by the simulation substrate; the migration engine and workload clock
-// use it. Remote connections do not expose it.
-type MachineAccess interface {
-	Machine(name string) (*hyper.Machine, error)
 }
 
 // MigrateChunk is one page-chunk delivery to a migration sink. Stream
@@ -245,26 +214,6 @@ type MigrateChunk struct {
 	Pages    uint64
 	Priority bool
 	Data     []byte
-}
-
-// MigrationSink is implemented by drivers that can receive live-migration
-// page traffic for a prepared (defined) destination domain. Like
-// BulkMonitor it is optional: the migration engine falls back to a pure
-// timing model when the interface is absent or the peer daemon answers
-// ErrNoSupport. A local driver accounts chunks directly against the
-// destination machine; the remote driver forwards them over dedicated
-// wire procedures so the pooled RPC frame path carries the load.
-//
-// The protocol is prepare → N× pages → finish. MigratePrepare registers
-// the transfer against an already-defined destination domain and returns
-// a cookie scoping the subsequent calls. MigrateFinish(cookie, false)
-// abandons the transfer (abort path); finish-with-commit completes it.
-// During post-copy the destination machine's page-presence model is
-// advanced by every chunk that arrives after the domain started.
-type MigrationSink interface {
-	MigratePrepare(domain string, totalPages uint64, streams int) (uint64, error)
-	MigratePages(ch *MigrateChunk) error
-	MigrateFinish(cookie uint64, commit bool) error
 }
 
 // DriverFactory opens a driver connection for a parsed URI.

@@ -1,170 +1,80 @@
 package core
 
-// SnapshotSupport is implemented by drivers that can snapshot domain
-// state and revert to it. Snapshots capture the runtime state (lifecycle
-// state, memory balloon, vCPUs, accounting); reverting discards the
-// current execution.
-type SnapshotSupport interface {
-	// CreateSnapshot captures the named domain's state, described by an
-	// optional snapshot XML document ("" for defaults), and returns the
-	// snapshot name.
-	CreateSnapshot(domain, xmlDesc string) (string, error)
-	// ListSnapshots returns the domain's snapshot names, oldest first.
-	ListSnapshots(domain string) ([]string, error)
-	// SnapshotXML returns a snapshot's description document.
-	SnapshotXML(domain, snapshot string) (string, error)
-	// RevertSnapshot discards the domain's current state and restores
-	// the snapshot, including its lifecycle state.
-	RevertSnapshot(domain, snapshot string) error
-	// DeleteSnapshot removes a snapshot's record.
-	DeleteSnapshot(domain, snapshot string) error
-}
-
-// ManagedSaveSupport is implemented by drivers that can save a running
-// domain's state to the host and restore it transparently on the next
-// start — the mechanism behind "save all guests across host reboot".
-type ManagedSaveSupport interface {
-	// ManagedSave stops the running domain, persisting its state; the
-	// next CreateDomain restores instead of booting.
-	ManagedSave(domain string) error
-	// HasManagedSave reports whether a managed save image exists.
-	HasManagedSave(domain string) (bool, error)
-	// ManagedSaveRemove discards the image so the next start boots fresh.
-	ManagedSaveRemove(domain string) error
-}
-
-// snapshotDrv returns the connection's snapshot interface.
-func (c *Connect) snapshotDrv() (SnapshotSupport, error) {
-	d, err := c.conn()
-	if err != nil {
-		return nil, err
-	}
-	ss, ok := d.(SnapshotSupport)
-	if !ok {
-		return nil, Errorf(ErrNoSupport, "driver %q does not support snapshots", d.Type())
-	}
-	return ss, nil
-}
-
-// CreateSnapshot captures the domain's state; see SnapshotSupport.
+// CreateSnapshot captures the domain's state, described by an optional
+// snapshot XML document ("" for defaults), and returns the snapshot name.
 func (d *Domain) CreateSnapshot(xmlDesc string) (string, error) {
-	ss, err := d.c.snapshotDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return "", err
 	}
-	return ss.CreateSnapshot(d.meta.Name, xmlDesc)
+	return drv.CreateSnapshot(d.meta.Name, xmlDesc)
 }
 
 // ListSnapshots returns the domain's snapshot names, oldest first.
 func (d *Domain) ListSnapshots() ([]string, error) {
-	ss, err := d.c.snapshotDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return nil, err
 	}
-	return ss.ListSnapshots(d.meta.Name)
+	return drv.ListSnapshots(d.meta.Name)
 }
 
 // SnapshotXML returns a snapshot's description document.
 func (d *Domain) SnapshotXML(snapshot string) (string, error) {
-	ss, err := d.c.snapshotDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return "", err
 	}
-	return ss.SnapshotXML(d.meta.Name, snapshot)
+	return drv.SnapshotXML(d.meta.Name, snapshot)
 }
 
 // RevertSnapshot restores the domain to a snapshot.
 func (d *Domain) RevertSnapshot(snapshot string) error {
-	ss, err := d.c.snapshotDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return err
 	}
-	return ss.RevertSnapshot(d.meta.Name, snapshot)
+	return drv.RevertSnapshot(d.meta.Name, snapshot)
 }
 
 // DeleteSnapshot removes a snapshot's record.
 func (d *Domain) DeleteSnapshot(snapshot string) error {
-	ss, err := d.c.snapshotDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return err
 	}
-	return ss.DeleteSnapshot(d.meta.Name, snapshot)
-}
-
-func (c *Connect) managedSaveDrv() (ManagedSaveSupport, error) {
-	d, err := c.conn()
-	if err != nil {
-		return nil, err
-	}
-	ms, ok := d.(ManagedSaveSupport)
-	if !ok {
-		return nil, Errorf(ErrNoSupport, "driver %q does not support managed save", d.Type())
-	}
-	return ms, nil
+	return drv.DeleteSnapshot(d.meta.Name, snapshot)
 }
 
 // ManagedSave stops the running domain, persisting its state.
-func (d *Domain) ManagedSave() error {
-	ms, err := d.c.managedSaveDrv()
-	if err != nil {
-		return err
-	}
-	return ms.ManagedSave(d.meta.Name)
-}
+func (d *Domain) ManagedSave() error { return d.c.do(DriverConn.ManagedSave, d.meta.Name) }
 
 // HasManagedSave reports whether a managed save image exists.
 func (d *Domain) HasManagedSave() (bool, error) {
-	ms, err := d.c.managedSaveDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return false, err
 	}
-	return ms.HasManagedSave(d.meta.Name)
+	return drv.HasManagedSave(d.meta.Name)
 }
 
 // ManagedSaveRemove discards the managed save image.
-func (d *Domain) ManagedSaveRemove() error {
-	ms, err := d.c.managedSaveDrv()
-	if err != nil {
-		return err
-	}
-	return ms.ManagedSaveRemove(d.meta.Name)
-}
-
-// DeviceSupport is implemented by drivers that can hot-plug devices:
-// attaching adds the device to the definition (and to the live guest
-// where that is meaningful, e.g. leasing an address for a network NIC);
-// detaching removes it by identity.
-type DeviceSupport interface {
-	AttachDevice(domain, deviceXML string) error
-	DetachDevice(domain, deviceXML string) error
-}
-
-func (c *Connect) deviceDrv() (DeviceSupport, error) {
-	d, err := c.conn()
-	if err != nil {
-		return nil, err
-	}
-	ds, ok := d.(DeviceSupport)
-	if !ok {
-		return nil, Errorf(ErrNoSupport, "driver %q does not support device hot-plug", d.Type())
-	}
-	return ds, nil
-}
+func (d *Domain) ManagedSaveRemove() error { return d.c.do(DriverConn.ManagedSaveRemove, d.meta.Name) }
 
 // AttachDevice hot-plugs a device described by a standalone XML element.
 func (d *Domain) AttachDevice(deviceXML string) error {
-	ds, err := d.c.deviceDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return err
 	}
-	return ds.AttachDevice(d.meta.Name, deviceXML)
+	return drv.AttachDevice(d.meta.Name, deviceXML)
 }
 
 // DetachDevice removes a device matched by identity.
 func (d *Domain) DetachDevice(deviceXML string) error {
-	ds, err := d.c.deviceDrv()
+	drv, err := d.drv()
 	if err != nil {
 		return err
 	}
-	return ds.DetachDevice(d.meta.Name, deviceXML)
+	return drv.DetachDevice(d.meta.Name, deviceXML)
 }

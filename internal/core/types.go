@@ -105,6 +105,11 @@ const (
 	ListInactive
 )
 
+// MaxMigrateStreams caps a migration's parallel streams: the engine
+// clamps ParallelStreams to it (beyond it the bandwidth model's returns
+// are within noise), and a destination's MigratePrepare refuses more.
+const MaxMigrateStreams = 64
+
 // MigrateOptions tunes a live migration.
 type MigrateOptions struct {
 	BandwidthMBps  uint64 // transfer link bandwidth; 0 = 1000
@@ -115,7 +120,8 @@ type MigrateOptions struct {
 	// ParallelStreams splits every copy round across N concurrent
 	// transfer streams. Aggregate throughput grows monotonically with N
 	// but is bounded by the link: each stream pays a fixed per-stream
-	// protocol overhead, so the gain flattens as N rises. 0 = 1.
+	// protocol overhead, so the gain flattens as N rises. 0 = 1; above
+	// MaxMigrateStreams is clamped to it.
 	ParallelStreams int
 
 	// AutoConverge progressively throttles the source vCPUs when the

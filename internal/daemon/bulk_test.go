@@ -97,6 +97,12 @@ func TestBulkMonitoringOverWire(t *testing.T) {
 	if len(active) != 3 {
 		t.Fatalf("active sweep has %d domains, want 3", len(active))
 	}
+
+	// A sweep by name skips a name the daemon does not know.
+	rows, err := conn.Driver().DomainListInfo(0, []string{"bulk-b", "ghost", "bulk-idle"})
+	if err != nil || len(rows) != 2 || rows[0].Name != "bulk-b" || rows[1].Name != "bulk-idle" {
+		t.Fatalf("named sweep: %+v %v", rows, err)
+	}
 }
 
 // TestNodeInventoryIntoOverWire exercises the steady-state polling form:

@@ -142,19 +142,6 @@ func withArgs[A, R any](fn func(conn *core.Connect, args A) (R, error)) handler 
 	}
 }
 
-// withSupport is withArgs for procedures served by an optional driver
-// interface I; a driver lacking it answers ErrNoSupport.
-func withSupport[I, A, R any](what string, fn func(sup I, args A) (R, error)) handler {
-	return withArgs(func(conn *core.Connect, args A) (R, error) {
-		sup, ok := conn.Driver().(I)
-		if !ok {
-			var none R
-			return none, core.Errorf(core.ErrNoSupport, "driver does not support %s", what)
-		}
-		return fn(sup, args)
-	})
-}
-
 // nameOp adapts an operation on one named object that returns nothing.
 func nameOp(op func(conn *core.Connect, name string) error) handler {
 	return withArgs(func(conn *core.Connect, a wire.NameArgs) (struct{}, error) {
@@ -170,8 +157,8 @@ func onDriver(op func(core.DriverConn, string) error) func(*core.Connect, string
 // migratePages serves both page-chunk procedures; pull marks the
 // post-copy demand faults that ride the priority workers.
 func migratePages(pull bool) handler {
-	return withSupport("inbound migration", func(ms core.MigrationSink, a wire.MigratePagesArgs) (struct{}, error) {
-		return void(ms.MigratePages(&core.MigrateChunk{
+	return withArgs(func(c *core.Connect, a wire.MigratePagesArgs) (struct{}, error) {
+		return void(c.Driver().MigratePages(&core.MigrateChunk{
 			Cookie:   a.Cookie,
 			Stream:   int(a.Stream),
 			Round:    int(a.Round),
@@ -301,42 +288,42 @@ var handlers = []handler{
 		return encode(reply, &wire.AuthListReply{Mechanisms: p.mechanisms()})
 	},
 	wire.ProcAuthSASLStart: (*RemoteProgram).saslStart,
-	wire.ProcSnapshotCreate: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotCreateArgs) (wire.StringReply, error) {
-		return str(ss.CreateSnapshot(a.Domain, a.XML))
+	wire.ProcSnapshotCreate: withArgs(func(c *core.Connect, a wire.SnapshotCreateArgs) (wire.StringReply, error) {
+		return str(c.Driver().CreateSnapshot(a.Domain, a.XML))
 	}),
-	wire.ProcSnapshotList: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.NameArgs) (wire.NameListReply, error) {
-		return names(ss.ListSnapshots(a.Name))
+	wire.ProcSnapshotList: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.NameListReply, error) {
+		return names(c.Driver().ListSnapshots(a.Name))
 	}),
-	wire.ProcSnapshotGetXML: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotArgs) (wire.StringReply, error) {
-		return str(ss.SnapshotXML(a.Domain, a.Name))
+	wire.ProcSnapshotGetXML: withArgs(func(c *core.Connect, a wire.SnapshotArgs) (wire.StringReply, error) {
+		return str(c.Driver().SnapshotXML(a.Domain, a.Name))
 	}),
-	wire.ProcSnapshotRevert: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotArgs) (struct{}, error) {
-		return void(ss.RevertSnapshot(a.Domain, a.Name))
+	wire.ProcSnapshotRevert: withArgs(func(c *core.Connect, a wire.SnapshotArgs) (struct{}, error) {
+		return void(c.Driver().RevertSnapshot(a.Domain, a.Name))
 	}),
-	wire.ProcSnapshotDelete: withSupport("snapshots", func(ss core.SnapshotSupport, a wire.SnapshotArgs) (struct{}, error) {
-		return void(ss.DeleteSnapshot(a.Domain, a.Name))
+	wire.ProcSnapshotDelete: withArgs(func(c *core.Connect, a wire.SnapshotArgs) (struct{}, error) {
+		return void(c.Driver().DeleteSnapshot(a.Domain, a.Name))
 	}),
-	wire.ProcManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a wire.NameArgs) (struct{}, error) {
-		return void(ms.ManagedSave(a.Name))
+	wire.ProcManagedSave: withArgs(func(c *core.Connect, a wire.NameArgs) (struct{}, error) {
+		return void(c.Driver().ManagedSave(a.Name))
 	}),
-	wire.ProcHasManagedSave: withSupport("managed save", func(ms core.ManagedSaveSupport, a wire.NameArgs) (wire.BoolReply, error) {
-		has, err := ms.HasManagedSave(a.Name)
+	wire.ProcHasManagedSave: withArgs(func(c *core.Connect, a wire.NameArgs) (wire.BoolReply, error) {
+		has, err := c.Driver().HasManagedSave(a.Name)
 		return wire.BoolReply{Value: has}, err
 	}),
-	wire.ProcManagedSaveRemove: withSupport("managed save", func(ms core.ManagedSaveSupport, a wire.NameArgs) (struct{}, error) {
-		return void(ms.ManagedSaveRemove(a.Name))
+	wire.ProcManagedSaveRemove: withArgs(func(c *core.Connect, a wire.NameArgs) (struct{}, error) {
+		return void(c.Driver().ManagedSaveRemove(a.Name))
 	}),
-	wire.ProcDeviceAttach: withSupport("device hot-plug", func(ds core.DeviceSupport, a wire.DeviceArgs) (struct{}, error) {
-		return void(ds.AttachDevice(a.Domain, a.XML))
+	wire.ProcDeviceAttach: withArgs(func(c *core.Connect, a wire.DeviceArgs) (struct{}, error) {
+		return void(c.Driver().AttachDevice(a.Domain, a.XML))
 	}),
-	wire.ProcDeviceDetach: withSupport("device hot-plug", func(ds core.DeviceSupport, a wire.DeviceArgs) (struct{}, error) {
-		return void(ds.DetachDevice(a.Domain, a.XML))
+	wire.ProcDeviceDetach: withArgs(func(c *core.Connect, a wire.DeviceArgs) (struct{}, error) {
+		return void(c.Driver().DetachDevice(a.Domain, a.XML))
 	}),
 	wire.ProcDomainListInfo: withArgs(func(c *core.Connect, a wire.DomainListInfoArgs) (struct{ Domains []core.NamedDomainInfo }, error) {
 		// Core rows encode in the wire.DomainInfoRow layout (the field
 		// widths are pinned by TestDomainInfoRowMatchesCore), so bulk
 		// replies skip the per-row conversion copy.
-		rows, err := core.ListDomainInfo(c.Driver(), core.ListFlags(a.Flags), a.Names)
+		rows, err := c.Driver().DomainListInfo(core.ListFlags(a.Flags), a.Names)
 		return struct{ Domains []core.NamedDomainInfo }{rows}, err
 	}),
 	wire.ProcNodeInventory: func(p *RemoteProgram, c *Client, _, reply []byte) ([]byte, error) {
@@ -344,13 +331,13 @@ var handlers = []handler{
 		if err != nil {
 			return nil, err
 		}
-		// The inventory is pooled across requests: a driver supporting
-		// BulkMonitorInto rebuilds the rows inside the retained slice,
-		// so steady-state monitoring traffic allocates almost nothing
-		// daemon-side. The payload is fully encoded before the Put.
+		// The inventory is pooled across requests: the driver rebuilds
+		// the rows inside the retained slice, so steady-state monitoring
+		// traffic allocates almost nothing daemon-side. The payload is
+		// fully encoded before the Put.
 		inv := invPool.Get().(*core.NodeInventory)
 		defer invPool.Put(inv)
-		if err := core.CollectInventoryInto(conn.Driver(), inv); err != nil {
+		if err := conn.Driver().NodeInventoryInto(inv); err != nil {
 			return nil, err
 		}
 		return encode(reply, &struct {
@@ -360,14 +347,14 @@ var handlers = []handler{
 	},
 	wire.ProcEventSubscribe:   (*RemoteProgram).eventSubscribe,
 	wire.ProcEventUnsubscribe: (*RemoteProgram).eventUnsubscribe,
-	wire.ProcMigratePrepare: withSupport("inbound migration", func(ms core.MigrationSink, a wire.MigratePrepareArgs) (wire.MigratePrepareReply, error) {
-		cookie, err := ms.MigratePrepare(a.Domain, a.TotalPages, int(a.Streams))
+	wire.ProcMigratePrepare: withArgs(func(c *core.Connect, a wire.MigratePrepareArgs) (wire.MigratePrepareReply, error) {
+		cookie, err := c.Driver().MigratePrepare(a.Domain, a.TotalPages, int(a.Streams))
 		return wire.MigratePrepareReply{Cookie: cookie}, err
 	}),
 	wire.ProcMigratePages:    migratePages(false),
 	wire.ProcMigratePagePull: migratePages(true),
-	wire.ProcMigrateFinish: withSupport("inbound migration", func(ms core.MigrationSink, a wire.MigrateFinishArgs) (struct{}, error) {
-		return void(ms.MigrateFinish(a.Cookie, a.Commit))
+	wire.ProcMigrateFinish: withArgs(func(c *core.Connect, a wire.MigrateFinishArgs) (struct{}, error) {
+		return void(c.Driver().MigrateFinish(a.Cookie, a.Commit))
 	}),
 }
 

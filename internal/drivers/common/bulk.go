@@ -7,11 +7,6 @@ import (
 	"repro/internal/events"
 )
 
-var (
-	_ core.BulkMonitor     = (*Base)(nil)
-	_ core.BulkMonitorInto = (*Base)(nil)
-)
-
 // sweepScratch holds the per-sweep working slices so repeated polls of
 // the same host allocate nothing. Pooled entries retain at most one
 // sweep's worth of record/name references, all owned by a Base anyway.
@@ -33,7 +28,7 @@ type InfoBatcher interface {
 	InfoEach(names []string, fn func(i int, info core.DomainInfo))
 }
 
-// DomainListInfo implements core.BulkMonitor: one registry pass under a
+// DomainListInfo implements core.DriverConn: one registry pass under a
 // single lock acquisition instead of a list + N lookups. Guests that
 // vanish between the registry snapshot and the hypervisor query are
 // skipped, matching the interface contract.
@@ -177,16 +172,7 @@ func (b *Base) domainListInfo(flags core.ListFlags, names []string, dst []core.N
 	return rows[:w], nil
 }
 
-// NodeInventory implements core.BulkMonitor.
-func (b *Base) NodeInventory() (core.NodeInventory, error) {
-	var inv core.NodeInventory
-	if err := b.NodeInventoryInto(&inv); err != nil {
-		return core.NodeInventory{}, err
-	}
-	return inv, nil
-}
-
-// NodeInventoryInto implements core.BulkMonitorInto: the sweep rows are
+// NodeInventoryInto implements core.DriverConn: the sweep rows are
 // rebuilt inside inv's existing Domains capacity, so a steady-state
 // poller (or the daemon answering one) allocates nothing per sweep.
 func (b *Base) NodeInventoryInto(inv *core.NodeInventory) error {

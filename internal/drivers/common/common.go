@@ -119,12 +119,9 @@ type Base struct {
 }
 
 var (
-	_ core.DriverConn     = (*Base)(nil)
-	_ core.EventSource    = (*Base)(nil)
-	_ core.MachineAccess  = (*Base)(nil)
-	_ core.NetworkSupport = (*Base)(nil)
-	_ core.StorageSupport = (*Base)(nil)
-	_ core.MigrationSink  = (*Base)(nil)
+	_ core.DriverConn    = (*Base)(nil)
+	_ core.EventSource   = (*Base)(nil)
+	_ core.MachineAccess = (*Base)(nil)
 )
 
 // New builds a driver base around the given hooks.

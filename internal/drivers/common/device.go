@@ -5,9 +5,7 @@ import (
 	"repro/internal/xmlspec"
 )
 
-var _ core.DeviceSupport = (*Base)(nil)
-
-// AttachDevice implements core.DeviceSupport: the device joins the
+// AttachDevice implements core.DriverConn: the device joins the
 // persistent definition, and when the domain is active a network NIC is
 // hot-plugged by leasing an address immediately.
 func (b *Base) AttachDevice(domain, deviceXML string) error {
@@ -58,7 +56,7 @@ func (b *Base) AttachDevice(domain, deviceXML string) error {
 	return nil
 }
 
-// DetachDevice implements core.DeviceSupport: the device is matched by
+// DetachDevice implements core.DriverConn: the device is matched by
 // its identity (disk target dev, interface MAC) and removed; a live
 // network NIC releases its lease.
 func (b *Base) DetachDevice(domain, deviceXML string) error {

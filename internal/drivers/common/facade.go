@@ -6,10 +6,10 @@ import (
 	"repro/internal/xmlspec"
 )
 
-// Network facade: implements core.NetworkSupport by delegating to the
+// Network facade: core.DriverConn's network methods, delegating to the
 // vnet manager, translating substrate errors into API errors.
 
-// ListNetworks implements core.NetworkSupport.
+// ListNetworks implements core.DriverConn.
 func (b *Base) ListNetworks() ([]string, error) {
 	if b.nets == nil {
 		return nil, b.noNetworks()
@@ -21,7 +21,7 @@ func (b *Base) noNetworks() error {
 	return core.Errorf(core.ErrNoSupport, "driver %q has no network subsystem", b.hooks.Type())
 }
 
-// DefineNetwork implements core.NetworkSupport.
+// DefineNetwork implements core.DriverConn.
 func (b *Base) DefineNetwork(xmlDesc string) error {
 	if b.nets == nil {
 		return b.noNetworks()
@@ -40,7 +40,7 @@ func (b *Base) DefineNetwork(xmlDesc string) error {
 	return nil
 }
 
-// UndefineNetwork implements core.NetworkSupport.
+// UndefineNetwork implements core.DriverConn.
 func (b *Base) UndefineNetwork(name string) error {
 	if b.nets == nil {
 		return b.noNetworks()
@@ -53,7 +53,7 @@ func (b *Base) UndefineNetwork(name string) error {
 	return nil
 }
 
-// StartNetwork implements core.NetworkSupport.
+// StartNetwork implements core.DriverConn.
 func (b *Base) StartNetwork(name string) error {
 	if b.nets == nil {
 		return b.noNetworks()
@@ -69,7 +69,7 @@ func (b *Base) StartNetwork(name string) error {
 	return nil
 }
 
-// StopNetwork implements core.NetworkSupport.
+// StopNetwork implements core.DriverConn.
 func (b *Base) StopNetwork(name string) error {
 	if b.nets == nil {
 		return b.noNetworks()
@@ -81,7 +81,7 @@ func (b *Base) StopNetwork(name string) error {
 	return nil
 }
 
-// NetworkXML implements core.NetworkSupport.
+// NetworkXML implements core.DriverConn.
 func (b *Base) NetworkXML(name string) (string, error) {
 	if b.nets == nil {
 		return "", b.noNetworks()
@@ -93,7 +93,7 @@ func (b *Base) NetworkXML(name string) (string, error) {
 	return xml, nil
 }
 
-// NetworkIsActive implements core.NetworkSupport.
+// NetworkIsActive implements core.DriverConn.
 func (b *Base) NetworkIsActive(name string) (bool, error) {
 	if b.nets == nil {
 		return false, b.noNetworks()
@@ -105,7 +105,7 @@ func (b *Base) NetworkIsActive(name string) (bool, error) {
 	return active, nil
 }
 
-// NetworkDHCPLeases implements core.NetworkSupport.
+// NetworkDHCPLeases implements core.DriverConn.
 func (b *Base) NetworkDHCPLeases(name string) ([]core.DHCPLease, error) {
 	if b.nets == nil {
 		return nil, b.noNetworks()
@@ -121,13 +121,14 @@ func (b *Base) NetworkDHCPLeases(name string) ([]core.DHCPLease, error) {
 	return out, nil
 }
 
-// Storage facade: implements core.StorageSupport via the storage manager.
+// Storage facade: core.DriverConn's storage methods, via the storage
+// manager.
 
 func (b *Base) noStorage() error {
 	return core.Errorf(core.ErrNoSupport, "driver %q has no storage subsystem", b.hooks.Type())
 }
 
-// ListStoragePools implements core.StorageSupport.
+// ListStoragePools implements core.DriverConn.
 func (b *Base) ListStoragePools() ([]string, error) {
 	if b.pools == nil {
 		return nil, b.noStorage()
@@ -135,7 +136,7 @@ func (b *Base) ListStoragePools() ([]string, error) {
 	return b.pools.List(), nil
 }
 
-// DefineStoragePool implements core.StorageSupport.
+// DefineStoragePool implements core.DriverConn.
 func (b *Base) DefineStoragePool(xmlDesc string) error {
 	if b.pools == nil {
 		return b.noStorage()
@@ -154,7 +155,7 @@ func (b *Base) DefineStoragePool(xmlDesc string) error {
 	return nil
 }
 
-// UndefineStoragePool implements core.StorageSupport.
+// UndefineStoragePool implements core.DriverConn.
 func (b *Base) UndefineStoragePool(name string) error {
 	if b.pools == nil {
 		return b.noStorage()
@@ -167,7 +168,7 @@ func (b *Base) UndefineStoragePool(name string) error {
 	return nil
 }
 
-// StartStoragePool implements core.StorageSupport.
+// StartStoragePool implements core.DriverConn.
 func (b *Base) StartStoragePool(name string) error {
 	if b.pools == nil {
 		return b.noStorage()
@@ -181,7 +182,7 @@ func (b *Base) StartStoragePool(name string) error {
 	return nil
 }
 
-// StopStoragePool implements core.StorageSupport.
+// StopStoragePool implements core.DriverConn.
 func (b *Base) StopStoragePool(name string) error {
 	if b.pools == nil {
 		return b.noStorage()
@@ -193,7 +194,7 @@ func (b *Base) StopStoragePool(name string) error {
 	return nil
 }
 
-// StoragePoolXML implements core.StorageSupport.
+// StoragePoolXML implements core.DriverConn.
 func (b *Base) StoragePoolXML(name string) (string, error) {
 	if b.pools == nil {
 		return "", b.noStorage()
@@ -205,7 +206,7 @@ func (b *Base) StoragePoolXML(name string) (string, error) {
 	return xml, nil
 }
 
-// StoragePoolInfo implements core.StorageSupport.
+// StoragePoolInfo implements core.DriverConn.
 func (b *Base) StoragePoolInfo(name string) (core.StoragePoolInfo, error) {
 	if b.pools == nil {
 		return core.StoragePoolInfo{}, b.noStorage()
@@ -222,7 +223,7 @@ func (b *Base) StoragePoolInfo(name string) (core.StoragePoolInfo, error) {
 	}, nil
 }
 
-// ListVolumes implements core.StorageSupport.
+// ListVolumes implements core.DriverConn.
 func (b *Base) ListVolumes(pool string) ([]string, error) {
 	if b.pools == nil {
 		return nil, b.noStorage()
@@ -234,7 +235,7 @@ func (b *Base) ListVolumes(pool string) ([]string, error) {
 	return vols, nil
 }
 
-// CreateVolume implements core.StorageSupport.
+// CreateVolume implements core.DriverConn.
 func (b *Base) CreateVolume(pool, xmlDesc string) error {
 	if b.pools == nil {
 		return b.noStorage()
@@ -249,7 +250,7 @@ func (b *Base) CreateVolume(pool, xmlDesc string) error {
 	return nil
 }
 
-// DeleteVolume implements core.StorageSupport.
+// DeleteVolume implements core.DriverConn.
 func (b *Base) DeleteVolume(pool, name string) error {
 	if b.pools == nil {
 		return b.noStorage()
@@ -260,7 +261,7 @@ func (b *Base) DeleteVolume(pool, name string) error {
 	return nil
 }
 
-// VolumeXML implements core.StorageSupport.
+// VolumeXML implements core.DriverConn.
 func (b *Base) VolumeXML(pool, name string) (string, error) {
 	if b.pools == nil {
 		return "", b.noStorage()

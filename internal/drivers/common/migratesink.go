@@ -6,7 +6,7 @@ import (
 )
 
 // Inbound live-migration page traffic. The migration engine drives the
-// destination through core.MigrationSink: prepare registers a transfer
+// destination through core.DriverConn: prepare registers a transfer
 // against an already-defined domain, page chunks account received memory
 // (and advance the machine's page-presence model once the domain runs in
 // post-copy), finish drops the transfer state. The sink never touches
@@ -32,10 +32,12 @@ type inboundMigration struct {
 	perStream  []uint64 // pages per background stream
 }
 
-// MigratePrepare implements core.MigrationSink.
+// MigratePrepare implements core.DriverConn.
 func (b *Base) MigratePrepare(domain string, totalPages uint64, streams int) (uint64, error) {
-	if streams < 1 {
-		streams = 1
+	// streams sizes an allocation and arrives straight off the wire.
+	if streams < 1 || streams > core.MaxMigrateStreams {
+		return 0, core.Errorf(core.ErrInvalidArg,
+			"migrate prepare: %d streams outside [1, %d]", streams, core.MaxMigrateStreams)
 	}
 	b.mu.Lock()
 	_, defined := b.defs[domain]
@@ -67,7 +69,7 @@ func (b *Base) MigratePrepare(domain string, totalPages uint64, streams int) (ui
 	return cookie, nil
 }
 
-// MigratePages implements core.MigrationSink.
+// MigratePages implements core.DriverConn.
 func (b *Base) MigratePages(ch *core.MigrateChunk) error {
 	b.migMu.Lock()
 	in, ok := b.migrations[ch.Cookie]
@@ -98,7 +100,7 @@ func (b *Base) MigratePages(ch *core.MigrateChunk) error {
 	return nil
 }
 
-// MigrateFinish implements core.MigrationSink.
+// MigrateFinish implements core.DriverConn.
 func (b *Base) MigrateFinish(cookie uint64, commit bool) error {
 	b.migMu.Lock()
 	defer b.migMu.Unlock()

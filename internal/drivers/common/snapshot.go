@@ -26,12 +26,7 @@ type savedImage struct {
 	paused bool
 }
 
-var (
-	_ core.SnapshotSupport    = (*Base)(nil)
-	_ core.ManagedSaveSupport = (*Base)(nil)
-)
-
-// CreateSnapshot implements core.SnapshotSupport. Snapshotting an active
+// CreateSnapshot implements core.DriverConn. Snapshotting an active
 // domain is a live snapshot: the guest keeps running. Reverting spawns a
 // fresh native instance (host-side accounting restarts, as with a real
 // process-per-guest hypervisor).
@@ -93,7 +88,7 @@ func (b *Base) findSnapshotLocked(r *record, name string) int {
 	return -1
 }
 
-// ListSnapshots implements core.SnapshotSupport.
+// ListSnapshots implements core.DriverConn.
 func (b *Base) ListSnapshots(domain string) ([]string, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -108,7 +103,7 @@ func (b *Base) ListSnapshots(domain string) ([]string, error) {
 	return out, nil
 }
 
-// SnapshotXML implements core.SnapshotSupport.
+// SnapshotXML implements core.DriverConn.
 func (b *Base) SnapshotXML(domain, snapshot string) (string, error) {
 	b.mu.Lock()
 	r, ok := b.defs[domain]
@@ -137,7 +132,7 @@ func (b *Base) SnapshotXML(domain, snapshot string) (string, error) {
 	return string(out), nil
 }
 
-// RevertSnapshot implements core.SnapshotSupport: the current execution
+// RevertSnapshot implements core.DriverConn: the current execution
 // is destroyed, then the domain is brought back to the snapshot's
 // lifecycle state and tunables.
 func (b *Base) RevertSnapshot(domain, snapshot string) error {
@@ -190,7 +185,7 @@ func (b *Base) RevertSnapshot(domain, snapshot string) error {
 	return nil
 }
 
-// DeleteSnapshot implements core.SnapshotSupport.
+// DeleteSnapshot implements core.DriverConn.
 func (b *Base) DeleteSnapshot(domain, snapshot string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -206,7 +201,7 @@ func (b *Base) DeleteSnapshot(domain, snapshot string) error {
 	return nil
 }
 
-// ManagedSave implements core.ManagedSaveSupport.
+// ManagedSave implements core.DriverConn.
 func (b *Base) ManagedSave(domain string) error {
 	b.mu.Lock()
 	r, ok := b.defs[domain]
@@ -239,7 +234,7 @@ func (b *Base) ManagedSave(domain string) error {
 	return nil
 }
 
-// HasManagedSave implements core.ManagedSaveSupport.
+// HasManagedSave implements core.DriverConn.
 func (b *Base) HasManagedSave(domain string) (bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -250,7 +245,7 @@ func (b *Base) HasManagedSave(domain string) (bool, error) {
 	return r.managedSave != nil, nil
 }
 
-// ManagedSaveRemove implements core.ManagedSaveSupport.
+// ManagedSaveRemove implements core.DriverConn.
 func (b *Base) ManagedSaveRemove(domain string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -19,22 +19,12 @@ const nicDeviceXML = `
   <source network='default'/>
 </interface>`
 
-func deviceDrv(t *testing.T, drv core.DriverConn) core.DeviceSupport {
-	t.Helper()
-	ds, ok := drv.(core.DeviceSupport)
-	if !ok {
-		t.Fatal("driver does not implement device hot-plug")
-	}
-	return ds
-}
-
 func TestDiskAttachDetachAllDrivers(t *testing.T) {
 	forEachDriver(t, func(t *testing.T, name string, drv core.DriverConn) {
-		ds := deviceDrv(t, drv)
 		if _, err := drv.DefineDomain(domainXML(name, "vm")); err != nil {
 			t.Fatal(err)
 		}
-		if err := ds.AttachDevice("vm", diskDeviceXML); err != nil {
+		if err := drv.AttachDevice("vm", diskDeviceXML); err != nil {
 			t.Fatal(err)
 		}
 		xml, err := drv.DomainXML("vm")
@@ -42,17 +32,17 @@ func TestDiskAttachDetachAllDrivers(t *testing.T) {
 			t.Fatalf("attached disk missing from XML: %v\n%s", err, xml)
 		}
 		// Same target again: duplicate.
-		if err := ds.AttachDevice("vm", diskDeviceXML); !core.IsCode(err, core.ErrDuplicate) {
+		if err := drv.AttachDevice("vm", diskDeviceXML); !core.IsCode(err, core.ErrDuplicate) {
 			t.Fatalf("duplicate target: %v", err)
 		}
-		if err := ds.DetachDevice("vm", diskDeviceXML); err != nil {
+		if err := drv.DetachDevice("vm", diskDeviceXML); err != nil {
 			t.Fatal(err)
 		}
 		xml, _ = drv.DomainXML("vm")
 		if strings.Contains(xml, `dev="vdz"`) {
 			t.Fatal("detached disk still in XML")
 		}
-		if err := ds.DetachDevice("vm", diskDeviceXML); !core.IsCode(err, core.ErrInvalidArg) {
+		if err := drv.DetachDevice("vm", diskDeviceXML); !core.IsCode(err, core.ErrInvalidArg) {
 			t.Fatalf("double detach: %v", err)
 		}
 	})
@@ -60,8 +50,6 @@ func TestDiskAttachDetachAllDrivers(t *testing.T) {
 
 func TestNICHotplugLeasesAddress(t *testing.T) {
 	forEachDriver(t, func(t *testing.T, name string, drv core.DriverConn) {
-		ds := deviceDrv(t, drv)
-		ns := drv.(core.NetworkSupport)
 		netXML := `
 <network>
   <name>default</name>
@@ -70,10 +58,10 @@ func TestNICHotplugLeasesAddress(t *testing.T) {
     <dhcp><range start='10.20.0.10' end='10.20.0.100'/></dhcp>
   </ip>
 </network>`
-		if err := ns.DefineNetwork(netXML); err != nil {
+		if err := drv.DefineNetwork(netXML); err != nil {
 			t.Fatal(err)
 		}
-		if err := ns.StartNetwork("default"); err != nil {
+		if err := drv.StartNetwork("default"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := drv.DefineDomain(domainXML(name, "vm")); err != nil {
@@ -83,22 +71,22 @@ func TestNICHotplugLeasesAddress(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Live attach leases immediately.
-		if err := ds.AttachDevice("vm", nicDeviceXML); err != nil {
+		if err := drv.AttachDevice("vm", nicDeviceXML); err != nil {
 			t.Fatal(err)
 		}
-		leases, _ := ns.NetworkDHCPLeases("default")
+		leases, _ := drv.NetworkDHCPLeases("default")
 		if len(leases) != 1 || leases[0].MAC != "52:54:00:de:ad:01" {
 			t.Fatalf("leases after hot-attach: %v", leases)
 		}
 		// Duplicate MAC rejected.
-		if err := ds.AttachDevice("vm", nicDeviceXML); !core.IsCode(err, core.ErrDuplicate) {
+		if err := drv.AttachDevice("vm", nicDeviceXML); !core.IsCode(err, core.ErrDuplicate) {
 			t.Fatalf("duplicate MAC: %v", err)
 		}
 		// Live detach releases the lease.
-		if err := ds.DetachDevice("vm", nicDeviceXML); err != nil {
+		if err := drv.DetachDevice("vm", nicDeviceXML); err != nil {
 			t.Fatal(err)
 		}
-		leases, _ = ns.NetworkDHCPLeases("default")
+		leases, _ = drv.NetworkDHCPLeases("default")
 		if len(leases) != 0 {
 			t.Fatalf("lease survived hot-detach: %v", leases)
 		}
@@ -107,9 +95,7 @@ func TestNICHotplugLeasesAddress(t *testing.T) {
 
 func TestAttachToInactiveNetworkFails(t *testing.T) {
 	drv := openers["qsim"](t)
-	ds := deviceDrv(t, drv)
-	ns := drv.(core.NetworkSupport)
-	if err := ns.DefineNetwork(`<network><name>default</name><ip address='10.1.1.1' netmask='255.255.255.0'><dhcp><range start='10.1.1.10' end='10.1.1.20'/></dhcp></ip></network>`); err != nil {
+	if err := drv.DefineNetwork(`<network><name>default</name><ip address='10.1.1.1' netmask='255.255.255.0'><dhcp><range start='10.1.1.10' end='10.1.1.20'/></dhcp></ip></network>`); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := drv.DefineDomain(domainXML("qsim", "vm")); err != nil {
@@ -120,7 +106,7 @@ func TestAttachToInactiveNetworkFails(t *testing.T) {
 	}
 	// Network defined but not started: live attach must fail and leave
 	// the definition unchanged.
-	if err := ds.AttachDevice("vm", nicDeviceXML); !core.IsCode(err, core.ErrOperationInvalid) {
+	if err := drv.AttachDevice("vm", nicDeviceXML); !core.IsCode(err, core.ErrOperationInvalid) {
 		t.Fatalf("attach to inactive network: %v", err)
 	}
 	xml, _ := drv.DomainXML("vm")
@@ -131,20 +117,19 @@ func TestAttachToInactiveNetworkFails(t *testing.T) {
 
 func TestAttachRejectsGarbage(t *testing.T) {
 	drv := openers["xsim"](t)
-	ds := deviceDrv(t, drv)
 	if _, err := drv.DefineDomain(domainXML("xsim", "vm")); err != nil {
 		t.Fatal(err)
 	}
-	if err := ds.AttachDevice("vm", "<garbage"); !core.IsCode(err, core.ErrXML) {
+	if err := drv.AttachDevice("vm", "<garbage"); !core.IsCode(err, core.ErrXML) {
 		t.Fatalf("garbage device: %v", err)
 	}
-	if err := ds.AttachDevice("vm", "<console type='pty'/>"); !core.IsCode(err, core.ErrXML) {
+	if err := drv.AttachDevice("vm", "<console type='pty'/>"); !core.IsCode(err, core.ErrXML) {
 		t.Fatalf("unsupported element: %v", err)
 	}
-	if err := ds.AttachDevice("ghost", diskDeviceXML); !core.IsCode(err, core.ErrNoDomain) {
+	if err := drv.AttachDevice("ghost", diskDeviceXML); !core.IsCode(err, core.ErrNoDomain) {
 		t.Fatalf("missing domain: %v", err)
 	}
-	if err := ds.DetachDevice("vm", `<interface type='network'><source network='x'/></interface>`); !core.IsCode(err, core.ErrInvalidArg) {
+	if err := drv.DetachDevice("vm", `<interface type='network'><source network='x'/></interface>`); !core.IsCode(err, core.ErrInvalidArg) {
 		t.Fatalf("mac-less detach: %v", err)
 	}
 }

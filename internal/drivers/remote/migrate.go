@@ -6,18 +6,14 @@ import (
 )
 
 // Live-migration sink forwarding: the migration engine pushes page
-// chunks at the destination connection through core.MigrationSink, and
+// chunks at the destination connection through core.DriverConn, and
 // this client carries them to the daemon over dedicated wire procedures.
 // Chunks ride the same pooled frame path as every other call — pipelined
 // over one connection, so N engine streams really do interleave N chunk
 // sequences on the wire. Demand-fault pulls use a separate procedure
 // number that the daemon schedules on its priority workers.
 
-var _ core.MigrationSink = (*Conn)(nil)
-
-// MigratePrepare implements core.MigrationSink. An older daemon without
-// the migration procedures answers ErrNoSupport, which callers treat as
-// "fall back to the timing model".
+// MigratePrepare implements core.DriverConn.
 func (c *Conn) MigratePrepare(domain string, totalPages uint64, streams int) (uint64, error) {
 	var rep wire.MigratePrepareReply
 	err := c.call(wire.ProcMigratePrepare, &wire.MigratePrepareArgs{
@@ -31,7 +27,7 @@ func (c *Conn) MigratePrepare(domain string, totalPages uint64, streams int) (ui
 	return rep.Cookie, nil
 }
 
-// MigratePages implements core.MigrationSink.
+// MigratePages implements core.DriverConn.
 func (c *Conn) MigratePages(ch *core.MigrateChunk) error {
 	proc := wire.ProcMigratePages
 	if ch.Priority {
@@ -46,7 +42,7 @@ func (c *Conn) MigratePages(ch *core.MigrateChunk) error {
 	}, nil)
 }
 
-// MigrateFinish implements core.MigrationSink.
+// MigrateFinish implements core.DriverConn.
 func (c *Conn) MigrateFinish(cookie uint64, commit bool) error {
 	return c.call(wire.ProcMigrateFinish, &wire.MigrateFinishArgs{
 		Cookie: cookie,

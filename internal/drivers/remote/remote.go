@@ -49,12 +49,9 @@ type Conn struct {
 }
 
 var (
-	_ core.DriverConn     = (*Conn)(nil)
-	_ core.NetworkSupport = (*Conn)(nil)
-	_ core.StorageSupport = (*Conn)(nil)
-	_ core.BulkMonitor    = (*Conn)(nil)
-	_ core.WatchSource    = (*Conn)(nil)
-	_ core.ConnHealth     = (*Conn)(nil)
+	_ core.DriverConn  = (*Conn)(nil)
+	_ core.WatchSource = (*Conn)(nil)
+	_ core.ConnHealth  = (*Conn)(nil)
 )
 
 // Open dials the daemon named by the URI, authenticates if the service
@@ -492,10 +489,8 @@ func (c *Conn) DomainInfo(name string) (core.DomainInfo, error) {
 	}, nil
 }
 
-// DomainListInfo implements core.BulkMonitor: one round trip replaces
-// the DomainList + N×DomainGetInfo sweep. An older daemon without the
-// procedure answers ErrNoSupport, which core.ListDomainInfo turns into
-// the per-domain fallback.
+// DomainListInfo implements core.DriverConn: one round trip replaces
+// the DomainList + N×DomainGetInfo sweep.
 func (c *Conn) DomainListInfo(flags core.ListFlags, names []string) ([]core.NamedDomainInfo, error) {
 	// Rows decode straight into the core type: wire.DomainInfoRow pins
 	// the layout, but the bytes land in the caller's final slice with no
@@ -510,16 +505,7 @@ func (c *Conn) DomainListInfo(flags core.ListFlags, names []string) ([]core.Name
 	return r.Domains, nil
 }
 
-// NodeInventory implements core.BulkMonitor.
-func (c *Conn) NodeInventory() (core.NodeInventory, error) {
-	var inv core.NodeInventory
-	if err := c.NodeInventoryInto(&inv); err != nil {
-		return core.NodeInventory{}, err
-	}
-	return inv, nil
-}
-
-// NodeInventoryInto implements core.BulkMonitorInto: the reply decodes
+// NodeInventoryInto implements core.DriverConn: the reply decodes
 // into inv's existing Domains capacity, and names whose bytes did not
 // change keep their previous strings — so a steady-state poller of a
 // fixed fleet allocates almost nothing per sweep.
@@ -573,36 +559,36 @@ func (c *Conn) SetDomainVCPUs(name string, n int) error {
 	return c.call(wire.ProcDomainSetVCPUs, &wire.SetVCPUsArgs{Name: name, VCPUs: uint32(n)}, nil)
 }
 
-// ListNetworks implements core.NetworkSupport.
+// ListNetworks implements core.DriverConn.
 func (c *Conn) ListNetworks() ([]string, error) {
 	return c.callNames(wire.ProcNetworkList, &struct{}{})
 }
 
-// DefineNetwork implements core.NetworkSupport.
+// DefineNetwork implements core.DriverConn.
 func (c *Conn) DefineNetwork(xmlDesc string) error {
 	return c.call(wire.ProcNetworkDefine, &wire.XMLArgs{XML: xmlDesc}, nil)
 }
 
-// UndefineNetwork implements core.NetworkSupport.
+// UndefineNetwork implements core.DriverConn.
 func (c *Conn) UndefineNetwork(name string) error { return c.nameOp(wire.ProcNetworkUndefine, name) }
 
-// StartNetwork implements core.NetworkSupport.
+// StartNetwork implements core.DriverConn.
 func (c *Conn) StartNetwork(name string) error { return c.nameOp(wire.ProcNetworkStart, name) }
 
-// StopNetwork implements core.NetworkSupport.
+// StopNetwork implements core.DriverConn.
 func (c *Conn) StopNetwork(name string) error { return c.nameOp(wire.ProcNetworkStop, name) }
 
-// NetworkXML implements core.NetworkSupport.
+// NetworkXML implements core.DriverConn.
 func (c *Conn) NetworkXML(name string) (string, error) {
 	return c.callString(wire.ProcNetworkGetXML, &wire.NameArgs{Name: name})
 }
 
-// NetworkIsActive implements core.NetworkSupport.
+// NetworkIsActive implements core.DriverConn.
 func (c *Conn) NetworkIsActive(name string) (bool, error) {
 	return c.callBool(wire.ProcNetworkIsActive, &wire.NameArgs{Name: name})
 }
 
-// NetworkDHCPLeases implements core.NetworkSupport.
+// NetworkDHCPLeases implements core.DriverConn.
 func (c *Conn) NetworkDHCPLeases(name string) ([]core.DHCPLease, error) {
 	var r wire.LeasesReply
 	if err := c.call(wire.ProcNetworkDHCPLeases, &wire.NameArgs{Name: name}, &r); err != nil {
@@ -615,31 +601,31 @@ func (c *Conn) NetworkDHCPLeases(name string) ([]core.DHCPLease, error) {
 	return out, nil
 }
 
-// ListStoragePools implements core.StorageSupport.
+// ListStoragePools implements core.DriverConn.
 func (c *Conn) ListStoragePools() ([]string, error) {
 	return c.callNames(wire.ProcPoolList, &struct{}{})
 }
 
-// DefineStoragePool implements core.StorageSupport.
+// DefineStoragePool implements core.DriverConn.
 func (c *Conn) DefineStoragePool(xmlDesc string) error {
 	return c.call(wire.ProcPoolDefine, &wire.XMLArgs{XML: xmlDesc}, nil)
 }
 
-// UndefineStoragePool implements core.StorageSupport.
+// UndefineStoragePool implements core.DriverConn.
 func (c *Conn) UndefineStoragePool(name string) error { return c.nameOp(wire.ProcPoolUndefine, name) }
 
-// StartStoragePool implements core.StorageSupport.
+// StartStoragePool implements core.DriverConn.
 func (c *Conn) StartStoragePool(name string) error { return c.nameOp(wire.ProcPoolStart, name) }
 
-// StopStoragePool implements core.StorageSupport.
+// StopStoragePool implements core.DriverConn.
 func (c *Conn) StopStoragePool(name string) error { return c.nameOp(wire.ProcPoolStop, name) }
 
-// StoragePoolXML implements core.StorageSupport.
+// StoragePoolXML implements core.DriverConn.
 func (c *Conn) StoragePoolXML(name string) (string, error) {
 	return c.callString(wire.ProcPoolGetXML, &wire.NameArgs{Name: name})
 }
 
-// StoragePoolInfo implements core.StorageSupport.
+// StoragePoolInfo implements core.DriverConn.
 func (c *Conn) StoragePoolInfo(name string) (core.StoragePoolInfo, error) {
 	var r wire.PoolInfoReply
 	if err := c.call(wire.ProcPoolGetInfo, &wire.NameArgs{Name: name}, &r); err != nil {
@@ -651,22 +637,22 @@ func (c *Conn) StoragePoolInfo(name string) (core.StoragePoolInfo, error) {
 	}, nil
 }
 
-// ListVolumes implements core.StorageSupport.
+// ListVolumes implements core.DriverConn.
 func (c *Conn) ListVolumes(pool string) ([]string, error) {
 	return c.callNames(wire.ProcVolList, &wire.NameArgs{Name: pool})
 }
 
-// CreateVolume implements core.StorageSupport.
+// CreateVolume implements core.DriverConn.
 func (c *Conn) CreateVolume(pool, xmlDesc string) error {
 	return c.call(wire.ProcVolCreate, &wire.VolCreateArgs{Pool: pool, XML: xmlDesc}, nil)
 }
 
-// DeleteVolume implements core.StorageSupport.
+// DeleteVolume implements core.DriverConn.
 func (c *Conn) DeleteVolume(pool, name string) error {
 	return c.call(wire.ProcVolDelete, &wire.VolArgs{Pool: pool, Name: name}, nil)
 }
 
-// VolumeXML implements core.StorageSupport.
+// VolumeXML implements core.DriverConn.
 func (c *Conn) VolumeXML(pool, name string) (string, error) {
 	return c.callString(wire.ProcVolGetXML, &wire.VolArgs{Pool: pool, Name: name})
 }

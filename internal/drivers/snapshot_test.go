@@ -7,23 +7,13 @@ import (
 	"repro/internal/core"
 )
 
-func snapDrv(t *testing.T, drv core.DriverConn) core.SnapshotSupport {
-	t.Helper()
-	ss, ok := drv.(core.SnapshotSupport)
-	if !ok {
-		t.Fatal("driver does not implement snapshots")
-	}
-	return ss
-}
-
 func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 	forEachDriver(t, func(t *testing.T, name string, drv core.DriverConn) {
-		ss := snapDrv(t, drv)
 		if _, err := drv.DefineDomain(domainXML(name, "vm")); err != nil {
 			t.Fatal(err)
 		}
 		// Snapshot of a powered-off domain.
-		offSnap, err := ss.CreateSnapshot("vm", "")
+		offSnap, err := drv.CreateSnapshot("vm", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +27,7 @@ func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 		if err := drv.SetDomainMemory("vm", 512*1024); err != nil {
 			t.Fatal(err)
 		}
-		liveSnap, err := ss.CreateSnapshot("vm",
+		liveSnap, err := drv.CreateSnapshot("vm",
 			`<domainsnapshot><name>live</name><description>before upgrade</description></domainsnapshot>`)
 		if err != nil {
 			t.Fatal(err)
@@ -50,11 +40,11 @@ func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 			t.Fatalf("live snapshot changed state to %v", info.State)
 		}
 
-		snaps, err := ss.ListSnapshots("vm")
+		snaps, err := drv.ListSnapshots("vm")
 		if err != nil || len(snaps) != 2 || snaps[0] != offSnap || snaps[1] != "live" {
 			t.Fatalf("snapshots %v %v", snaps, err)
 		}
-		xml, err := ss.SnapshotXML("vm", "live")
+		xml, err := drv.SnapshotXML("vm", "live")
 		if err != nil || !strings.Contains(xml, "before upgrade") || !strings.Contains(xml, "running") {
 			t.Fatalf("snapshot xml %v:\n%s", err, xml)
 		}
@@ -64,7 +54,7 @@ func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 		if err := drv.DestroyDomain("vm"); err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.RevertSnapshot("vm", "live"); err != nil {
+		if err := drv.RevertSnapshot("vm", "live"); err != nil {
 			t.Fatal(err)
 		}
 		info, err := drv.DomainInfo("vm")
@@ -76,7 +66,7 @@ func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 		}
 
 		// Revert to the powered-off snapshot stops the domain.
-		if err := ss.RevertSnapshot("vm", offSnap); err != nil {
+		if err := drv.RevertSnapshot("vm", offSnap); err != nil {
 			t.Fatal(err)
 		}
 		if info, _ := drv.DomainInfo("vm"); info.State != core.DomainShutoff {
@@ -84,13 +74,13 @@ func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 		}
 
 		// Delete and verify.
-		if err := ss.DeleteSnapshot("vm", "live"); err != nil {
+		if err := drv.DeleteSnapshot("vm", "live"); err != nil {
 			t.Fatal(err)
 		}
-		if err := ss.DeleteSnapshot("vm", "live"); !core.IsCode(err, core.ErrInvalidArg) {
+		if err := drv.DeleteSnapshot("vm", "live"); !core.IsCode(err, core.ErrInvalidArg) {
 			t.Fatalf("double delete: %v", err)
 		}
-		snaps, _ = ss.ListSnapshots("vm")
+		snaps, _ = drv.ListSnapshots("vm")
 		if len(snaps) != 1 {
 			t.Fatalf("snapshots after delete: %v", snaps)
 		}
@@ -99,29 +89,28 @@ func TestSnapshotLifecycleAllDrivers(t *testing.T) {
 
 func TestSnapshotErrors(t *testing.T) {
 	forEachDriver(t, func(t *testing.T, name string, drv core.DriverConn) {
-		ss := snapDrv(t, drv)
-		if _, err := ss.CreateSnapshot("ghost", ""); !core.IsCode(err, core.ErrNoDomain) {
+		if _, err := drv.CreateSnapshot("ghost", ""); !core.IsCode(err, core.ErrNoDomain) {
 			t.Fatalf("snapshot of missing domain: %v", err)
 		}
-		if _, err := ss.ListSnapshots("ghost"); !core.IsCode(err, core.ErrNoDomain) {
+		if _, err := drv.ListSnapshots("ghost"); !core.IsCode(err, core.ErrNoDomain) {
 			t.Fatalf("list of missing domain: %v", err)
 		}
 		if _, err := drv.DefineDomain(domainXML(name, "vm")); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ss.CreateSnapshot("vm", "<garbage"); !core.IsCode(err, core.ErrXML) {
+		if _, err := drv.CreateSnapshot("vm", "<garbage"); !core.IsCode(err, core.ErrXML) {
 			t.Fatalf("bad snapshot xml: %v", err)
 		}
-		if _, err := ss.CreateSnapshot("vm", `<domainsnapshot><name>s1</name></domainsnapshot>`); err != nil {
+		if _, err := drv.CreateSnapshot("vm", `<domainsnapshot><name>s1</name></domainsnapshot>`); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ss.CreateSnapshot("vm", `<domainsnapshot><name>s1</name></domainsnapshot>`); !core.IsCode(err, core.ErrDuplicate) {
+		if _, err := drv.CreateSnapshot("vm", `<domainsnapshot><name>s1</name></domainsnapshot>`); !core.IsCode(err, core.ErrDuplicate) {
 			t.Fatalf("duplicate snapshot: %v", err)
 		}
-		if err := ss.RevertSnapshot("vm", "nope"); !core.IsCode(err, core.ErrInvalidArg) {
+		if err := drv.RevertSnapshot("vm", "nope"); !core.IsCode(err, core.ErrInvalidArg) {
 			t.Fatalf("revert missing snapshot: %v", err)
 		}
-		if _, err := ss.SnapshotXML("vm", "nope"); !core.IsCode(err, core.ErrInvalidArg) {
+		if _, err := drv.SnapshotXML("vm", "nope"); !core.IsCode(err, core.ErrInvalidArg) {
 			t.Fatalf("xml of missing snapshot: %v", err)
 		}
 	})
@@ -129,7 +118,6 @@ func TestSnapshotErrors(t *testing.T) {
 
 func TestSnapshotRevertPausedState(t *testing.T) {
 	drv := openers["qsim"](t)
-	ss := snapDrv(t, drv)
 	if _, err := drv.DefineDomain(domainXML("qsim", "vm")); err != nil {
 		t.Fatal(err)
 	}
@@ -139,13 +127,13 @@ func TestSnapshotRevertPausedState(t *testing.T) {
 	if err := drv.SuspendDomain("vm"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ss.CreateSnapshot("vm", `<domainsnapshot><name>paused</name></domainsnapshot>`); err != nil {
+	if _, err := drv.CreateSnapshot("vm", `<domainsnapshot><name>paused</name></domainsnapshot>`); err != nil {
 		t.Fatal(err)
 	}
 	if err := drv.ResumeDomain("vm"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ss.RevertSnapshot("vm", "paused"); err != nil {
+	if err := drv.RevertSnapshot("vm", "paused"); err != nil {
 		t.Fatal(err)
 	}
 	if info, _ := drv.DomainInfo("vm"); info.State != core.DomainPaused {
@@ -155,15 +143,11 @@ func TestSnapshotRevertPausedState(t *testing.T) {
 
 func TestManagedSaveAllDrivers(t *testing.T) {
 	forEachDriver(t, func(t *testing.T, name string, drv core.DriverConn) {
-		ms, ok := drv.(core.ManagedSaveSupport)
-		if !ok {
-			t.Fatal("driver does not implement managed save")
-		}
 		if _, err := drv.DefineDomain(domainXML(name, "vm")); err != nil {
 			t.Fatal(err)
 		}
 		// Managed save needs an active domain.
-		if err := ms.ManagedSave("vm"); !core.IsCode(err, core.ErrOperationInvalid) {
+		if err := drv.ManagedSave("vm"); !core.IsCode(err, core.ErrOperationInvalid) {
 			t.Fatalf("save of inactive domain: %v", err)
 		}
 		if err := drv.CreateDomain("vm"); err != nil {
@@ -172,13 +156,13 @@ func TestManagedSaveAllDrivers(t *testing.T) {
 		if err := drv.SetDomainMemory("vm", 512*1024); err != nil {
 			t.Fatal(err)
 		}
-		if err := ms.ManagedSave("vm"); err != nil {
+		if err := drv.ManagedSave("vm"); err != nil {
 			t.Fatal(err)
 		}
 		if info, _ := drv.DomainInfo("vm"); info.State != core.DomainShutoff {
 			t.Fatalf("state after save: %v", info.State)
 		}
-		if has, err := ms.HasManagedSave("vm"); err != nil || !has {
+		if has, err := drv.HasManagedSave("vm"); err != nil || !has {
 			t.Fatalf("HasManagedSave %v %v", has, err)
 		}
 		// Start restores the image: balloon preserved, image consumed.
@@ -189,7 +173,7 @@ func TestManagedSaveAllDrivers(t *testing.T) {
 		if err != nil || info.State != core.DomainRunning || info.MemKiB != 512*1024 {
 			t.Fatalf("restored info %+v %v", info, err)
 		}
-		if has, _ := ms.HasManagedSave("vm"); has {
+		if has, _ := drv.HasManagedSave("vm"); has {
 			t.Fatal("image not consumed by restore")
 		}
 	})
@@ -197,7 +181,6 @@ func TestManagedSaveAllDrivers(t *testing.T) {
 
 func TestManagedSaveRemoveBootsFresh(t *testing.T) {
 	drv := openers["csim"](t)
-	ms := drv.(core.ManagedSaveSupport)
 	if _, err := drv.DefineDomain(domainXML("csim", "vm")); err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +190,13 @@ func TestManagedSaveRemoveBootsFresh(t *testing.T) {
 	if err := drv.SetDomainMemory("vm", 256*1024); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.ManagedSave("vm"); err != nil {
+	if err := drv.ManagedSave("vm"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.ManagedSaveRemove("vm"); err != nil {
+	if err := drv.ManagedSaveRemove("vm"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.ManagedSaveRemove("vm"); !core.IsCode(err, core.ErrOperationInvalid) {
+	if err := drv.ManagedSaveRemove("vm"); !core.IsCode(err, core.ErrOperationInvalid) {
 		t.Fatalf("double remove: %v", err)
 	}
 	if err := drv.CreateDomain("vm"); err != nil {
@@ -227,7 +210,6 @@ func TestManagedSaveRemoveBootsFresh(t *testing.T) {
 
 func TestManagedSavePausedDomain(t *testing.T) {
 	drv := openers["xsim"](t)
-	ms := drv.(core.ManagedSaveSupport)
 	if _, err := drv.DefineDomain(domainXML("xsim", "vm")); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +219,7 @@ func TestManagedSavePausedDomain(t *testing.T) {
 	if err := drv.SuspendDomain("vm"); err != nil {
 		t.Fatal(err)
 	}
-	if err := ms.ManagedSave("vm"); err != nil {
+	if err := drv.ManagedSave("vm"); err != nil {
 		t.Fatal(err)
 	}
 	if err := drv.CreateDomain("vm"); err != nil {

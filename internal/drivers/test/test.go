@@ -2,7 +2,7 @@
 // driver backed directly by the simulation substrate, with a canned
 // "default" environment. Like its namesake in the original architecture
 // it exists so management applications and the daemon can be exercised
-// without any hypervisor, and it supports every optional interface.
+// without any hypervisor.
 package test
 
 import (

@@ -60,7 +60,7 @@ func (c *FileConfig) Keys() []conf.Key {
 		conf.Int("rebalance_concurrency", &c.RebalanceConcurrency, 1),
 		conf.Uint("migrate_bandwidth_mbps", &c.MigrateBandwidthMBps),
 		conf.Uint("migrate_max_downtime_ms", &c.MigrateMaxDowntimeMs),
-		conf.Int("migrate_streams", &c.MigrateStreams, 0, 64),
+		conf.Int("migrate_streams", &c.MigrateStreams, 0, core.MaxMigrateStreams),
 		conf.Bool("migrate_auto_converge", &c.MigrateAutoConverge),
 		conf.Bool("migrate_postcopy", &c.MigratePostCopy),
 	}

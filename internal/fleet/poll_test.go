@@ -11,11 +11,10 @@ import (
 	"repro/internal/uri"
 )
 
-// pollOnlyConn passes through the mandatory DriverConn methods of the
-// test driver and hides every optional interface behind it — no
-// EventSource, no WatchSource, no bulk monitoring — so WatchEvents
-// answers ErrNoSupport and the registry has nothing but its interval
-// sweep to learn from.
+// pollOnlyConn passes through the DriverConn methods of the test driver
+// and hides its EventSource (it has no WatchSource either), so
+// WatchEvents answers ErrNoSupport and the registry has nothing but its
+// interval sweep to learn from.
 type pollOnlyConn struct{ core.DriverConn }
 
 // TestFleetPollsDriverWithoutWatch pins the one remaining polling path:

@@ -28,10 +28,10 @@
 // configured bandwidth and the source machine's dirty-page model (see
 // DESIGN.md, Substitutions), so total time, downtime and convergence
 // behaviour — the properties the evaluation reports — are faithfully
-// reproduced without moving real memory. When the destination supports
-// core.MigrationSink, page chunks additionally cross the real RPC frame
-// path (pipelined per stream, faultpoint site "migrate.stream"), so the
-// wire layer carries genuine migration load in tests and benchmarks.
+// reproduced without moving real memory. Page chunks additionally cross
+// the destination's migration sink — the real RPC frame path when it is
+// remote (pipelined per stream, faultpoint site "migrate.stream") — so
+// the wire layer carries genuine migration load in tests and benchmarks.
 //
 // Both ends may be local or remote connections. A local source exposes
 // its substrate machine directly; for a daemon-managed source, whose
@@ -70,10 +70,6 @@ const streamOverhead = 0.5
 // pullRTTNs is the modelled round-trip latency a post-copy demand-fault
 // batch pays on the priority stream.
 const pullRTTNs = 500_000 // 0.5 ms
-
-// maxStreams caps ParallelStreams; beyond this the bandwidth model's
-// returns are within noise anyway.
-const maxStreams = 64
 
 // autoConvergeRounds is K: consecutive hot rounds before the throttle
 // escalates one ladder step.
@@ -572,8 +568,8 @@ func applyDefaults(opts *core.MigrateOptions) {
 	if opts.ParallelStreams < 1 {
 		opts.ParallelStreams = 1
 	}
-	if opts.ParallelStreams > maxStreams {
-		opts.ParallelStreams = maxStreams
+	if opts.ParallelStreams > core.MaxMigrateStreams {
+		opts.ParallelStreams = core.MaxMigrateStreams
 	}
 }
 
@@ -588,7 +584,7 @@ func applyURIDefaults(dst *core.Connect, opts *core.MigrateOptions) {
 	}
 	if opts.ParallelStreams <= 1 {
 		if v, ok := u.Param("migrate_streams"); ok {
-			if n, err := strconv.Atoi(v); err == nil && n >= 1 && n <= maxStreams {
+			if n, err := strconv.Atoi(v); err == nil && n >= 1 && n <= core.MaxMigrateStreams {
 				opts.ParallelStreams = n
 			}
 		}

@@ -202,8 +202,8 @@ func TestMigrateDefaults(t *testing.T) {
 	}
 	opts.ParallelStreams = 10_000
 	applyDefaults(&opts)
-	if opts.ParallelStreams != maxStreams {
-		t.Fatalf("stream cap %d, want %d", opts.ParallelStreams, maxStreams)
+	if opts.ParallelStreams != core.MaxMigrateStreams {
+		t.Fatalf("stream cap %d, want %d", opts.ParallelStreams, core.MaxMigrateStreams)
 	}
 }
 
@@ -524,7 +524,7 @@ func TestMigrateDropRetransmits(t *testing.T) {
 	}
 }
 
-// TestMigrateSinkReceives drives the destination's MigrationSink
+// TestMigrateSinkReceives drives the destination's migration sink
 // directly through a migration and checks the inbound accounting.
 func TestMigrateSinkReceives(t *testing.T) {
 	src, dst := pair(t)

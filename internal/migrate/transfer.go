@@ -7,13 +7,13 @@ import (
 	"repro/internal/faultpoint"
 )
 
-// The transfer layer moves page chunks to the destination. When the
-// destination driver implements core.MigrationSink (every local driver
-// base does; the remote driver forwards over dedicated wire procedures)
-// each chunk is a real RPC through the pooled frame path, so parallel
-// streams genuinely pipeline on the connection and chaos tests can cut
-// them mid-flight. Otherwise — an older daemon answering ErrNoSupport —
-// the engine falls back to the pure timing model and sends nothing.
+// The transfer layer moves page chunks to the destination connection's
+// migration sink (core.DriverConn's MigratePrepare/MigratePages/
+// MigrateFinish). Every local driver base accounts them directly; the
+// remote driver forwards them over dedicated wire procedures, so each
+// chunk is a real RPC through the pooled frame path, parallel streams
+// genuinely pipeline on the connection and chaos tests can cut them
+// mid-flight.
 //
 // Timing stays modelled either way: chunk payloads are capped
 // representatives (Pages carries the authoritative accounting), and
@@ -41,24 +41,25 @@ var chunkPayload = make([]byte, chunkPayloadCap)
 
 // transport is the destination-facing side of the engine.
 type transport interface {
-	prepare(domain string, totalPages uint64, streams int) error
 	send(ch *core.MigrateChunk) error
 	finish(commit bool) error
 }
 
-// sinkTransport pushes chunks into a core.MigrationSink.
+// sinkTransport pushes chunks into the destination's migration sink.
 type sinkTransport struct {
-	sink   core.MigrationSink
+	sink   core.DriverConn
 	cookie uint64
 }
 
-func (t *sinkTransport) prepare(domain string, totalPages uint64, streams int) error {
-	cookie, err := t.sink.MigratePrepare(domain, totalPages, streams)
+// newTransport registers the transfer on the destination and returns
+// the transport that carries its chunks.
+func newTransport(dst *core.Connect, domain string, totalPages uint64, streams int) (transport, error) {
+	sink := dst.Driver()
+	cookie, err := sink.MigratePrepare(domain, totalPages, streams)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	t.cookie = cookie
-	return nil
+	return &sinkTransport{sink: sink, cookie: cookie}, nil
 }
 
 func (t *sinkTransport) send(ch *core.MigrateChunk) error {
@@ -70,32 +71,12 @@ func (t *sinkTransport) finish(commit bool) error {
 	return t.sink.MigrateFinish(t.cookie, commit)
 }
 
-// modelTransport is the no-wire fallback; timing and accounting still
-// run, nothing crosses a connection.
+// modelTransport is Estimate's transport: timing and accounting run,
+// nothing crosses a connection.
 type modelTransport struct{}
 
-func (modelTransport) prepare(string, uint64, int) error { return nil }
-func (modelTransport) send(*core.MigrateChunk) error     { return nil }
-func (modelTransport) finish(bool) error                 { return nil }
-
-// newTransport picks the sink path when the destination supports it.
-// The returned prepared flag is false when the engine should fall back
-// to the pure model (no sink interface, or the peer daemon predates the
-// migration procedures).
-func newTransport(dst *core.Connect, domain string, totalPages uint64, streams int) (transport, error) {
-	sink, ok := dst.Driver().(core.MigrationSink)
-	if !ok {
-		return modelTransport{}, nil
-	}
-	t := &sinkTransport{sink: sink}
-	if err := t.prepare(domain, totalPages, streams); err != nil {
-		if core.IsCode(err, core.ErrNoSupport) {
-			return modelTransport{}, nil
-		}
-		return nil, err
-	}
-	return t, nil
-}
+func (modelTransport) send(*core.MigrateChunk) error { return nil }
+func (modelTransport) finish(bool) error             { return nil }
 
 // sendChunk pushes one chunk through the transport with the
 // migrate.stream faultpoint applied. A dropped (or corrupted) chunk is

@@ -5,9 +5,7 @@
 // that multiplies management cost fastest. The DomainCollector keeps it
 // flat by construction:
 //
-//   - one scrape = one bulk NodeInventory sweep (CollectInventoryInto,
-//     which itself falls back to the classic NodeInfo + list + N×info
-//     loop against peers without the bulk procedures),
+//   - one scrape = one bulk NodeInventoryInto sweep,
 //   - the rendered exposition is cached for a staleness bound, so N
 //     Prometheus servers scraping the same host within the window cost
 //     one sweep total (single-flight: concurrent scrapers coalesce onto
@@ -120,13 +118,13 @@ type DomainSource interface {
 	DomainUUID(name string) (string, bool)
 }
 
-// driverSource adapts a driver connection: the sweep is
-// core.CollectInventoryInto (bulk fast path, per-domain fallback for
-// old peers), uuid resolution is one LookupDomain per unseen name.
+// driverSource adapts a driver connection: the sweep is its
+// NodeInventoryInto, uuid resolution is one LookupDomain per unseen
+// name.
 type driverSource struct{ d core.DriverConn }
 
 func (s driverSource) SweepInventory(inv *core.NodeInventory) error {
-	return core.CollectInventoryInto(s.d, inv)
+	return s.d.NodeInventoryInto(inv)
 }
 
 func (s driverSource) DomainUUID(name string) (string, bool) {

@@ -33,7 +33,7 @@ go test ./internal/xmlspec -run '^$' -fuzz FuzzDecodeMatchesEncodingXML -fuzztim
 echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
 
-echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (32768 / 64), lifecycle-churn (8192 / 96) and rpc-small (32 / 1)"
+echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (32768 / 64), lifecycle-churn (8192 / 96), rpc-small (32 / 1) and fleet-place (40960 / 64)"
 # The counts repeat to under half a percent. monitor-sweep read 3.5 MB
 # and 2,777 objects per cycle before its buffers were retained
 # (EXPERIMENTS.md T9); lifecycle-churn read 77 KB and 1,522 objects per
@@ -43,7 +43,8 @@ echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (3
 # back the strings its peer repeats;
 # rpc-small read 366 B and 9.6 objects per call before the remote hop
 # recycled its dispatch records (T2b), and 23 B and 1.2 objects before
-# the per-connection strings.
+# the per-connection strings; fleet-place reads 33-34 KB and 48-50
+# objects per placement.
 count() { printf '%s\n' "$line" | sed -n "s/.*\"$1\":{\"unit\":\"[A-Za-z]*\",\"value\":\([0-9.e+]*\)}.*/\1/p"; }
 while read -r workload maxbytes maxallocs; do
 	line=$(go run ./bench --workload "$workload" --seed 1 --seconds 2 --trace 0 </dev/null | tail -n 1)
@@ -59,6 +60,7 @@ done <<'ROWS'
 monitor-sweep 32768 64
 lifecycle-churn 8192 96
 rpc-small 32 1
+fleet-place 40960 64
 ROWS
 
 echo "== bench smoke: every benchmark runs once (-benchtime=1x)"
