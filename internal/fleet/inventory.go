@@ -86,6 +86,15 @@ func (inv *HostInventory) Summary() HostSummary {
 	return s
 }
 
+// addPlaced counts a placement whose record has not been collected yet
+// as one more running domain sized by its request.
+func (s *HostSummary) addPlaced(req Request) {
+	s.ActiveDomains++
+	s.TotalDomains++
+	s.AllocMemKiB += req.MemKiB
+	s.AllocVCPUs += req.VCPUs
+}
+
 // FreeMemKiB returns the unallocated host memory (0 when overcommitted).
 func (s *HostSummary) FreeMemKiB() uint64 {
 	if s.AllocMemKiB >= s.MemoryKiB {
