@@ -92,7 +92,7 @@ func TestExpositionRegistryFormat(t *testing.T) {
 	r.Counter("calls_total{" + Labels("proc", "plain") + "}").Inc()
 	r.Gauge("clients").Set(-2)
 	r.Histogram("lat_seconds").Observe(time.Millisecond)
-	text := string(r.Snapshot().AppendPrometheus(nil))
+	text := string(r.AppendPrometheus(nil))
 	lintExposition(t, text)
 	if !strings.Contains(text, `proc="we\"ird\\name\n"`) {
 		t.Fatalf("label escaping wrong:\n%s", text)
@@ -256,5 +256,5 @@ func TestInstrumentFaultpoints(t *testing.T) {
 	if got := reg.Counter(name).Value(); got != 3 {
 		t.Fatalf("%s = %d, want 3", name, got)
 	}
-	lintExposition(t, string(reg.Snapshot().AppendPrometheus(nil)))
+	lintExposition(t, string(reg.AppendPrometheus(nil)))
 }

@@ -56,12 +56,12 @@ func TestExpositionGoldenIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := goldenRegistry()
-	got := r.Snapshot().AppendPrometheus(nil)
+	got := r.AppendPrometheus(nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("registry render differs from the golden capture:\n--- got\n%s\n--- want\n%s", got, want)
 	}
 	// Appending behind existing bytes leaves them alone.
-	if got := r.Snapshot().AppendPrometheus([]byte("prefix\n")); !bytes.Equal(got, append([]byte("prefix\n"), want...)) {
+	if got := r.AppendPrometheus([]byte("prefix\n")); !bytes.Equal(got, append([]byte("prefix\n"), want...)) {
 		t.Fatal("AppendPrometheus does not append")
 	}
 

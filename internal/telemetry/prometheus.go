@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -179,86 +178,75 @@ func metricHelp(base string) string {
 	return h
 }
 
-// AppendPrometheus appends the snapshot in the Prometheus text
+// AppendPrometheus appends the registry in the Prometheus text
 // exposition format (version 0.0.4) to dst: every family introduced by
 // `# HELP`/`# TYPE` exactly once, samples grouped per family.
 // Histograms are emitted in seconds, following the Prometheus base-unit
 // convention; internal nanosecond names ending in `_seconds` are
-// expected from callers.
-func (s Snapshot) AppendPrometheus(dst []byte) []byte {
-	return s.appendPrometheus(dst, make(map[string]bool))
-}
-
-// appendPrometheus is AppendPrometheus with the caller's (empty) set of
-// families already introduced. Sorted names put `a_total_more` between
-// `a_total` and `a_total{x="1"}`, so the set cannot be replaced by
-// comparing each base name with the one before it.
-func (s Snapshot) appendPrometheus(dst []byte, headerSeen map[string]bool) []byte {
-	sample := func(base, suffix, labels string) {
-		dst = append(dst, base...)
-		dst = append(dst, suffix...)
-		if labels != "" {
-			dst = append(dst, '{')
-			dst = append(dst, labels...)
-			dst = append(dst, '}')
+// expected from callers. Every value is read in place, so the render
+// allocates nothing once dst has room for it.
+func (r *Registry) AppendPrometheus(dst []byte) []byte {
+	for _, s := range r.series() {
+		if s.opens {
+			dst = appendFamilyHeader(dst, s.base, s.kind, metricHelp(s.base))
 		}
-		dst = append(dst, ' ')
-	}
-	family := func(name, kind string) (base, labels string) {
-		base, labels = splitName(name)
-		if !headerSeen[base] {
-			headerSeen[base] = true
-			dst = appendFamilyHeader(dst, base, kind, metricHelp(base))
+		switch {
+		case s.hist != nil:
+			dst = s.hist.appendPrometheus(dst, s.base, s.labels)
+		case s.counter != nil:
+			dst = appendSample(dst, s.base, "", s.labels)
+			dst = append(appendUint(dst, s.counter()), '\n')
+		default:
+			dst = appendSample(dst, s.base, "", s.labels)
+			dst = append(strconv.AppendInt(dst, s.gauge(), 10), '\n')
 		}
-		return base, labels
-	}
-	for _, c := range s.Counters {
-		base, labels := family(c.Name, "counter")
-		sample(base, "", labels)
-		dst = append(appendUint(dst, c.Value), '\n')
-	}
-	for _, g := range s.Gauges {
-		base, labels := family(g.Name, "gauge")
-		sample(base, "", labels)
-		dst = append(strconv.AppendInt(dst, g.Value, 10), '\n')
-	}
-	for _, h := range s.Histograms {
-		base, labels := family(h.Name, "histogram")
-		for _, bucket := range h.Buckets {
-			dst = append(dst, base...)
-			dst = append(dst, "_bucket{"...)
-			if labels != "" {
-				dst = append(dst, labels...)
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `le="`...)
-			if bucket.UpperNs != 0 {
-				dst = appendSeconds(dst, bucket.UpperNs)
-			} else {
-				dst = append(dst, "+Inf"...)
-			}
-			dst = append(dst, `"} `...)
-			dst = append(appendUint(dst, bucket.Cumulative), '\n')
-		}
-		sample(base, "_sum", labels)
-		dst = append(appendSeconds(dst, h.SumNs), '\n')
-		sample(base, "_count", labels)
-		dst = append(appendUint(dst, h.Count), '\n')
 	}
 	return dst
 }
 
-// registryScratch is what one render of a registry snapshot needs and
-// the next can reuse: the output buffer, a few tens of kilobytes sized
-// by the number of registered series, and the set of families seen.
-type registryScratch struct {
-	buf  []byte
-	seen map[string]bool
+// appendSample appends a sample's name, label clause and the space
+// before its value.
+func appendSample(dst []byte, base, suffix, labels string) []byte {
+	dst = append(dst, base...)
+	dst = append(dst, suffix...)
+	if labels != "" {
+		dst = append(dst, '{')
+		dst = append(dst, labels...)
+		dst = append(dst, '}')
+	}
+	return append(dst, ' ')
 }
 
-var registryScratchPool = sync.Pool{
-	New: func() interface{} { return &registryScratch{seen: make(map[string]bool)} },
+// appendPrometheus appends the histogram's cumulative buckets, sum and
+// count; the count is the +Inf bucket's total.
+func (h *Histogram) appendPrometheus(dst []byte, base, labels string) []byte {
+	var total uint64
+	for i, c := range h.load() {
+		total += c
+		dst = append(dst, base...)
+		dst = append(dst, "_bucket{"...)
+		if labels != "" {
+			dst = append(dst, labels...)
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `le="`...)
+		if upper := upperNs(i); upper != 0 {
+			dst = appendSeconds(dst, upper)
+		} else {
+			dst = append(dst, "+Inf"...)
+		}
+		dst = append(dst, `"} `...)
+		dst = append(appendUint(dst, total), '\n')
+	}
+	dst = appendSample(dst, base, "_sum", labels)
+	dst = append(appendSeconds(dst, h.sumNs.Load()), '\n')
+	dst = appendSample(dst, base, "_count", labels)
+	return append(appendUint(dst, total), '\n')
 }
+
+// renderBufs recycles the registry render's output buffer, a few tens
+// of kilobytes sized by the number of registered series.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Handler serves the registry in Prometheus text format — the daemon
 // mounts this at /metrics when the listener is enabled in configuration.
@@ -286,25 +274,16 @@ func HandlerWith(r *Registry, dc *DomainCollector) http.Handler {
 			defer dc.release(domain)
 		}
 		w.Header().Set("Content-Type", ContentType)
-		sc := registryScratchPool.Get().(*registryScratch)
-		sc.buf = r.Snapshot().appendPrometheus(sc.buf[:0], sc.seen)
-		_, _ = w.Write(sc.buf)
-		clear(sc.seen)
-		registryScratchPool.Put(sc)
+		buf := renderBufs.Get().(*[]byte)
+		*buf = r.AppendPrometheus((*buf)[:0])
+		_, _ = w.Write(*buf)
+		renderBufs.Put(buf)
 		if domain != nil && len(domain.body) > 0 {
 			_, _ = w.Write(domain.body)
 		}
 	})
 }
 
-// sortedBucketBounds is exported for tests via BucketBounds.
-func sortedBucketBounds() []uint64 {
-	out := make([]uint64, len(bucketBoundsNs))
-	copy(out, bucketBoundsNs[:])
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // BucketBounds returns the fixed histogram bucket upper bounds in
 // nanoseconds (ascending), exposed for tests and report tooling.
-func BucketBounds() []uint64 { return sortedBucketBounds() }
+func BucketBounds() []uint64 { return append([]uint64(nil), bucketBoundsNs[:]...) }

@@ -10,11 +10,16 @@
 // Hot-path cost model: a registered Counter/Gauge/Histogram handle is a
 // pointer; updating it is one or two atomic operations and never takes a
 // lock. Registry lookups (get-or-create by name) take a read lock and
-// are meant for set-up paths, with callers caching the handle.
+// are meant for set-up paths, with callers caching the handle. Reads
+// (the exposition render and Snapshot) walk one sorted, immutable view
+// of the registry, built on the first read after a registration, so a
+// render copies no map, sorts nothing and allocates only its output.
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,10 +71,11 @@ var bucketBoundsNs = [numBuckets]uint64{
 }
 
 // Histogram accumulates durations into fixed log-spaced buckets. All
-// updates are atomic; Observe never allocates or locks.
+// updates are atomic; Observe never allocates or locks. The count is
+// the buckets' total as a reader loads them, so a reading's +Inf bucket
+// always equals its count, however Observe races with it.
 type Histogram struct {
 	buckets [numBuckets + 1]atomic.Uint64 // +1 for +Inf
-	count   atomic.Uint64
 	sumNs   atomic.Uint64
 }
 
@@ -80,7 +86,6 @@ func (h *Histogram) Observe(d time.Duration) {
 		ns = uint64(d)
 	}
 	h.buckets[bucketIndex(ns)].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(ns)
 }
 
@@ -125,29 +130,33 @@ func (s HistogramSnapshot) MeanNs() uint64 {
 	return s.SumNs / s.Count
 }
 
-// Snapshot captures the histogram's buckets and computes quantiles.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var counts [len(bucketBoundsNs) + 1]uint64
+// load reads every bucket once, in order.
+func (h *Histogram) load() (counts [numBuckets + 1]uint64) {
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
 	}
-	snap := HistogramSnapshot{
-		Count: h.count.Load(),
-		SumNs: h.sumNs.Load(),
+	return counts
+}
+
+// upperNs is bucket i's upper bound; 0 stands for +Inf.
+func upperNs(i int) uint64 {
+	if i < numBuckets {
+		return bucketBoundsNs[i]
 	}
-	var total uint64
-	snap.Buckets = make([]BucketCount, 0, len(counts))
+	return 0
+}
+
+// Snapshot captures the histogram's buckets and computes quantiles.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	counts := h.load()
+	snap := HistogramSnapshot{SumNs: h.sumNs.Load(), Buckets: make([]BucketCount, len(counts))}
 	for i, c := range counts {
-		total += c
-		upper := uint64(0)
-		if i < len(bucketBoundsNs) {
-			upper = bucketBoundsNs[i]
-		}
-		snap.Buckets = append(snap.Buckets, BucketCount{UpperNs: upper, Cumulative: total})
+		snap.Count += c
+		snap.Buckets[i] = BucketCount{UpperNs: upperNs(i), Cumulative: snap.Count}
 	}
-	snap.P50Ns = quantile(counts[:], total, 0.50)
-	snap.P95Ns = quantile(counts[:], total, 0.95)
-	snap.P99Ns = quantile(counts[:], total, 0.99)
+	snap.P50Ns = quantile(counts[:], snap.Count, 0.50)
+	snap.P95Ns = quantile(counts[:], snap.Count, 0.95)
+	snap.P99Ns = quantile(counts[:], snap.Count, 0.99)
 	return snap
 }
 
@@ -214,6 +223,18 @@ type Registry struct {
 	histograms   map[string]*Histogram
 	counterFuncs map[string]func() uint64
 	gaugeFuncs   map[string]func() int64
+	view         []series // nil once a registration has made it stale
+}
+
+// series is one entry of a registry's view: a metric and how to read
+// it. Exactly one of counter, gauge and hist is set.
+type series struct {
+	name, base, labels string // labels is the clause without its braces
+	kind               string // "counter", "gauge" or "histogram"
+	opens              bool   // first series of its family: carries HELP and TYPE
+	counter            func() uint64
+	gauge              func() int64
+	hist               *Histogram
 }
 
 // NewRegistry creates an empty registry.
@@ -232,123 +253,119 @@ func NewRegistry() *Registry {
 // here; the daemon uses it unless built with an explicit registry.
 var Default = NewRegistry()
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// getOrCreate returns m's metric under name, creating it on first use.
+func getOrCreate[T any](r *Registry, m map[string]*T, name string) *T {
 	r.mu.RLock()
-	c, ok := r.counters[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok = r.counters[name]; ok {
-		return c
+	if v, ok = m[name]; !ok {
+		v = new(T)
+		m[name] = v
+		r.view = nil
 	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return v
 }
+
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter { return getOrCreate(r, r.counters, name) }
 
 // Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok = r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
-}
+func (r *Registry) Gauge(name string) *Gauge { return getOrCreate(r, r.gauges, name) }
 
 // Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.histograms[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok = r.histograms[name]; ok {
-		return h
-	}
-	h = &Histogram{}
-	r.histograms[name] = h
-	return h
-}
+func (r *Registry) Histogram(name string) *Histogram { return getOrCreate(r, r.histograms, name) }
 
 // CounterFunc registers a counter sampled by calling fn at snapshot
 // time. Re-registering a name replaces the function: when a component is
 // rebuilt (tests, daemon restarts in-process) the newest source wins.
-func (r *Registry) CounterFunc(name string, fn func() uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counterFuncs[name] = fn
-}
+func (r *Registry) CounterFunc(name string, fn func() uint64) { register(r, r.counterFuncs, name, fn) }
 
 // GaugeFunc registers a gauge sampled by calling fn at snapshot time.
 // Re-registering a name replaces the function.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
+func (r *Registry) GaugeFunc(name string, fn func() int64) { register(r, r.gaugeFuncs, name, fn) }
+
+// register installs fn under name in m, replacing any earlier one.
+func register[F any](r *Registry, m map[string]F, name string, fn F) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.gaugeFuncs[name] = fn
+	m[name] = fn
+	r.view = nil
 }
 
-// Snapshot samples every metric. Output is sorted by name so renderings
-// are stable.
-func (r *Registry) Snapshot() Snapshot {
+// series returns the registry's view: every series in exposition order
+// (counters, gauges, histograms, each group sorted by name). The slice
+// is never written once built, so callers walk it without the lock and
+// function metrics are never called under it.
+func (r *Registry) series() []series {
 	r.mu.RLock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.histograms))
-	for k, v := range r.histograms {
-		hists[k] = v
-	}
-	counterFuncs := make(map[string]func() uint64, len(r.counterFuncs))
-	for k, v := range r.counterFuncs {
-		counterFuncs[k] = v
-	}
-	gaugeFuncs := make(map[string]func() int64, len(r.gaugeFuncs))
-	for k, v := range r.gaugeFuncs {
-		gaugeFuncs[k] = v
-	}
+	v := r.view
 	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.view == nil {
+		r.view = r.buildView()
+	}
+	return r.view
+}
 
+// buildView lays out the view under the write lock.
+func (r *Registry) buildView() []series {
+	v := make([]series, 0, len(r.counters)+len(r.counterFuncs)+len(r.gauges)+len(r.gaugeFuncs)+len(r.histograms))
+	for name, c := range r.counters {
+		v = append(v, series{name: name, kind: "counter", counter: c.Value})
+	}
+	for name, fn := range r.counterFuncs {
+		v = append(v, series{name: name, kind: "counter", counter: fn})
+	}
+	for name, g := range r.gauges {
+		v = append(v, series{name: name, kind: "gauge", gauge: g.Value})
+	}
+	for name, fn := range r.gaugeFuncs {
+		v = append(v, series{name: name, kind: "gauge", gauge: fn})
+	}
+	for name, h := range r.histograms {
+		v = append(v, series{name: name, kind: "histogram", hist: h})
+	}
+	// The kinds sort in exposition order: counters, gauges, histograms.
+	slices.SortFunc(v, func(a, b series) int {
+		return cmp.Or(strings.Compare(a.kind, b.kind), strings.Compare(a.name, b.name))
+	})
+	// Sorted names put `a_total_more` between `a_total` and
+	// `a_total{x="1"}`, so a family's opening is found by set, not by
+	// comparing each base name with the one before it.
+	opened := make(map[string]bool)
+	for i := range v {
+		s := &v[i]
+		s.base, s.labels = splitName(s.name)
+		s.opens = !opened[s.base]
+		opened[s.base] = true
+	}
+	return v
+}
+
+// Snapshot samples every metric, in the view's order: each group
+// sorted by name, so renderings are stable.
+func (r *Registry) Snapshot() Snapshot {
 	var snap Snapshot
-	for name, c := range counters {
-		snap.Counters = append(snap.Counters, CounterSnapshot{Name: name, Value: c.Value()})
+	for _, s := range r.series() {
+		switch {
+		case s.hist != nil:
+			hs := s.hist.Snapshot()
+			hs.Name = s.name
+			snap.Histograms = append(snap.Histograms, hs)
+		case s.counter != nil:
+			snap.Counters = append(snap.Counters, CounterSnapshot{Name: s.name, Value: s.counter()})
+		default:
+			snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: s.name, Value: s.gauge()})
+		}
 	}
-	for name, fn := range counterFuncs {
-		snap.Counters = append(snap.Counters, CounterSnapshot{Name: name, Value: fn()})
-	}
-	for name, g := range gauges {
-		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: name, Value: g.Value()})
-	}
-	for name, fn := range gaugeFuncs {
-		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: name, Value: fn()})
-	}
-	for name, h := range hists {
-		hs := h.Snapshot()
-		hs.Name = name
-		snap.Histograms = append(snap.Histograms, hs)
-	}
-	sort.Slice(snap.Counters, func(i, j int) bool { return snap.Counters[i].Name < snap.Counters[j].Name })
-	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
-	sort.Slice(snap.Histograms, func(i, j int) bool { return snap.Histograms[i].Name < snap.Histograms[j].Name })
 	return snap
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -123,7 +125,7 @@ func TestPrometheusRendering(t *testing.T) {
 	r.Counter(`calls_total{proc="GetHostname"}`).Add(2)
 	r.Gauge("clients").Set(4)
 	r.Histogram(`lat_seconds{proc="DomainGetInfo"}`).Observe(1500 * time.Microsecond)
-	text := string(r.Snapshot().AppendPrometheus(nil))
+	text := string(r.AppendPrometheus(nil))
 
 	for _, want := range []string{
 		"# TYPE calls_total counter",
@@ -240,7 +242,12 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Histogram("shared_seconds").Observe(time.Duration(j) * time.Microsecond)
 				r.Gauge(fmt.Sprintf("g%d", n)).Set(int64(j))
 				if j%100 == 0 {
+					// Reads race registrations that drop the view under
+					// them: a new series and a re-registered function.
+					r.Counter(fmt.Sprintf("c%d_%d_total", n, j)).Inc()
+					r.GaugeFunc("shared_func", func() int64 { return int64(j) })
 					_ = r.Snapshot()
+					_ = r.AppendPrometheus(nil)
 				}
 			}
 		}(i)
@@ -251,5 +258,132 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if got := r.Histogram("shared_seconds").Snapshot().Count; got != 8*500 {
 		t.Fatalf("lost observations: %d", got)
+	}
+	text := string(r.AppendPrometheus(nil))
+	lintExposition(t, text)
+	if got := strings.Count(text, "\nc"); got != 8*5 || !strings.Contains(text, "\nshared_func 400\n") {
+		t.Fatalf("final render has %d of 40 late counters, or a stale function:\n%s", got, text)
+	}
+}
+
+// TestHistogramReadsNeverTorn observes from several goroutines while a
+// loop renders and snapshots: in every reading each histogram's +Inf
+// bucket equals its count and its cumulative buckets never decrease,
+// as the exposition format requires.
+func TestHistogramReadsNeverTorn(t *testing.T) {
+	r := NewRegistry()
+	hs := []*Histogram{r.Histogram("lat_seconds"), r.Histogram(`lat_seconds{op="b"}`)}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 1; g <= 3; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				hs[i%len(hs)].Observe(time.Duration(i%40_000*g) * time.Microsecond)
+			}
+		}(g)
+	}
+	defer func() { close(stop); wg.Wait() }()
+	var buf []byte
+	for n := 0; n < 500; n++ {
+		buf = r.AppendPrometheus(buf[:0])
+		var prev, inf uint64
+		for _, line := range strings.Split(strings.TrimSuffix(string(buf), "\n"), "\n") {
+			if strings.HasPrefix(line, "#") || strings.Contains(line, "_sum") {
+				continue
+			}
+			sp := strings.LastIndexByte(line, ' ')
+			v, err := strconv.ParseUint(line[sp+1:], 10, 64)
+			if err != nil {
+				t.Fatalf("render %d: %q: %v", n, line, err)
+			}
+			switch {
+			case strings.Contains(line, "_count"):
+				if v != inf {
+					t.Fatalf("render %d: %q, but the +Inf bucket is %d", n, line, inf)
+				}
+				prev = 0
+			case v < prev:
+				t.Fatalf("render %d: %q after a cumulative count of %d", n, line, prev)
+			default:
+				prev, inf = v, v
+			}
+		}
+		for _, h := range hs {
+			s := h.Snapshot()
+			if last := s.Buckets[len(s.Buckets)-1].Cumulative; s.Count != last {
+				t.Fatalf("snapshot %d: count %d, last cumulative bucket %d", n, s.Count, last)
+			}
+		}
+	}
+}
+
+// TestRegistryViewFollowsRegistrations: a render shows what was
+// registered after the render before it, and the newest function of a
+// re-registered name.
+func TestRegistryViewFollowsRegistrations(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total").Inc()
+	r.CounterFunc("f_total", func() uint64 { return 1 })
+	r.GaugeFunc("g", func() int64 { return 1 })
+	render := func() string { return string(r.AppendPrometheus(nil)) }
+	if text := render(); !strings.Contains(text, "\na_total 1\n") || !strings.Contains(text, "\nf_total 1\n") {
+		t.Fatalf("first render:\n%s", text)
+	}
+
+	r.Gauge(`late{x="1"}`).Set(3)
+	r.Histogram("late_seconds")
+	r.CounterFunc("f_total", func() uint64 { return 2 })
+	r.GaugeFunc("g", func() int64 { return 2 })
+	text := render()
+	lintExposition(t, text)
+	for _, want := range []string{"\nlate{x=\"1\"} 3\n", "\nlate_seconds_count 0\n", "\nf_total 2\n", "\ng 2\n"} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("render after registrations lacks %q:\n%s", want, text)
+		}
+	}
+	if strings.Count(text, "\nf_total ") != 1 || strings.Count(text, "\ng ") != 1 {
+		t.Fatalf("a re-registered function renders twice:\n%s", text)
+	}
+	snap := r.Snapshot()
+	if len(snap.Counters) != 2 || snap.Counters[1].Name != "f_total" || snap.Counters[1].Value != 2 {
+		t.Fatalf("snapshot counters %+v", snap.Counters)
+	}
+	if len(snap.Gauges) != 2 || snap.Gauges[0].Value != 2 || len(snap.Histograms) != 1 {
+		t.Fatalf("snapshot gauges %+v, histograms %d", snap.Gauges, len(snap.Histograms))
+	}
+}
+
+// TestFunctionMetricMayRegister: function metrics are sampled outside
+// the registry's lock, so one that registers a metric while it is read
+// neither deadlocks nor loses the metric it made.
+func TestFunctionMetricMayRegister(t *testing.T) {
+	r := NewRegistry()
+	var calls atomic.Int64
+	r.GaugeFunc("registers", func() int64 {
+		n := calls.Add(1)
+		r.Counter(fmt.Sprintf("made%d_total", n)).Inc()
+		r.CounterFunc(fmt.Sprintf("made%d_func_total", n), func() uint64 { return uint64(n) })
+		return n
+	})
+	done := make(chan string)
+	go func() {
+		r.Snapshot()
+		r.AppendPrometheus(nil)
+		done <- string(r.AppendPrometheus(nil))
+	}()
+	select {
+	case text := <-done:
+		if !strings.Contains(text, "\nmade2_total 1\n") || !strings.Contains(text, "\nmade2_func_total 2\n") {
+			t.Fatalf("metrics registered while sampling are missing:\n%s", text)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a function metric that registers deadlocked the registry")
 	}
 }
