@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
@@ -1022,6 +1023,7 @@ func BenchmarkA2_LogRedefineContention(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				rcu := logging.NewQuiet(logging.Warn)
+				hot, ctx := rcu.For("hot.path"), context.Background()
 				locked := &lockedFilters{level: logging.Warn}
 				stop := make(chan struct{})
 				defer close(stop)
@@ -1045,7 +1047,7 @@ func BenchmarkA2_LogRedefineContention(b *testing.B) {
 				b.RunParallel(func(pb *testing.PB) {
 					for pb.Next() {
 						if impl == "rcu" {
-							rcu.Debugf("hot.path", "dropped message")
+							hot.LogAttrs(ctx, slog.LevelDebug, "dropped message")
 						} else {
 							locked.enabled("hot.path", logging.Debug)
 						}

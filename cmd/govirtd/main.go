@@ -8,8 +8,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -63,8 +65,9 @@ func run() error {
 
 	// The management server first: applying the configuration to it also
 	// sets up the daemon's logging, which everything after logs through.
-	log := logging.New(logging.Priority(cfg.LogLevel))
-	d := daemon.New(log)
+	logs := logging.New(logging.Priority(cfg.LogLevel))
+	log, ctx := logs.For("daemon"), context.Background()
+	d := daemon.New(logs)
 	d.Tracer().SetThreshold(time.Duration(cfg.SlowCallThresholdMs) * time.Millisecond)
 	d.SetCallTimeout(time.Duration(cfg.CallTimeoutMs) * time.Millisecond)
 	d.SetShutdownGrace(time.Duration(cfg.ShutdownGraceMs) * time.Millisecond)
@@ -89,7 +92,7 @@ func run() error {
 			return fmt.Errorf("state_dir: %w", err)
 		}
 		common.SetStateRoot(cfg.StateDir)
-		log.Infof("daemon", "state journal at %s", cfg.StateDir)
+		log.LogAttrs(ctx, slog.LevelInfo, "state journal", slog.String("dir", cfg.StateDir))
 	}
 
 	// Debug-only deterministic fault injection.
@@ -102,14 +105,15 @@ func run() error {
 			faultpoint.Default.Set(site, spec)
 		}
 		faultpoint.Default.Arm(int64(cfg.FaultSeed))
-		log.Warnf("daemon", "fault injection armed (seed %d): %s", cfg.FaultSeed, cfg.FaultInjection)
+		log.LogAttrs(ctx, slog.LevelWarn, "fault injection armed",
+			slog.Int("seed", cfg.FaultSeed), slog.String("spec", cfg.FaultInjection))
 	}
 
 	// Server-side drivers.
-	drvtest.Register(log)
-	qemu.Register(log)
-	xen.Register(log)
-	lxc.Register(log)
+	drvtest.Register(logs)
+	qemu.Register(logs)
+	xen.Register(logs)
+	lxc.Register(logs)
 
 	if err := os.MkdirAll(filepath.Dir(cfg.UnixSocketPath), 0o755); err != nil {
 		return err
@@ -118,7 +122,7 @@ func run() error {
 	if err := mgmt.ListenUnix(cfg.UnixSocketPath, daemon.ServiceConfig{}); err != nil {
 		return err
 	}
-	log.Infof("daemon", "management server listening on %s", cfg.UnixSocketPath)
+	log.LogAttrs(ctx, slog.LevelInfo, "management server listening", slog.String("unix", cfg.UnixSocketPath))
 
 	if *tcpOverride != "" || cfg.ListenTCP {
 		addr := *tcpOverride
@@ -133,7 +137,8 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		log.Infof("daemon", "management server listening on tcp %s (auth=%s)", bound, cfg.AuthTCP)
+		log.LogAttrs(ctx, slog.LevelInfo, "management server listening",
+			slog.String("tcp", bound), slog.String("auth", cfg.AuthTCP))
 	}
 
 	// Admin server: small dedicated pool so it stays responsive while the
@@ -147,7 +152,7 @@ func run() error {
 	if err := adm.ListenUnix(cfg.AdminSocketPath, daemon.ServiceConfig{}); err != nil {
 		return err
 	}
-	log.Infof("daemon", "admin server listening on %s", cfg.AdminSocketPath)
+	log.LogAttrs(ctx, slog.LevelInfo, "admin server listening", slog.String("unix", cfg.AdminSocketPath))
 
 	// Chaos observability: count fired injections on /metrics.
 	telemetry.InstrumentFaultpoints(telemetry.Default, faultpoint.Default)
@@ -171,27 +176,30 @@ func run() error {
 			if err != nil {
 				return fmt.Errorf("domain_metrics: %w", err)
 			}
-			log.Infof("daemon", "per-domain metrics export sweeping %s (staleness %dms, cap %d)",
-				cfg.DomainMetricsURI, cfg.DomainMetricsStalenessMs, cfg.DomainMetricsMaxDomains)
+			log.LogAttrs(ctx, slog.LevelInfo, "per-domain metrics export",
+				slog.String("uri", cfg.DomainMetricsURI),
+				slog.Int("staleness_ms", cfg.DomainMetricsStalenessMs),
+				slog.Int("cap", cfg.DomainMetricsMaxDomains))
 		}
 		metricsSrv, err = telemetry.ServeMetrics(cfg.MetricsAddress,
 			telemetry.HandlerWith(telemetry.Default, dc))
 		if err != nil {
 			return fmt.Errorf("metrics listener: %w", err)
 		}
-		log.Infof("daemon", "metrics endpoint listening on http://%s/metrics", metricsSrv.Addr())
+		log.LogAttrs(ctx, slog.LevelInfo, "metrics endpoint listening",
+			slog.String("url", "http://"+metricsSrv.Addr()+"/metrics"))
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	s := <-sig
-	log.Infof("daemon", "received %s, shutting down", s)
+	log.LogAttrs(ctx, slog.LevelInfo, "shutting down", slog.String("signal", s.String()))
 	if metricsSrv != nil {
 		// Drain in-flight scrapes within the same grace budget as the
 		// RPC servers instead of dying with the process.
 		grace := time.Duration(cfg.ShutdownGraceMs) * time.Millisecond
 		if err := metricsSrv.Shutdown(grace); err != nil {
-			log.Errorf("daemon", "metrics endpoint shutdown: %v", err)
+			log.LogAttrs(ctx, slog.LevelError, "metrics endpoint shutdown", slog.Any("err", err))
 		}
 	}
 	d.Shutdown()

@@ -37,7 +37,7 @@ max_anonymous_clients = 30
 
 log_level = 1
 log_filters = "3:rpc 4:daemon.server"
-log_outputs = "1:stderr 3:buffer"
+log_outputs = "1:stderr 3:file:/var/log/govirtd.log"
 
 metrics_address = "127.0.0.1:9177"
 slow_call_threshold_ms = 100
@@ -58,8 +58,13 @@ slow_call_threshold_ms = 100
 	if cfg.MaxClients != 200 || cfg.MaxUnauthClients != 30 {
 		t.Fatalf("%+v", cfg)
 	}
-	if cfg.LogLevel != 1 || !strings.Contains(cfg.LogFilters, "3:rpc") {
+	if cfg.LogLevel != 1 || !strings.Contains(cfg.LogFilters, "3:rpc") || cfg.LogOutputs != "1:stderr 3:file:/var/log/govirtd.log" {
 		t.Fatalf("%+v", cfg)
+	}
+	// The buffer output only kept records in memory; it is refused by key.
+	buffered := strings.Replace(text, "3:file:/var/log/govirtd.log", "3:buffer", 1)
+	if _, err := ParseConfig(buffered); err == nil || !strings.Contains(err.Error(), "log_outputs") {
+		t.Fatalf("3:buffer output: %v", err)
 	}
 	if cfg.MetricsAddress != "127.0.0.1:9177" || cfg.SlowCallThresholdMs != 100 {
 		t.Fatalf("telemetry keys %+v", cfg)

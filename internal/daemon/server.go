@@ -1,7 +1,9 @@
 package daemon
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"slices"
 	"sort"
@@ -92,7 +94,8 @@ type ClientLimits struct {
 // server and the admin server) each with independent limits.
 type Server struct {
 	name string
-	log  *logging.Logger
+	logs *logging.Logger // the daemon's logging settings
+	log  *slog.Logger    // module "daemon.server", with the server's name
 	pool *Workerpool
 
 	metrics     *telemetry.Registry // nil = uninstrumented
@@ -127,10 +130,11 @@ type Server struct {
 	applied Config     // the Config last applied; Settings reads the live fields back
 }
 
-func newServer(name string, pool *Workerpool, limits ClientLimits, log *logging.Logger) *Server {
+func newServer(name string, pool *Workerpool, limits ClientLimits, logs *logging.Logger) *Server {
 	s := &Server{
 		name:     name,
-		log:      log,
+		logs:     logs,
+		log:      logs.For("daemon.server").With(slog.String("server", name)),
 		pool:     pool,
 		clients:  make(map[uint64]*Client),
 		limits:   limits,
@@ -244,7 +248,7 @@ func (s *Server) settings() Config {
 	c.MinWorkers, c.MaxWorkers, c.PrioWorkers = p.MinWorkers, p.MaxWorkers, p.PrioWorkers
 	limits, _, _ := s.Limits()
 	c.MaxClients, c.MaxUnauthClients = limits.MaxClients, limits.MaxUnauthClients
-	c.LogLevel, c.LogFilters, c.LogOutputs = int(s.log.Level()), s.log.FiltersString(), s.log.OutputsString()
+	c.LogLevel, c.LogFilters, c.LogOutputs = int(s.logs.Level()), s.logs.FiltersString(), s.logs.OutputsString()
 	return c
 }
 
@@ -284,15 +288,15 @@ func (s *Server) apply(cfg Config) error {
 	// Opening an output's file is the one step Validate cannot vouch for,
 	// so it goes first: when it fails, nothing has changed.
 	if cfg.LogOutputs != cur.LogOutputs {
-		if err := s.log.DefineOutputs(cfg.LogOutputs); err != nil {
+		if err := s.logs.DefineOutputs(cfg.LogOutputs); err != nil {
 			return fmt.Errorf("daemon: log_outputs: %v", err)
 		}
 	}
 	if err := s.pool.SetParams(cfg.MinWorkers, cfg.MaxWorkers, cfg.PrioWorkers); err != nil {
 		return err // a shut-down pool; Validate vouched for the numbers
 	}
-	s.log.SetLevel(logging.Priority(cfg.LogLevel)) //nolint:errcheck // the row bounds it
-	s.log.DefineFilters(cfg.LogFilters)            //nolint:errcheck // Validate parsed it
+	s.logs.SetLevel(logging.Priority(cfg.LogLevel)) //nolint:errcheck // the row bounds it
+	s.logs.DefineFilters(cfg.LogFilters)            //nolint:errcheck // Validate parsed it
 	s.mu.Lock()
 	s.limits = ClientLimits{MaxClients: cfg.MaxClients, MaxUnauthClients: cfg.MaxUnauthClients}
 	s.mu.Unlock()
@@ -305,8 +309,9 @@ func (s *Server) apply(cfg Config) error {
 			eng = qos.NewEngine(qos.Config{Classes: classes, ShedWatermark: cfg.QoSShedWatermark})
 		}
 		s.SetQoS(eng)
-		s.log.Infof("daemon", "server %s: admission control: %d class(es), shed watermark %d",
-			s.name, len(cfg.QoSClasses), cfg.QoSShedWatermark)
+		s.logs.For("daemon").LogAttrs(context.TODO(), slog.LevelInfo, "admission control",
+			slog.String("server", s.name), slog.Int("classes", len(cfg.QoSClasses)),
+			slog.Int("shed_watermark", cfg.QoSShedWatermark))
 	}
 	s.applied = cfg
 	return nil
@@ -418,8 +423,8 @@ func (s *Server) accept(nc net.Conn, cfg ServiceConfig) {
 		(cfg.AuthSASL && s.limits.MaxUnauthClients > 0 && unauth >= s.limits.MaxUnauthClients) {
 		s.rejected++
 		s.mu.Unlock()
-		s.log.Warnf("daemon.server", "server %s: connection limit reached, rejecting %v",
-			s.name, nc.RemoteAddr())
+		s.log.LogAttrs(context.TODO(), slog.LevelWarn, "connection limit reached, rejecting",
+			slog.Any("addr", nc.RemoteAddr()))
 		nc.Close()
 		return
 	}
@@ -434,8 +439,8 @@ func (s *Server) accept(nc net.Conn, cfg ServiceConfig) {
 	client.authenticated = !cfg.AuthSASL
 	s.clients[client.id] = client
 	s.mu.Unlock()
-	s.log.Infof("daemon.server", "server %s: client %d connected via %s",
-		s.name, client.id, identity.Transport)
+	s.log.LogAttrs(context.TODO(), slog.LevelInfo, "client connected",
+		slog.Uint64("client", client.id), slog.String("transport", identity.Transport.String()))
 
 	s.wg.Add(1)
 	go func() {
@@ -471,13 +476,15 @@ func (s *Server) serveClient(c *Client) {
 			pong := h
 			pong.Type = uint32(rpc.TypePong)
 			if err := c.Send(pong, nil); err != nil {
-				s.log.Warnf("daemon.server", "client %d: send pong: %v", c.id, err)
+				s.log.LogAttrs(context.TODO(), slog.LevelWarn, "send pong",
+					slog.Uint64("client", c.id), slog.Any("err", err))
 			}
 			continue
 		}
 		if rpc.MsgType(h.Type) != rpc.TypeCall {
 			f.Release()
-			s.log.Warnf("daemon.server", "client %d sent non-call message type %d", c.id, h.Type)
+			s.log.LogAttrs(context.TODO(), slog.LevelWarn, "non-call message",
+				slog.Uint64("client", c.id), slog.Uint64("type", uint64(h.Type)))
 			continue
 		}
 		s.mu.Lock()
@@ -533,7 +540,7 @@ func (s *Server) serveClient(c *Client) {
 			if cqs != nil {
 				cqs.EndCall() // the admitted call never dispatches
 			}
-			s.log.Warnf("daemon.server", "server %s: injected kill", s.name)
+			s.log.LogAttrs(context.TODO(), slog.LevelWarn, "injected kill")
 			go s.Kill()
 			return
 		}
@@ -659,7 +666,8 @@ func (r *call) RunQueued(shed bool, wait time.Duration) {
 			out.Type = uint32(rpc.TypeReply)
 			out.Status = uint32(rpc.StatusOK)
 			if err := c.Send(out, reply); err != nil {
-				s.log.Warnf("daemon.server", "client %d: send reply: %v", c.id, err)
+				s.log.LogAttrs(context.TODO(), slog.LevelWarn, "send reply",
+					slog.Uint64("client", c.id), slog.Any("err", err))
 			}
 		}
 	}
@@ -745,7 +753,8 @@ func (s *Server) replyError(c *Client, h rpc.Header, err error) {
 		Message:      msg,
 		RetryAfterMs: retryMs,
 	}); serr != nil {
-		s.log.Warnf("daemon.server", "client %d: send error reply: %v", c.id, serr)
+		s.log.LogAttrs(context.TODO(), slog.LevelWarn, "send error reply",
+			slog.Uint64("client", c.id), slog.Any("err", serr))
 	}
 }
 
@@ -765,7 +774,7 @@ func (s *Server) removeClient(c *Client) {
 	for _, p := range programs {
 		p.ClientClosed(c)
 	}
-	s.log.Infof("daemon.server", "server %s: client %d disconnected", s.name, c.id)
+	s.log.LogAttrs(context.TODO(), slog.LevelInfo, "client disconnected", slog.Uint64("client", c.id))
 }
 
 // Shutdown closes listeners and all client connections and stops the
@@ -800,8 +809,8 @@ func (s *Server) shutdown(grace time.Duration) {
 	}
 	if grace > 0 {
 		if !s.pool.Drain(grace) {
-			s.log.Warnf("daemon.server",
-				"server %s: worker pool still busy after %v grace; dropping remaining work", s.name, grace)
+			s.log.LogAttrs(context.TODO(), slog.LevelWarn, "worker pool still busy after grace; dropping remaining work",
+				slog.Duration("grace", grace))
 		}
 	}
 	for _, c := range clients {
@@ -843,6 +852,7 @@ func (s *Server) Kill() {
 // subsystems.
 type Daemon struct {
 	log     *logging.Logger
+	slow    *slog.Logger        // module "daemon.slowcall"
 	metrics *telemetry.Registry // nil = uninstrumented
 	tracer  *telemetry.Tracer   // nil = untraced
 
@@ -871,7 +881,7 @@ func NewWithTelemetry(log *logging.Logger, reg *telemetry.Registry) *Daemon {
 	if log == nil {
 		log = logging.NewQuiet(logging.Error)
 	}
-	d := &Daemon{log: log, metrics: reg, servers: make(map[string]*Server)}
+	d := &Daemon{log: log, slow: log.For("daemon.slowcall"), metrics: reg, servers: make(map[string]*Server)}
 	d.eventQueueDepth.Store(watch.DefaultDepth)
 	d.eventCoalesce.Store(int64(watch.DefaultCoalesceWindow))
 	if reg != nil {
@@ -879,9 +889,10 @@ func NewWithTelemetry(log *logging.Logger, reg *telemetry.Registry) *Daemon {
 		// Slow calls surface as structured warnings under their own
 		// module, so the existing log filter machinery controls them.
 		d.tracer.OnSlow(func(sc telemetry.SlowCall) {
-			d.log.Warnf("daemon.slowcall",
-				"slow call: %s.%s client=%d serial=%d queue=%v total=%v",
-				sc.Program, sc.Proc, sc.Client, sc.Serial, sc.QueueWait, sc.Duration)
+			d.slow.LogAttrs(context.TODO(), slog.LevelWarn, "slow call",
+				slog.String("program", sc.Program), slog.String("proc", sc.Proc),
+				slog.Uint64("client", sc.Client), slog.Uint64("serial", uint64(sc.Serial)),
+				slog.Duration("queue", sc.QueueWait), slog.Duration("total", sc.Duration))
 		})
 	}
 	return d

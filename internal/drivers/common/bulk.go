@@ -1,6 +1,8 @@
 package common
 
 import (
+	"context"
+	"log/slog"
 	"sync"
 
 	"repro/internal/core"
@@ -156,7 +158,7 @@ func (b *Base) domainListInfo(flags core.ListFlags, names []string, dst []core.N
 	}
 	b.mu.Unlock()
 	for _, c := range emits {
-		b.log.Warnf(b.module, "domain %s crashed", c.name)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "domain crashed", slog.String("domain", c.name))
 		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: c.name, UUID: c.uuid})
 	}
 

@@ -8,6 +8,8 @@
 package common
 
 import (
+	"context"
+	"log/slog"
 	"sort"
 	"strconv"
 	"strings"
@@ -96,17 +98,16 @@ type attachedNIC struct {
 
 // Base implements core.DriverConn on top of Hooks.
 type Base struct {
-	mu     sync.Mutex
-	hooks  Hooks
-	module string // logging module name, "driver." + hooks.Type()
-	node   *nodeinfo.Node
-	log    *logging.Logger
-	bus    *events.Bus
-	defs   map[string]*record
-	order  []*record // records in definition order: a stable sweep order
-	nets   *vnet.Manager
-	pools  *storage.Manager
-	ops    sync.Map // op string → *telemetry.Counter
+	mu    sync.Mutex
+	hooks Hooks
+	node  *nodeinfo.Node
+	log   *slog.Logger // module "driver." + hooks.Type()
+	bus   *events.Bus
+	defs  map[string]*record
+	order []*record // records in definition order: a stable sweep order
+	nets  *vnet.Manager
+	pools *storage.Manager
+	ops   sync.Map // op string → *telemetry.Counter
 
 	store     *statestore.Store // nil unless a state root is configured
 	scope     string            // persistence namespace under the state root
@@ -126,16 +127,15 @@ var (
 
 // New builds a driver base around the given hooks.
 func New(hooks Hooks, opts Options) *Base {
-	b := &Base{
-		hooks:  hooks,
-		module: "driver." + hooks.Type(),
-		node:   opts.Node,
-		log:    opts.Log,
-		bus:    events.NewBus(),
-		defs:   make(map[string]*record),
+	if opts.Log == nil {
+		opts.Log = logging.NewQuiet(logging.Error)
 	}
-	if b.log == nil {
-		b.log = logging.NewQuiet(logging.Error)
+	b := &Base{
+		hooks: hooks,
+		node:  opts.Node,
+		log:   opts.Log.For("driver." + hooks.Type()),
+		bus:   events.NewBus(),
+		defs:  make(map[string]*record),
 	}
 	if opts.Networks {
 		b.nets = vnet.NewManager()
@@ -274,7 +274,7 @@ func (b *Base) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
 			return core.DomainMeta{}, err
 		}
 		existing.def = def
-		b.log.Infof(b.module, "domain %s redefined", def.Name)
+		b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain redefined", slog.String("domain", def.Name))
 		b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID, Detail: "redefined"})
 		return b.meta(def.Name, existing), nil
 	}
@@ -284,7 +284,7 @@ func (b *Base) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
 	r := &record{name: def.Name, def: def, uuidStr: def.UUID}
 	b.defs[def.Name] = r
 	b.order = append(b.order, r)
-	b.log.Infof(b.module, "domain %s defined", def.Name)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain defined", slog.String("domain", def.Name))
 	b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID})
 	return b.meta(def.Name, r), nil
 }
@@ -329,7 +329,7 @@ func (b *Base) UndefineDomain(name string) error {
 	b.mu.Unlock()
 	b.persistDelete(statestore.KindDomains, name)
 	b.persistDelete(statestore.KindDomsActive, name)
-	b.log.Infof(b.module, "domain %s undefined", name)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain undefined", slog.String("domain", name))
 	b.bus.Emit(events.Event{Type: events.EventUndefined, Domain: name, UUID: uuidStr})
 	return nil
 }
@@ -368,12 +368,13 @@ func (b *Base) CreateDomain(name string) error {
 	// Active markers are best-effort snapshots of desired run state; the
 	// domain is already up, so a journal hiccup only warns.
 	if err := b.persistSave(statestore.KindDomsActive, name, nil); err != nil {
-		b.log.Warnf(b.module, "%v", err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "persist active marker",
+			slog.String("domain", name), slog.Any("err", err))
 	}
 	if err := b.restoreFromManagedSave(name, r); err != nil {
 		return err
 	}
-	b.log.Infof(b.module, "domain %s started", name)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain started", slog.String("domain", name))
 	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: name, UUID: def.UUID})
 	return nil
 }
@@ -409,7 +410,8 @@ func (b *Base) detachNICs(nics []attachedNIC) {
 	}
 	for _, n := range nics {
 		if err := b.nets.Detach(n.network, n.mac); err != nil {
-			b.log.Warnf(b.module, "detach %s from %s: %v", n.mac, n.network, err)
+			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "detach interface",
+				slog.String("mac", n.mac), slog.String("network", n.network), slog.Any("err", err))
 		}
 	}
 }
@@ -445,7 +447,8 @@ func (b *Base) stop(name string, graceful bool) error {
 		evType = events.EventShutdown
 		detail = "guest shutdown"
 	}
-	b.log.Infof(b.module, "domain %s stopped (%s)", name, detail)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain stopped",
+		slog.String("domain", name), slog.String("detail", detail))
 	b.bus.Emit(events.Event{Type: evType, Domain: name, UUID: uuidStr, Detail: detail})
 	return nil
 }
@@ -565,7 +568,7 @@ func (b *Base) noteState(name string, r *record, st core.DomainState) {
 	uuidStr := r.uuidStr
 	b.mu.Unlock()
 	if emit {
-		b.log.Warnf(b.module, "domain %s crashed", name)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "domain crashed", slog.String("domain", name))
 		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: name, UUID: uuidStr})
 	}
 }

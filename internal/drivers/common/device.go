@@ -1,6 +1,9 @@
 package common
 
 import (
+	"context"
+	"log/slog"
+
 	"repro/internal/core"
 	"repro/internal/xmlspec"
 )
@@ -52,7 +55,8 @@ func (b *Base) AttachDevice(domain, deviceXML string) error {
 	default:
 		return core.Errorf(core.ErrInvalidArg, "unsupported device kind %q", dev.Kind())
 	}
-	b.log.Infof(b.module, "domain %s: %s attached", domain, dev.Kind())
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "device attached",
+		slog.String("domain", domain), slog.String("kind", dev.Kind()))
 	return nil
 }
 
@@ -75,7 +79,8 @@ func (b *Base) DetachDevice(domain, deviceXML string) error {
 		for i, d := range r.def.Devices.Disks {
 			if d.Target.Dev == dev.Disk.Target.Dev {
 				r.def.Devices.Disks = append(r.def.Devices.Disks[:i], r.def.Devices.Disks[i+1:]...)
-				b.log.Infof(b.module, "domain %s: disk %s detached", domain, d.Target.Dev)
+				b.log.LogAttrs(context.TODO(), slog.LevelInfo, "disk detached",
+					slog.String("domain", domain), slog.String("dev", d.Target.Dev))
 				return nil
 			}
 		}
@@ -95,14 +100,16 @@ func (b *Base) DetachDevice(domain, deviceXML string) error {
 				if lease.mac == mac {
 					if b.nets != nil {
 						if err := b.nets.Detach(lease.network, mac); err != nil {
-							b.log.Warnf(b.module, "detach %s: %v", mac, err)
+							b.log.LogAttrs(context.TODO(), slog.LevelWarn, "detach interface",
+								slog.String("mac", mac), slog.Any("err", err))
 						}
 					}
 					r.leases = append(r.leases[:j], r.leases[j+1:]...)
 					break
 				}
 			}
-			b.log.Infof(b.module, "domain %s: interface %s detached", domain, mac)
+			b.log.LogAttrs(context.TODO(), slog.LevelInfo, "interface detached",
+				slog.String("domain", domain), slog.String("mac", mac))
 			return nil
 		}
 		return core.Errorf(core.ErrInvalidArg,

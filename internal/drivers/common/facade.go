@@ -1,6 +1,9 @@
 package common
 
 import (
+	"context"
+	"log/slog"
+
 	"repro/internal/core"
 	"repro/internal/statestore"
 	"repro/internal/xmlspec"
@@ -64,7 +67,8 @@ func (b *Base) StartNetwork(name string) error {
 	// Active markers are best-effort snapshots of desired run state; the
 	// network itself is already up, so a journal hiccup only warns.
 	if err := b.persistSave(statestore.KindNetsActive, name, nil); err != nil {
-		b.log.Warnf(b.module, "%v", err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "persist active marker",
+			slog.String("network", name), slog.Any("err", err))
 	}
 	return nil
 }
@@ -177,7 +181,8 @@ func (b *Base) StartStoragePool(name string) error {
 		return core.Errorf(core.ErrOperationInvalid, "%v", err)
 	}
 	if err := b.persistSave(statestore.KindPoolsActive, name, nil); err != nil {
-		b.log.Warnf(b.module, "%v", err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "persist active marker",
+			slog.String("pool", name), slog.Any("err", err))
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package common
 
 import (
+	"context"
+	"log/slog"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -52,7 +54,8 @@ func (b *Base) openStore() {
 	}
 	s, err := statestore.Open(dir)
 	if err != nil {
-		b.log.Warnf(b.module, "state store unavailable, persistence off: %v", err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "state store unavailable, persistence off",
+			slog.Any("err", err))
 		return
 	}
 	b.store = s
@@ -95,42 +98,49 @@ func (b *Base) replay() {
 	load := func(kind string) []statestore.Object {
 		objs, err := b.store.LoadAll(kind)
 		if err != nil {
-			b.log.Warnf(b.module, "replay %s: %v", kind, err)
+			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay",
+				slog.String("kind", kind), slog.Any("err", err))
 		}
 		return objs
 	}
 	if b.nets != nil {
 		for _, o := range load(statestore.KindNetworks) {
 			if err := b.DefineNetwork(string(o.Data)); err != nil {
-				b.log.Warnf(b.module, "replay network %s: %v", o.Name, err)
+				b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay network",
+					slog.String("network", o.Name), slog.Any("err", err))
 			}
 		}
 		for _, o := range load(statestore.KindNetsActive) {
 			if err := b.StartNetwork(o.Name); err != nil {
-				b.log.Warnf(b.module, "replay network start %s: %v", o.Name, err)
+				b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay network start",
+					slog.String("network", o.Name), slog.Any("err", err))
 			}
 		}
 	}
 	if b.pools != nil {
 		for _, o := range load(statestore.KindPools) {
 			if err := b.DefineStoragePool(string(o.Data)); err != nil {
-				b.log.Warnf(b.module, "replay pool %s: %v", o.Name, err)
+				b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay pool",
+					slog.String("pool", o.Name), slog.Any("err", err))
 			}
 		}
 		for _, o := range load(statestore.KindPoolsActive) {
 			if err := b.StartStoragePool(o.Name); err != nil {
-				b.log.Warnf(b.module, "replay pool start %s: %v", o.Name, err)
+				b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay pool start",
+					slog.String("pool", o.Name), slog.Any("err", err))
 			}
 		}
 	}
 	for _, o := range load(statestore.KindDomains) {
 		if _, err := b.DefineDomain(string(o.Data)); err != nil {
-			b.log.Warnf(b.module, "replay domain %s: %v", o.Name, err)
+			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay domain",
+				slog.String("domain", o.Name), slog.Any("err", err))
 		}
 	}
 	for _, o := range load(statestore.KindDomsActive) {
 		if err := b.CreateDomain(o.Name); err != nil {
-			b.log.Warnf(b.module, "replay domain start %s: %v", o.Name, err)
+			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "replay domain start",
+				slog.String("domain", o.Name), slog.Any("err", err))
 		}
 	}
 }
@@ -156,6 +166,7 @@ func (b *Base) persistDelete(kind, name string) {
 		return
 	}
 	if err := b.store.Delete(kind, name); err != nil {
-		b.log.Warnf(b.module, "persist delete %s %q: %v", kind, name, err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "persist delete",
+			slog.String("kind", kind), slog.String("name", name), slog.Any("err", err))
 	}
 }

@@ -1,7 +1,9 @@
 package common
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"repro/internal/core"
@@ -75,7 +77,9 @@ func (b *Base) CreateSnapshot(domain, xmlDesc string) (string, error) {
 		return "", core.Errorf(core.ErrDuplicate, "domain %q already has snapshot %q", domain, rec.name)
 	}
 	r.snapshots = append(r.snapshots, rec)
-	b.log.Infof(b.module, "domain %s: snapshot %s created (state %s)", domain, rec.name, rec.state)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "snapshot created",
+		slog.String("domain", domain), slog.String("snapshot", rec.name),
+		slog.String("state", rec.state.String()))
 	return rec.name, nil
 }
 
@@ -163,10 +167,12 @@ func (b *Base) RevertSnapshot(domain, snapshot string) error {
 		}
 		// Restore the snapshot's tunables on the fresh instance.
 		if err := b.hooks.SetMemory(domain, rec.memKiB); err != nil {
-			b.log.Warnf(b.module, "revert %s/%s: restore memory: %v", domain, snapshot, err)
+			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "revert: restore memory",
+				slog.String("domain", domain), slog.String("snapshot", snapshot), slog.Any("err", err))
 		}
 		if err := b.hooks.SetVCPUs(domain, rec.vcpus); err != nil {
-			b.log.Warnf(b.module, "revert %s/%s: restore vcpus: %v", domain, snapshot, err)
+			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "revert: restore vcpus",
+				slog.String("domain", domain), slog.String("snapshot", snapshot), slog.Any("err", err))
 		}
 		if rec.state == core.DomainPaused {
 			if err := b.SuspendDomain(domain); err != nil {
@@ -179,7 +185,8 @@ func (b *Base) RevertSnapshot(domain, snapshot string) error {
 	b.mu.Lock()
 	uuidStr := r.uuidStr
 	b.mu.Unlock()
-	b.log.Infof(b.module, "domain %s reverted to snapshot %s", domain, snapshot)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain reverted to snapshot",
+		slog.String("domain", domain), slog.String("snapshot", snapshot))
 	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: domain, UUID: uuidStr,
 		Detail: "reverted to snapshot " + snapshot})
 	return nil
@@ -230,7 +237,7 @@ func (b *Base) ManagedSave(domain string) error {
 	b.mu.Lock()
 	r.managedSave = img
 	b.mu.Unlock()
-	b.log.Infof(b.module, "domain %s state saved", domain)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain state saved", slog.String("domain", domain))
 	return nil
 }
 
@@ -271,16 +278,19 @@ func (b *Base) restoreFromManagedSave(domain string, r *record) error {
 		return nil
 	}
 	if err := b.hooks.SetMemory(domain, img.memKiB); err != nil {
-		b.log.Warnf(b.module, "restore %s: memory: %v", domain, err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "restore: memory",
+			slog.String("domain", domain), slog.Any("err", err))
 	}
 	if err := b.hooks.SetVCPUs(domain, img.vcpus); err != nil {
-		b.log.Warnf(b.module, "restore %s: vcpus: %v", domain, err)
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "restore: vcpus",
+			slog.String("domain", domain), slog.Any("err", err))
 	}
 	if img.paused {
 		if err := b.hooks.Suspend(domain); err != nil {
 			return core.Errorf(core.ErrInternal, "restore %s: pause: %v", domain, err)
 		}
 	}
-	b.log.Infof(b.module, "domain %s restored from managed save", domain)
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain restored from managed save",
+		slog.String("domain", domain))
 	return nil
 }

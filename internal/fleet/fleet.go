@@ -31,7 +31,9 @@ package fleet
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"path"
 	"runtime"
@@ -214,7 +216,7 @@ type HostStatus struct {
 // inventories.
 type Registry struct {
 	cfg Config
-	log *logging.Logger
+	log *slog.Logger // module "fleet"
 
 	// The host table, by name and in configuration order. New fills
 	// both and nothing writes them afterwards.
@@ -271,7 +273,7 @@ func New(cfg Config) (*Registry, error) {
 	}
 	r := &Registry{
 		cfg:   cfg,
-		log:   cfg.Log,
+		log:   cfg.Log.For("fleet"),
 		hosts: make(map[string]*host, len(cfg.Hosts)),
 		kick:  make(chan struct{}, 1),
 		work:  make(chan *host),
@@ -534,7 +536,8 @@ func (r *Registry) service(h *host) time.Time {
 		}
 		// Transient operation error (e.g. racing undefine): keep the
 		// host up, try again next tick.
-		r.log.Warnf("fleet", "host %s: inventory refresh: %v", h.name, err)
+		r.log.LogAttrs(context.TODO(), slog.LevelWarn, "inventory refresh",
+			slog.String("host", h.name), slog.Any("err", err))
 		return r.now().Add(r.cfg.PollInterval)
 	}
 
@@ -574,7 +577,8 @@ func (r *Registry) overloadDelay(h *host, err error) time.Time {
 	if d < r.cfg.PollInterval {
 		d = r.cfg.PollInterval
 	}
-	r.log.Warnf("fleet", "host %s: overloaded, backing off %v: %v", h.name, d, err)
+	r.log.LogAttrs(context.TODO(), slog.LevelWarn, "host overloaded, backing off",
+		slog.String("host", h.name), slog.Duration("backoff", d), slog.Any("err", err))
 	return r.now().Add(d)
 }
 
@@ -708,14 +712,16 @@ func (r *Registry) setUp(h *host, conn *core.Connect) {
 	h.sum.State = HostUp
 	h.sum.DriverType = drvType
 	r.publishSum(h)
-	r.log.Infof("fleet", "host %s up (%s driver)", h.name, drvType)
+	r.log.LogAttrs(context.TODO(), slog.LevelInfo, "host up",
+		slog.String("host", h.name), slog.String("driver", drvType))
 }
 
 func (r *Registry) setDown(h *host, err error) {
 	h.mu.Lock()
 	if h.state == HostUp {
 		fleetHostsUp.Add(-1)
-		r.log.Warnf("fleet", "host %s down: %v", h.name, err)
+		r.log.LogAttrs(context.TODO(), slog.LevelWarn, "host down",
+			slog.String("host", h.name), slog.Any("err", err))
 	}
 	h.conn = nil
 	h.state = HostDown

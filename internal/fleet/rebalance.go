@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"log/slog"
 	"sync"
 
 	"repro/internal/core"
@@ -397,11 +398,15 @@ func (r *Registry) executeMove(ctx context.Context, mv Move, opts core.MigrateOp
 	rec.Result, rec.Err = migrate.MigrateContext(ctx, dom, dstConn, opts)
 	if rec.Err != nil {
 		fleetRebalanceFailures.Inc()
-		r.log.Warnf("fleet", "migrate %s %s->%s: %v", mv.Domain, mv.From, mv.To, rec.Err)
+		r.log.LogAttrs(ctx, slog.LevelWarn, "migrate",
+			slog.String("domain", mv.Domain), slog.String("from", mv.From), slog.String("to", mv.To),
+			slog.Any("err", rec.Err))
 	} else {
 		fleetRebalanceMigrations.Inc()
-		r.log.Infof("fleet", "migrated %s %s->%s in %.1f ms (downtime %.2f ms)",
-			mv.Domain, mv.From, mv.To, rec.Result.TotalTimeMs(), rec.Result.DowntimeMs())
+		r.log.LogAttrs(ctx, slog.LevelInfo, "migrated",
+			slog.String("domain", mv.Domain), slog.String("from", mv.From), slog.String("to", mv.To),
+			slog.Float64("total_ms", rec.Result.TotalTimeMs()),
+			slog.Float64("downtime_ms", rec.Result.DowntimeMs()))
 	}
 	return rec
 }

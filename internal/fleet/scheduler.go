@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -229,8 +231,8 @@ func (r *Registry) Schedule(xmlDesc string) (Placement, error) {
 		dom, err := r.placeOn(hostName, xmlDesc)
 		if err != nil {
 			if hostFailed(err) {
-				r.log.Warnf("fleet", "placement of %q on %s failed (%v), trying next host",
-					req.Name, hostName, err)
+				r.log.LogAttrs(context.TODO(), slog.LevelWarn, "placement failed, trying next host",
+					slog.String("domain", req.Name), slog.String("host", hostName), slog.Any("err", err))
 				r.markDown(hostName, err)
 				p.FailedHosts = append(p.FailedHosts, hostName)
 				fleetPlacementRetries.Inc()

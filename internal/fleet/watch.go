@@ -16,6 +16,8 @@ package fleet
 // set with one targeted bulk DomainListInfo call.
 
 import (
+	"context"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -123,7 +125,8 @@ func (r *Registry) serviceWatch(h *host, conn *core.Connect) time.Time {
 	}
 	// Transient operation error: owe the host a sweep instead of
 	// trusting whatever state the half-finished reconcile left behind.
-	r.log.Warnf("fleet", "host %s: watch reconcile: %v", h.name, err)
+	r.log.LogAttrs(context.TODO(), slog.LevelWarn, "watch reconcile",
+		slog.String("host", h.name), slog.Any("err", err))
 	h.mu.Lock()
 	h.needResync = true
 	h.mu.Unlock()

@@ -8,15 +8,23 @@
 // Runtime redefinition is atomic: a full copy of the settings is built,
 // validated, and only then swapped in (read-copy-update), so concurrent
 // writers never observe a half-defined filter set.
+//
+// Records are log/slog records. Each component logs through one
+// *slog.Logger bound to its module (Logger.For); outputs are
+// slog.TextHandlers over stderr or a file.
 package logging
 
 import (
+	"context"
 	"fmt"
+	"io"
+	"log/slog"
+	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Priority is a log message priority. Priorities form an inclusive
@@ -48,6 +56,10 @@ func (p Priority) String() string {
 
 // Valid reports whether p is one of the four recognised priorities.
 func (p Priority) Valid() bool { return p >= Debug && p <= Error }
+
+// Level is the slog level of p: Debug, Info, Warn and Error map to
+// slog's levels of the same names.
+func (p Priority) Level() slog.Level { return slog.Level(4 * (int(p) - int(Info))) }
 
 // ParsePriority converts a numeric or symbolic level string to a Priority.
 func ParsePriority(s string) (Priority, error) {
@@ -135,58 +147,32 @@ func FormatFilters(filters []Filter) string {
 	return strings.Join(parts, " ")
 }
 
-// Record is one log message flowing through the subsystem.
-type Record struct {
-	When     time.Time
-	Priority Priority
-	Module   string
-	Message  string
-}
-
-// Format renders the record in the daemon's standard single-line format.
-func (r Record) Format() string {
-	return fmt.Sprintf("%s: %s : %s : %s",
-		r.When.UTC().Format("2006-01-02 15:04:05.000-0700"),
-		r.Priority, r.Module, r.Message)
-}
-
-// Sink receives formatted records that survived filtering. Implementations
-// must be safe for use from a single goroutine at a time; the Logger
-// serialises writes.
-type Sink interface {
-	Write(Record) error
-	Close() error
-}
-
-// Output couples a sink with its own priority threshold.
+// Output is one destination with its own priority threshold: stderr, or
+// a file opened for appending. Records reach it as slog text lines.
 type Output struct {
 	Priority Priority
-	Kind     string // "stderr", "file", "syslog", "journald", "buffer"
-	Dest     string // path for file, ident for syslog, empty otherwise
-	sink     Sink
+	Kind     string // "stderr" or "file"
+	Dest     string // path for file, empty for stderr
+	h        slog.Handler
+	f        *os.File // the opened file; nil for stderr
 }
 
 // String formats the output in configuration syntax.
 func (o Output) String() string {
-	switch o.Kind {
-	case kindFile, kindSyslog:
+	if o.Kind == kindFile {
 		return fmt.Sprintf("%d:%s:%s", int(o.Priority), o.Kind, o.Dest)
-	default:
-		return fmt.Sprintf("%d:%s", int(o.Priority), o.Kind)
 	}
+	return fmt.Sprintf("%d:%s", int(o.Priority), o.Kind)
 }
 
 // Recognised output kinds.
 const (
-	kindStderr   = "stderr"
-	kindFile     = "file"
-	kindSyslog   = "syslog"
-	kindJournald = "journald"
-	kindBuffer   = "buffer"
+	kindStderr = "stderr"
+	kindFile   = "file"
 )
 
 // ParseOutput parses a single "level:kind[:data]" output definition. The
-// returned Output has no sink attached; Settings installation opens sinks.
+// returned Output is not opened; DefineOutputs opens it.
 func ParseOutput(s string) (Output, error) {
 	parts := strings.SplitN(s, ":", 3)
 	if len(parts) < 2 {
@@ -198,7 +184,7 @@ func ParseOutput(s string) (Output, error) {
 	}
 	out := Output{Priority: prio, Kind: parts[1]}
 	switch out.Kind {
-	case kindStderr, kindJournald, kindBuffer:
+	case kindStderr:
 		if len(parts) == 3 && parts[2] != "" {
 			return Output{}, fmt.Errorf("logging: output %q: %s takes no extra data", s, out.Kind)
 		}
@@ -210,13 +196,8 @@ func ParseOutput(s string) (Output, error) {
 			return Output{}, fmt.Errorf("logging: output %q: file path must be absolute", s)
 		}
 		out.Dest = parts[2]
-	case kindSyslog:
-		if len(parts) != 3 || parts[2] == "" {
-			return Output{}, fmt.Errorf("logging: output %q: syslog output requires an identifier", s)
-		}
-		out.Dest = parts[2]
 	default:
-		return Output{}, fmt.Errorf("logging: output %q: unknown output kind %q", s, parts[1])
+		return Output{}, fmt.Errorf("logging: output %q: unknown output kind %q (want stderr or file)", s, parts[1])
 	}
 	return out, nil
 }
@@ -244,6 +225,33 @@ func FormatOutputs(outs []Output) string {
 	return strings.Join(parts, " ")
 }
 
+// open attaches a text handler to o, opening its file first.
+func (o *Output) open() error {
+	w := io.Writer(os.Stderr)
+	if o.Kind == kindFile {
+		f, err := os.OpenFile(o.Dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o640)
+		if err != nil {
+			return fmt.Errorf("logging: open %s: %w", o.Dest, err)
+		}
+		o.f, w = f, f
+	}
+	o.h = slog.NewTextHandler(w, nil)
+	return nil
+}
+
+// closeOutputs closes the files behind outs and returns the first error.
+func closeOutputs(outs []Output) error {
+	var first error
+	for _, o := range outs {
+		if o.f != nil {
+			if err := o.f.Close(); err != nil && first == nil {
+				first = err
+			}
+		}
+	}
+	return first
+}
+
 // settings is one immutable generation of the logger configuration.
 type settings struct {
 	level   Priority
@@ -251,37 +259,56 @@ type settings struct {
 	outputs []Output
 }
 
-// Logger is the logging subsystem. The zero value is not usable; call New.
+// effectiveLevel returns the priority threshold that applies to module.
+func (s *settings) effectiveLevel(module string) Priority {
+	for _, f := range s.filters {
+		if f.matches(module) {
+			return f.Priority
+		}
+	}
+	return s.level
+}
+
+// Logger owns the live logging settings: the global level, the filters
+// and the outputs. Components log through the *slog.Logger that For
+// binds to their module; the zero value is not usable, call New.
 //
-// Reads (Log and the getters) take no lock on the settings: they load the
-// current settings pointer atomically. Redefinition builds a complete new
-// settings value and swaps it in under writeMu, closing replaced sinks only
-// after the swap, so concurrent Log calls always see a consistent set.
+// Logging takes no lock: each record loads the current settings pointer
+// atomically. Redefinition builds a complete new settings value and swaps
+// it in, so concurrent records always see a consistent set.
 type Logger struct {
-	cur     atomic.Pointer[settings]
-	writeMu sync.Mutex // serialises redefinition and sink writes
-	drops   atomic.Uint64
-	emitted atomic.Uint64
+	cur atomic.Pointer[settings]
+	mu  sync.Mutex // serialises redefinition
 }
 
 // New creates a Logger with the given global level and a single stderr
 // output at the same level.
 func New(level Priority) *Logger {
-	l := &Logger{}
-	s := &settings{level: level}
 	out := Output{Priority: level, Kind: kindStderr}
-	out.sink = newStderrSink()
-	s.outputs = []Output{out}
-	l.cur.Store(s)
+	out.open() //nolint:errcheck // stderr needs no opening
+	l := &Logger{}
+	l.cur.Store(&settings{level: level, outputs: []Output{out}})
 	return l
 }
 
 // NewQuiet creates a Logger with no outputs at all; records are filtered
-// and counted but written nowhere. Useful for tests and benchmarks.
+// and written nowhere. Useful for tests and benchmarks.
 func NewQuiet(level Priority) *Logger {
 	l := &Logger{}
 	l.cur.Store(&settings{level: level})
 	return l
+}
+
+// swap installs a copy of the current settings with edit applied and
+// returns the generation it replaced.
+func (l *Logger) swap(edit func(*settings)) *settings {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	old := l.cur.Load()
+	next := *old
+	edit(&next)
+	l.cur.Store(&next)
+	return old
 }
 
 // Level returns the current global priority level.
@@ -293,20 +320,8 @@ func (l *Logger) SetLevel(p Priority) error {
 	if !p.Valid() {
 		return fmt.Errorf("logging: invalid priority %d", int(p))
 	}
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	old := l.cur.Load()
-	next := &settings{level: p, filters: old.filters, outputs: old.outputs}
-	l.cur.Store(next)
+	l.swap(func(s *settings) { s.level = p })
 	return nil
-}
-
-// Filters returns a copy of the current filter list.
-func (l *Logger) Filters() []Filter {
-	cur := l.cur.Load()
-	out := make([]Filter, len(cur.filters))
-	copy(out, cur.filters)
-	return out
 }
 
 // FiltersString returns the current filters in configuration syntax.
@@ -323,138 +338,93 @@ func (l *Logger) DefineFilters(s string) error {
 	sort.SliceStable(filters, func(i, j int) bool {
 		return len(filters[i].Match) > len(filters[j].Match)
 	})
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	old := l.cur.Load()
-	next := &settings{level: old.level, filters: filters, outputs: old.outputs}
-	l.cur.Store(next)
+	l.swap(func(s *settings) { s.filters = filters })
 	return nil
-}
-
-// Outputs returns a copy of the current output list (sinks omitted).
-func (l *Logger) Outputs() []Output {
-	cur := l.cur.Load()
-	out := make([]Output, len(cur.outputs))
-	for i, o := range cur.outputs {
-		out[i] = Output{Priority: o.Priority, Kind: o.Kind, Dest: o.Dest}
-	}
-	return out
 }
 
 // OutputsString returns the current outputs in configuration syntax.
 func (l *Logger) OutputsString() string { return FormatOutputs(l.cur.Load().outputs) }
 
 // DefineOutputs atomically replaces the whole output set with the
-// definitions parsed from s, opening every new sink before the swap and
-// closing every replaced sink after it. If any sink fails to open, the
-// previous configuration is left fully intact.
+// definitions parsed from s, opening every new output before the swap
+// and closing every replaced file after it. If any output fails to open,
+// the previous configuration is left fully intact.
 func (l *Logger) DefineOutputs(s string) error {
 	outs, err := ParseOutputs(s)
 	if err != nil {
 		return err
 	}
-	// Open all new sinks first; on any failure close the ones opened so
-	// far and leave current settings untouched (copy-then-swap).
 	for i := range outs {
-		sink, err := openSink(outs[i])
-		if err != nil {
-			for j := 0; j < i; j++ {
-				outs[j].sink.Close()
-			}
+		if err := outs[i].open(); err != nil {
+			closeOutputs(outs[:i]) //nolint:errcheck
 			return err
 		}
-		outs[i].sink = sink
 	}
-	l.writeMu.Lock()
-	old := l.cur.Load()
-	next := &settings{level: old.level, filters: old.filters, outputs: outs}
-	l.cur.Store(next)
-	l.writeMu.Unlock()
-	for _, o := range old.outputs {
-		if o.sink != nil {
-			o.sink.Close()
-		}
-	}
+	closeOutputs(l.swap(func(s *settings) { s.outputs = outs }).outputs) //nolint:errcheck
 	return nil
 }
 
-// effectiveLevel returns the priority threshold that applies to module.
-func (s *settings) effectiveLevel(module string) Priority {
-	for _, f := range s.filters {
-		if f.matches(module) {
-			return f.Priority
-		}
-	}
-	return s.level
-}
-
-// Enabled reports whether a message from module at priority p would be
-// forwarded to at least the filtering stage.
-func (l *Logger) Enabled(module string, p Priority) bool {
-	return p >= l.cur.Load().effectiveLevel(module)
-}
-
-// Log files one record. Filtering runs lock-free against the current
-// settings generation; only the actual sink writes are serialised.
-func (l *Logger) Log(p Priority, module, format string, args ...interface{}) {
-	cur := l.cur.Load()
-	if p < cur.effectiveLevel(module) {
-		l.drops.Add(1)
-		return
-	}
-	rec := Record{When: time.Now(), Priority: p, Module: module}
-	if len(args) == 0 {
-		rec.Message = format
-	} else {
-		rec.Message = fmt.Sprintf(format, args...)
-	}
-	l.emitted.Add(1)
-	if len(cur.outputs) == 0 {
-		return
-	}
-	l.writeMu.Lock()
-	defer l.writeMu.Unlock()
-	for _, o := range cur.outputs {
-		if p >= o.Priority && o.sink != nil {
-			o.sink.Write(rec) //nolint:errcheck // logging must not fail the caller
-		}
-	}
-}
-
-// Debugf, Infof, Warnf and Errorf are convenience wrappers around Log.
-func (l *Logger) Debugf(module, format string, args ...interface{}) {
-	l.Log(Debug, module, format, args...)
-}
-func (l *Logger) Infof(module, format string, args ...interface{}) {
-	l.Log(Info, module, format, args...)
-}
-func (l *Logger) Warnf(module, format string, args ...interface{}) {
-	l.Log(Warn, module, format, args...)
-}
-func (l *Logger) Errorf(module, format string, args ...interface{}) {
-	l.Log(Error, module, format, args...)
-}
-
-// Stats reports how many records were emitted to outputs and how many were
-// dropped by level/filter checks over the Logger's lifetime.
-func (l *Logger) Stats() (emitted, dropped uint64) {
-	return l.emitted.Load(), l.drops.Load()
-}
-
-// Close closes all sinks and installs an empty output set.
+// Close closes all outputs and installs an empty output set.
 func (l *Logger) Close() error {
-	l.writeMu.Lock()
-	old := l.cur.Load()
-	next := &settings{level: old.level, filters: old.filters}
-	l.cur.Store(next)
-	l.writeMu.Unlock()
+	return closeOutputs(l.swap(func(s *settings) { s.outputs = nil }).outputs)
+}
+
+// For returns the logger a component writes through, bound to module:
+// records carry a module attribute, and whether one is logged at all
+// follows the level or filter that applies to module at that moment.
+// Bind once per component; a record below its threshold allocates
+// nothing when logged with LogAttrs.
+func (l *Logger) For(module string) *slog.Logger {
+	h := &handler{l: l, module: module}
+	return slog.New(h.WithAttrs([]slog.Attr{slog.String("module", module)}))
+}
+
+// handler is the slog.Handler behind a module-bound logger. It holds no
+// output of its own: a record goes to the outputs of the settings
+// generation current when it is logged, each with the WithAttrs and
+// WithGroup calls made on this handler replayed onto it.
+type handler struct {
+	l      *Logger
+	module string
+	with   []func(slog.Handler) slog.Handler
+}
+
+// Enabled implements slog.Handler.
+func (h *handler) Enabled(_ context.Context, lvl slog.Level) bool {
+	return lvl >= h.l.cur.Load().effectiveLevel(h.module).Level()
+}
+
+// Handle implements slog.Handler.
+func (h *handler) Handle(ctx context.Context, r slog.Record) error {
 	var first error
-	for _, o := range old.outputs {
-		if o.sink != nil {
-			if err := o.sink.Close(); err != nil && first == nil {
-				first = err
-			}
+	for _, o := range h.l.cur.Load().outputs {
+		if r.Level < o.Priority.Level() {
+			continue
+		}
+		oh := o.h
+		for _, w := range h.with {
+			oh = w(oh)
+		}
+		if err := oh.Handle(ctx, r); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first
+}
+
+// WithAttrs implements slog.Handler.
+func (h *handler) WithAttrs(as []slog.Attr) slog.Handler {
+	return h.then(func(o slog.Handler) slog.Handler { return o.WithAttrs(as) })
+}
+
+// WithGroup implements slog.Handler.
+func (h *handler) WithGroup(name string) slog.Handler {
+	if name == "" {
+		return h
+	}
+	return h.then(func(o slog.Handler) slog.Handler { return o.WithGroup(name) })
+}
+
+func (h *handler) then(w func(slog.Handler) slog.Handler) *handler {
+	return &handler{l: h.l, module: h.module, with: append(slices.Clip(h.with), w)}
 }

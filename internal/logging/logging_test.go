@@ -1,7 +1,9 @@
 package logging
 
 import (
+	"context"
 	"fmt"
+	"log/slog"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -125,10 +127,10 @@ func TestParseOutput(t *testing.T) {
 		ok   bool
 	}{
 		{"1:stderr", "stderr", "", true},
-		{"3:journald", "journald", "", true},
-		{"2:buffer", "buffer", "", true},
 		{"1:file:/var/log/virtd.log", "file", "/var/log/virtd.log", true},
-		{"3:syslog:virtd", "syslog", "virtd", true},
+		{"3:journald", "", "", false}, // removed: it only kept records in memory
+		{"2:buffer", "", "", false},   // removed, likewise
+		{"3:syslog:virtd", "", "", false},
 		{"1:file", "", "", false},
 		{"1:file:", "", "", false},
 		{"1:file:relative/path", "", "", false},
@@ -153,7 +155,7 @@ func TestParseOutput(t *testing.T) {
 }
 
 func TestOutputStringRoundTrip(t *testing.T) {
-	for _, in := range []string{"1:stderr", "1:file:/tmp/x.log", "3:syslog:ident", "4:journald"} {
+	for _, in := range []string{"1:stderr", "4:stderr", "1:file:/tmp/x.log"} {
 		o, err := ParseOutput(in)
 		if err != nil {
 			t.Fatal(err)
@@ -164,15 +166,36 @@ func TestOutputStringRoundTrip(t *testing.T) {
 	}
 }
 
+// fileOutput points l's outputs at one file in a temporary directory, at
+// priority p, and returns a reader of what has been written to it.
+func fileOutput(t *testing.T, l *Logger, p Priority) func() string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "virtd.log")
+	if err := l.DefineOutputs(fmt.Sprintf("%d:file:%s", int(p), path)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return func() string {
+		data, _ := os.ReadFile(path)
+		return string(data)
+	}
+}
+
+// enabled reports whether a record at p from module would be logged.
+func enabled(l *Logger, module string, p Priority) bool {
+	return l.For(module).Enabled(context.Background(), p.Level())
+}
+
 func TestLoggerLevelGate(t *testing.T) {
 	l := NewQuiet(Warn)
-	l.Debugf("mod", "dropped")
-	l.Infof("mod", "dropped")
-	l.Warnf("mod", "kept")
-	l.Errorf("mod", "kept")
-	emitted, dropped := l.Stats()
-	if emitted != 2 || dropped != 2 {
-		t.Fatalf("emitted=%d dropped=%d", emitted, dropped)
+	read := fileOutput(t, l, Debug)
+	log := l.For("mod")
+	log.Debug("dropped")
+	log.Info("dropped")
+	log.Warn("kept")
+	log.Error("kept")
+	if got := read(); strings.Count(got, "kept") != 2 || strings.Contains(got, "dropped") {
+		t.Fatalf("records:\n%s", got)
 	}
 }
 
@@ -197,16 +220,16 @@ func TestLoggerFiltersOverrideGlobal(t *testing.T) {
 	if err := l.DefineFilters("1:noisy 3:util"); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Enabled("noisy", Debug) {
+	if !enabled(l, "noisy", Debug) {
 		t.Fatal("filter should open noisy at debug")
 	}
-	if !l.Enabled("noisy.sub", Debug) {
+	if !enabled(l, "noisy.sub", Debug) {
 		t.Fatal("filter should match submodule")
 	}
-	if l.Enabled("util", Info) {
+	if enabled(l, "util", Info) {
 		t.Fatal("util filter is warning; info must be dropped")
 	}
-	if l.Enabled("other", Warn) {
+	if enabled(l, "other", Warn) {
 		t.Fatal("unfiltered module follows global error level")
 	}
 }
@@ -216,10 +239,10 @@ func TestLoggerMostSpecificFilterWins(t *testing.T) {
 	if err := l.DefineFilters("4:util 1:util.object"); err != nil {
 		t.Fatal(err)
 	}
-	if !l.Enabled("util.object", Debug) {
+	if !enabled(l, "util.object", Debug) {
 		t.Fatal("longer match must win regardless of definition order")
 	}
-	if l.Enabled("util.other", Debug) {
+	if enabled(l, "util.other", Debug) {
 		t.Fatal("short match applies to sibling")
 	}
 }
@@ -232,10 +255,10 @@ func TestLoggerDefineFiltersClears(t *testing.T) {
 	if err := l.DefineFilters(""); err != nil {
 		t.Fatal(err)
 	}
-	if len(l.Filters()) != 0 {
+	if l.FiltersString() != "" {
 		t.Fatal("filters not cleared")
 	}
-	if l.Enabled("mod", Debug) {
+	if enabled(l, "mod", Debug) {
 		t.Fatal("cleared filter still effective")
 	}
 }
@@ -253,108 +276,66 @@ func TestLoggerDefineFiltersRejectsBadInputAtomically(t *testing.T) {
 	}
 }
 
-func TestLoggerBufferOutput(t *testing.T) {
+func TestLoggerOutputRecord(t *testing.T) {
 	l := NewQuiet(Debug)
-	if err := l.DefineOutputs("3:buffer"); err != nil {
-		t.Fatal(err)
-	}
-	l.Debugf("m", "below output threshold")
-	l.Errorf("m", "written %d", 42)
-	outs := l.cur.Load().outputs
-	if len(outs) != 1 {
-		t.Fatalf("want 1 output, got %d", len(outs))
-	}
-	buf := outs[0].sink.(*BufferSink)
-	if buf.Len() != 1 {
-		t.Fatalf("buffer has %d records, want 1", buf.Len())
-	}
-	rec := buf.Records()[0]
-	if rec.Message != "written 42" || rec.Module != "m" || rec.Priority != Error {
-		t.Fatalf("record %+v", rec)
-	}
-	if !strings.Contains(rec.Format(), " error : m : written 42") {
-		t.Fatalf("format: %q", rec.Format())
+	read := fileOutput(t, l, Error)
+	log := l.For("m")
+	log.Debug("below output threshold")
+	log.LogAttrs(context.Background(), slog.LevelError, "written", slog.Int("n", 42), slog.String("domain", "web 1"))
+	got := read()
+	if strings.Count(got, "\n") != 1 || !strings.HasPrefix(got, "time=") ||
+		!strings.HasSuffix(got, ` level=ERROR msg=written module=m n=42 domain="web 1"`+"\n") {
+		t.Fatalf("record: %q", got)
 	}
 }
 
 func TestLoggerFileOutput(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "virtd.log")
 	l := NewQuiet(Debug)
-	if err := l.DefineOutputs("1:file:" + path); err != nil {
-		t.Fatal(err)
-	}
-	l.Infof("core", "hello file")
+	read := fileOutput(t, l, Debug)
+	l.For("core").Info("hello file")
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "hello file") {
-		t.Fatalf("file contents: %q", data)
+	if got := read(); !strings.Contains(got, "hello file") {
+		t.Fatalf("file contents: %q", got)
 	}
 }
 
 func TestLoggerDefineOutputsFailureLeavesOldConfig(t *testing.T) {
 	l := NewQuiet(Debug)
-	if err := l.DefineOutputs("2:buffer"); err != nil {
-		t.Fatal(err)
-	}
+	read := fileOutput(t, l, Info)
+	old := l.OutputsString()
 	// Second output is a file inside a nonexistent directory: open fails.
-	err := l.DefineOutputs("1:buffer 1:file:/nonexistent-dir-xyz/sub/file.log")
+	err := l.DefineOutputs("1:stderr 1:file:/nonexistent-dir-xyz/sub/file.log")
 	if err == nil {
 		t.Fatal("expected open failure")
 	}
-	if got := l.OutputsString(); got != "2:buffer" {
-		t.Fatalf("old config lost: %q", got)
+	if got := l.OutputsString(); got != old {
+		t.Fatalf("old config lost: %q, want %q", got, old)
 	}
-	// Old sink must still accept writes.
-	l.Errorf("m", "still alive")
-	buf := l.cur.Load().outputs[0].sink.(*BufferSink)
-	if buf.Len() != 1 {
-		t.Fatal("old sink not functional after failed redefine")
-	}
-}
-
-func TestLoggerSyslogAndJournaldSinks(t *testing.T) {
-	l := NewQuiet(Debug)
-	if err := l.DefineOutputs("1:syslog:virtd 1:journald"); err != nil {
-		t.Fatal(err)
-	}
-	l.Warnf("rpc", "syslog me")
-	sys := l.cur.Load().outputs[0].sink.(*syslogSink)
-	msgs := sys.Messages()
-	if len(msgs) != 1 || !strings.HasPrefix(msgs[0], "virtd[") {
-		t.Fatalf("syslog messages: %v", msgs)
-	}
-	jd := l.cur.Load().outputs[1].sink.(*journaldSink)
-	jd.mu.Lock()
-	n := len(jd.entries)
-	jd.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("journald entries: %d", n)
+	// The old output must still accept writes.
+	l.For("m").Error("still alive")
+	if !strings.Contains(read(), "still alive") {
+		t.Fatal("old output not functional after failed redefine")
 	}
 }
 
 func TestLoggerConcurrentLogAndRedefine(t *testing.T) {
 	l := NewQuiet(Debug)
-	if err := l.DefineOutputs("1:buffer"); err != nil {
-		t.Fatal(err)
-	}
+	fileOutput(t, l, Debug)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			log := l.For("worker")
 			for {
 				select {
 				case <-stop:
 					return
 				default:
-					l.Debugf("worker", "msg from %d", id)
+					log.LogAttrs(context.Background(), slog.LevelDebug, "msg", slog.Int("from", id))
 				}
 			}
 		}(i)
@@ -364,7 +345,7 @@ func TestLoggerConcurrentLogAndRedefine(t *testing.T) {
 		if i%2 == 0 {
 			err = l.DefineFilters(fmt.Sprintf("%d:worker", i%4+1))
 		} else {
-			err = l.DefineOutputs("1:buffer")
+			err = l.DefineOutputs(l.OutputsString())
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -428,21 +409,39 @@ func TestQuickEffectiveLevelNeverBelowMostSpecific(t *testing.T) {
 	}
 }
 
-func BenchmarkLogFiltered(b *testing.B) {
+// TestLogFilteredAllocatesNothing: a record below its module's threshold,
+// logged with attributes through a module-bound logger, costs no
+// allocation, with no filters and with a filter for another module.
+func TestLogFilteredAllocatesNothing(t *testing.T) {
 	l := NewQuiet(Error)
+	log, ctx, domain := l.For("hot.module"), context.Background(), "web1"
+	for _, filters := range []string{"", "1:other.module"} {
+		l.DefineFilters(filters) //nolint:errcheck
+		allocs := testing.AllocsPerRun(1000, func() {
+			log.LogAttrs(ctx, slog.LevelInfo, "domain defined", slog.String("domain", domain), slog.String("client", "c7"))
+		})
+		if allocs != 0 {
+			t.Errorf("filters %q: a filtered record allocates %.1f objects, want 0", filters, allocs)
+		}
+	}
+}
+
+func BenchmarkLogFiltered(b *testing.B) {
+	log := NewQuiet(Error).For("hot.module")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Debugf("hot.module", "dropped %d", i)
+		log.LogAttrs(context.Background(), slog.LevelDebug, "dropped", slog.Int("i", i), slog.String("domain", "web1"))
 	}
 }
 
 func BenchmarkLogEmitted(b *testing.B) {
 	l := NewQuiet(Debug)
-	if err := l.DefineOutputs("1:buffer"); err != nil {
+	if err := l.DefineOutputs("1:file:/dev/null"); err != nil {
 		b.Fatal(err)
 	}
+	log := l.For("hot.module")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		l.Debugf("hot.module", "kept %d", i)
+		log.LogAttrs(context.Background(), slog.LevelDebug, "kept", slog.Int("i", i))
 	}
 }

@@ -24,6 +24,7 @@ func (c *Client) startKeepalive(cfg KeepaliveConfig) {
 		ticker := time.NewTicker(cfg.Interval)
 		defer ticker.Stop()
 		var missed int
+		var probed int64 // lastRx when the last ping went out
 		for {
 			select {
 			case <-c.done:
@@ -33,9 +34,13 @@ func (c *Client) startKeepalive(cfg KeepaliveConfig) {
 			if c.closed.Load() {
 				return
 			}
-			last := time.Unix(0, c.lastRx.Load())
-			if time.Since(last) < cfg.Interval {
+			// As libvirt's virKeepAliveCheckMessage: anything received
+			// since the last ping answers it, however late this tick.
+			rx := c.lastRx.Load()
+			if rx != probed {
 				missed = 0
+			}
+			if time.Since(time.Unix(0, rx)) < cfg.Interval {
 				continue
 			}
 			missed++
@@ -56,6 +61,7 @@ func (c *Client) startKeepalive(cfg KeepaliveConfig) {
 				c.conn.Close()
 				return
 			}
+			probed = rx
 			kaPingsSent.Inc()
 		}
 	}()

@@ -6,8 +6,9 @@ import (
 	"time"
 )
 
-// pongServer answers pings and proc-1 calls.
-func pongServer(nc net.Conn) {
+// pongServer answers pings and proc-1 calls. With stamp set it answers
+// a ping with a fake pong instead: stamp records the client's receipt.
+func pongServer(nc net.Conn, stamp func()) {
 	conn := NewConn(nc)
 	go func() {
 		for {
@@ -17,6 +18,10 @@ func pongServer(nc net.Conn) {
 			}
 			switch MsgType(h.Type) {
 			case TypePing:
+				if stamp != nil {
+					stamp()
+					continue
+				}
 				h.Type = uint32(TypePong)
 				conn.WriteMessage(h, nil) //nolint:errcheck
 			case TypeCall:
@@ -27,20 +32,39 @@ func pongServer(nc net.Conn) {
 	}()
 }
 
+// TestKeepaliveHealthyPeerStaysUp: a peer that answers every ping keeps
+// an idle connection up for many intervals, whatever the miss budget.
+// An answered ping is never a miss, however late the next tick runs. The
+// last row stamps each pong one interval before the peer read the ping,
+// at or before the tick that sent it: the next tick finds it a full
+// interval old, as after a zero round trip, with no scheduler luck.
 func TestKeepaliveHealthyPeerStaysUp(t *testing.T) {
-	a, b := net.Pipe()
-	pongServer(b)
-	// A generous miss budget keeps the test immune to scheduler stalls
-	// on loaded single-core runners; the dead-peer test below covers the
-	// opposite direction.
-	cl := NewClientKeepalive(a, ProgramRemote, nil, KeepaliveConfig{
-		Interval: 10 * time.Millisecond, Count: 50,
-	})
-	defer cl.Close()
-	// Idle long enough for several probe rounds; pongs keep it alive.
-	time.Sleep(120 * time.Millisecond)
-	if err := cl.Call(1, nil, nil); err != nil {
-		t.Fatalf("healthy connection was torn down: %v", err)
+	const interval = 10 * time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		count   int
+		stamped bool
+	}{
+		{"count 50", 50, false},
+		{"count 5", 5, false},
+		{"count 2", 2, false},
+		{"pong stamped at the tick", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			a, b := net.Pipe()
+			cl := NewClientKeepalive(a, ProgramRemote, nil, KeepaliveConfig{Interval: interval, Count: tc.count})
+			defer cl.Close()
+			var stamp func()
+			if tc.stamped {
+				stamp = func() { cl.lastRx.Store(time.Now().Add(-interval).UnixNano()) }
+			}
+			pongServer(b, stamp)
+			time.Sleep(300 * time.Millisecond)
+			if err := cl.Call(1, nil, nil); err != nil {
+				t.Fatalf("healthy connection was torn down: %v", err)
+			}
+		})
 	}
 }
 

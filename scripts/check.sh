@@ -30,8 +30,11 @@ echo "== fuzz: 10 s of FuzzParse over the config dialect (seeds: the three confi
 go test ./internal/conf -run '^$' -fuzz FuzzParse -fuzztime 10s
 go test ./internal/xmlspec -run '^$' -fuzz FuzzDecodeMatchesEncodingXML -fuzztime 10s
 
-echo "== fleet smoke: 2 daemons, 4 domains, assert spread (examples/fleet exits non-zero on failure)"
+echo "== examples smoke: fleet (2 daemons, 4 domains, asserts spread), quickstart, monitoring, loadbalance, statemgmt and migration each exit 0"
 go run ./examples/fleet -hosts 2 -domains 4 -drain=false >/dev/null
+for example in quickstart monitoring loadbalance statemgmt migration; do
+	go run ./examples/$example >/dev/null
+done
 
 echo "== count gates: bytes_per_op / allocs_per_op ceilings for monitor-sweep (8192 / 8), lifecycle-churn (8192 / 96), rpc-small (32 / 1) and fleet-place (40960 / 64)"
 # The counts repeat to under half a percent. monitor-sweep read 3.5 MB
