@@ -1,12 +1,9 @@
 package common
 
 import (
-	"context"
-	"log/slog"
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/events"
 )
 
 // sweepScratch holds the per-sweep working slices so repeated polls of
@@ -142,24 +139,16 @@ func (b *Base) domainListInfo(flags core.ListFlags, names []string, dst []core.N
 
 	// Crash-transition bookkeeping for the whole sweep under one lock
 	// (noteState would lock once per guest); events fire outside it.
-	type crash struct{ name, uuid string }
-	var emits []crash
+	var crashed []*record
 	b.mu.Lock()
 	for i := range rows {
-		if recs[i] == nil || !got[i] {
-			continue
-		}
-		if st := rows[i].Info.State; st == core.DomainCrashed && !recs[i].sawCrash {
-			recs[i].sawCrash = true
-			emits = append(emits, crash{name: rows[i].Name, uuid: recs[i].uuidStr})
-		} else if st != core.DomainCrashed && recs[i].sawCrash {
-			recs[i].sawCrash = false
+		if recs[i] != nil && got[i] && recs[i].crashed(rows[i].Info.State) {
+			crashed = append(crashed, recs[i])
 		}
 	}
 	b.mu.Unlock()
-	for _, c := range emits {
-		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "domain crashed", slog.String("domain", c.name))
-		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: c.name, UUID: c.uuid})
+	for _, r := range crashed {
+		b.announceCrash(r)
 	}
 
 	// Compact away vanished guests in place.

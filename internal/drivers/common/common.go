@@ -10,6 +10,7 @@ package common
 import (
 	"context"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,17 +80,32 @@ type Options struct {
 	Scope string
 }
 
-// record is the per-domain registry entry.
+// record is the per-domain registry entry; name and uuidStr never
+// change. Every operation that changes the domain holds its job (see
+// begin) from its state check to its commit, and writes a field that
+// reads also see under b.mu as well. def is immutable once published:
+// changes swap in a new definition.
 type record struct {
 	name        string
 	def         *xmlspec.Domain
 	uuidStr     string
-	active      bool
-	leases      []attachedNIC
+	leases      []attachedNIC // job holders only
 	snapshots   []*snapshotRec
-	managedSave *savedImage
-	sawCrash    bool // crash event already emitted for this run
+	managedSave *snapshotRec
+	job         sync.Mutex
+	starts      uint32 // runs begun, so the current run's number
+	active      bool
+	sawCrash    bool // crash event already emitted for this run; b.mu
 }
+
+// want is the state an operation needs its domain in.
+type want uint8
+
+const (
+	wantAny want = iota
+	wantActive
+	wantInactive
+)
 
 type attachedNIC struct {
 	network string
@@ -207,34 +223,74 @@ func (b *Base) ListDomains(flags core.ListFlags) ([]string, error) {
 // LookupDomain implements core.DriverConn.
 func (b *Base) LookupDomain(name string) (core.DomainMeta, error) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	r, ok := b.defs[name]
-	b.mu.Unlock()
 	if !ok {
 		return core.DomainMeta{}, core.Errorf(core.ErrNoDomain, "no domain %q", name)
 	}
-	return b.meta(name, r), nil
+	return b.meta(r), nil
 }
 
-func (b *Base) meta(name string, r *record) core.DomainMeta {
+// meta describes r; the caller holds b.mu or r's job.
+func (b *Base) meta(r *record) core.DomainMeta {
 	id := -1
 	if r.active {
-		id = b.hooks.ID(name)
+		id = b.hooks.ID(r.name)
 	}
-	return core.DomainMeta{Name: name, UUID: r.uuidStr, ID: id}
+	return core.DomainMeta{Name: r.name, UUID: r.uuidStr, ID: id}
+}
+
+// begin starts an operation that changes the domain called name: it
+// runs beginOp for site unless site is empty, then takes the domain's
+// job, which the operation holds from its state check to its commit,
+// across the hypervisor call, the journal write and the event. It
+// returns the record once defs still maps name to it and its state is
+// what w asks for; the caller releases r.job. Locks are taken job
+// first, then b.mu, and b.mu is never held while waiting for a job.
+func (b *Base) begin(site, name string, w want) (*record, error) {
+	if site != "" {
+		if err := b.beginOp(site); err != nil {
+			return nil, err
+		}
+	}
+	for {
+		b.mu.Lock()
+		r, ok := b.defs[name]
+		b.mu.Unlock()
+		if !ok {
+			return nil, core.Errorf(core.ErrNoDomain, "no domain %q", name)
+		}
+		r.job.Lock()
+		b.mu.Lock()
+		current := b.defs[name] == r
+		b.mu.Unlock()
+		switch {
+		case !current: // undefined while we waited: look the name up again
+		case w == wantActive && !r.active:
+			r.job.Unlock()
+			return nil, core.Errorf(core.ErrOperationInvalid, "domain %q is not active", name)
+		case w == wantInactive && r.active:
+			r.job.Unlock()
+			return nil, core.Errorf(core.ErrOperationInvalid, "domain %q is active", name)
+		default:
+			return r, nil
+		}
+		r.job.Unlock()
+	}
 }
 
 // LookupDomainByUUID implements core.DriverConn.
 func (b *Base) LookupDomainByUUID(uuidStr string) (core.DomainMeta, error) {
-	want, err := uuid.Parse(uuidStr)
+	target, err := uuid.Parse(uuidStr)
 	if err != nil {
 		return core.DomainMeta{}, core.Errorf(core.ErrInvalidArg, "bad UUID %q: %v", uuidStr, err)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for name, r := range b.defs {
+	for _, r := range b.defs {
 		got, err := uuid.Parse(r.uuidStr)
-		if err == nil && got == want {
-			return b.meta(name, r), nil
+		if err == nil && got == target {
+			return b.meta(r), nil
 		}
 	}
 	return core.DomainMeta{}, core.Errorf(core.ErrNoDomain, "no domain with UUID %s", uuidStr)
@@ -259,34 +315,52 @@ func (b *Base) DefineDomain(xmlDesc string) (core.DomainMeta, error) {
 		return core.DomainMeta{}, core.Errorf(core.ErrXML, "bad UUID: %v", err)
 	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
-	if existing, ok := b.defs[def.Name]; ok {
-		// Redefinition must keep identity and may not touch active guests.
-		if existing.active {
-			return core.DomainMeta{}, core.Errorf(core.ErrOperationInvalid,
-				"domain %q is active; cannot redefine", def.Name)
+	for b.defs[def.Name] != nil {
+		b.mu.Unlock()
+		r, err := b.begin("", def.Name, wantInactive)
+		if err == nil {
+			return b.redefine(r, def)
 		}
-		if existing.uuidStr != def.UUID {
-			return core.DomainMeta{}, core.Errorf(core.ErrDuplicate,
-				"domain %q already exists with a different UUID", def.Name)
-		}
-		if err := b.persistDomain(def); err != nil {
+		if !core.IsCode(err, core.ErrNoDomain) {
 			return core.DomainMeta{}, err
 		}
-		existing.def = def
-		b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain redefined", slog.String("domain", def.Name))
-		b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID, Detail: "redefined"})
-		return b.meta(def.Name, existing), nil
+		b.mu.Lock() // undefined while we waited: define it afresh
+	}
+	// A new name journals and publishes under b.mu, and holds its job
+	// until its event is out, so no event of the domain precedes it.
+	if err := b.persistDomain(def); err != nil {
+		b.mu.Unlock()
+		return core.DomainMeta{}, err
+	}
+	r := &record{name: def.Name, def: def, uuidStr: def.UUID}
+	r.job.Lock()
+	defer r.job.Unlock()
+	b.defs[def.Name] = r
+	b.order = append(b.order, r)
+	b.mu.Unlock()
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain defined", slog.String("domain", def.Name))
+	b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID})
+	return b.meta(r), nil
+}
+
+// redefine replaces the definition of the inactive domain r, whose job
+// the caller holds, and releases the job. A redefinition keeps the
+// domain's identity.
+func (b *Base) redefine(r *record, def *xmlspec.Domain) (core.DomainMeta, error) {
+	defer r.job.Unlock()
+	if r.uuidStr != def.UUID {
+		return core.DomainMeta{}, core.Errorf(core.ErrDuplicate,
+			"domain %q already exists with a different UUID", def.Name)
 	}
 	if err := b.persistDomain(def); err != nil {
 		return core.DomainMeta{}, err
 	}
-	r := &record{name: def.Name, def: def, uuidStr: def.UUID}
-	b.defs[def.Name] = r
-	b.order = append(b.order, r)
-	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain defined", slog.String("domain", def.Name))
-	b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID})
-	return b.meta(def.Name, r), nil
+	b.mu.Lock()
+	r.def = def
+	b.mu.Unlock()
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain redefined", slog.String("domain", def.Name))
+	b.bus.Emit(events.Event{Type: events.EventDefined, Domain: def.Name, UUID: def.UUID, Detail: "redefined"})
+	return b.meta(r), nil
 }
 
 // persistDomain journals the canonical (marshalled) definition so the
@@ -305,78 +379,74 @@ func (b *Base) persistDomain(def *xmlspec.Domain) error {
 
 // UndefineDomain implements core.DriverConn.
 func (b *Base) UndefineDomain(name string) error {
-	if err := b.beginOp("driver.op.undefine"); err != nil {
+	r, err := b.begin("driver.op.undefine", name, wantInactive)
+	if err != nil {
 		return err
 	}
-	b.mu.Lock()
-	r, ok := b.defs[name]
-	if !ok {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrNoDomain, "no domain %q", name)
-	}
-	if r.active {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrOperationInvalid, "domain %q is active; cannot undefine", name)
-	}
-	delete(b.defs, name)
-	for i, o := range b.order {
-		if o == r {
-			b.order = append(b.order[:i], b.order[i+1:]...)
-			break
-		}
-	}
-	uuidStr := r.uuidStr
-	b.mu.Unlock()
+	defer r.job.Unlock()
+	// The journal goes before the registry entry: a Define of the same
+	// name waits on this job, so these deletes never take its file.
 	b.persistDelete(statestore.KindDomains, name)
 	b.persistDelete(statestore.KindDomsActive, name)
+	// Inbound transfers end with their domain, so a source that never
+	// finished cannot keep the name from being prepared again.
+	b.migMu.Lock()
+	for cookie, in := range b.migrations {
+		if in.domain == name {
+			delete(b.migrations, cookie)
+		}
+	}
+	b.migMu.Unlock()
+	b.mu.Lock()
+	delete(b.defs, name)
+	i := slices.Index(b.order, r)
+	b.order = slices.Delete(b.order, i, i+1)
+	b.mu.Unlock()
 	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain undefined", slog.String("domain", name))
-	b.bus.Emit(events.Event{Type: events.EventUndefined, Domain: name, UUID: uuidStr})
+	b.bus.Emit(events.Event{Type: events.EventUndefined, Domain: name, UUID: r.uuidStr})
 	return nil
 }
 
 // CreateDomain implements core.DriverConn: start a defined domain.
 func (b *Base) CreateDomain(name string) error {
-	if err := b.beginOp("driver.op.create"); err != nil {
-		return err
-	}
-	b.mu.Lock()
-	r, ok := b.defs[name]
-	if !ok {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrNoDomain, "no domain %q", name)
-	}
-	if r.active {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrOperationInvalid, "domain %q is already active", name)
-	}
-	def := r.def
-	b.mu.Unlock()
-
-	// Network admission first: every network NIC needs an active network.
-	leases, err := b.attachNICs(def)
+	r, err := b.begin("driver.op.create", name, wantInactive)
 	if err != nil {
 		return err
 	}
-	if err := b.hooks.Start(def); err != nil {
-		b.detachNICs(leases)
-		return core.Errorf(core.ErrOperationInvalid, "start %q: %v", name, err)
+	defer r.job.Unlock()
+	return b.start(r)
+}
+
+// start boots the inactive domain r, whose job the caller holds, and
+// restores a pending managed-save image on the fresh guest.
+func (b *Base) start(r *record) error {
+	// Network admission first: every network NIC needs an active network.
+	leases, err := b.attachNICs(r.def)
+	if err != nil {
+		return err
 	}
+	if err := b.hooks.Start(r.def); err != nil {
+		b.detachNICs(leases)
+		return core.Errorf(core.ErrOperationInvalid, "start %q: %v", r.name, err)
+	}
+	img := r.managedSave
 	b.mu.Lock()
-	r.active = true
-	r.leases = leases
+	r.active, r.leases, r.managedSave = true, leases, nil
+	r.starts++
 	b.mu.Unlock()
 	// Active markers are best-effort snapshots of desired run state; the
 	// domain is already up, so a journal hiccup only warns.
-	if err := b.persistSave(statestore.KindDomsActive, name, nil); err != nil {
+	if err := b.persistSave(statestore.KindDomsActive, r.name, nil); err != nil {
 		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "persist active marker",
-			slog.String("domain", name), slog.Any("err", err))
+			slog.String("domain", r.name), slog.Any("err", err))
 	}
-	if err := b.restoreFromManagedSave(name, r); err != nil {
-		return err
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain started", slog.String("domain", r.name))
+	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: r.name, UUID: r.uuidStr})
+	if img == nil {
+		return nil
 	}
-	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain started", slog.String("domain", name))
-	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: name, UUID: def.UUID})
-	return nil
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain restored from managed save", slog.String("domain", r.name))
+	return b.restore(r, img)
 }
 
 func (b *Base) attachNICs(def *xmlspec.Domain) ([]attachedNIC, error) {
@@ -416,30 +486,18 @@ func (b *Base) detachNICs(nics []attachedNIC) {
 	}
 }
 
-// stop is the shared shutdown/destroy path.
-func (b *Base) stop(name string, graceful bool) error {
-	b.mu.Lock()
-	r, ok := b.defs[name]
-	if !ok {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrNoDomain, "no domain %q", name)
-	}
-	if !r.active {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrOperationInvalid, "domain %q is not active", name)
+// stop is the shared shutdown/destroy path: it stops the active domain
+// r, whose job the caller holds, and leaves img (nil but for a managed
+// save) as its managed-save image.
+func (b *Base) stop(r *record, graceful bool, img *snapshotRec) error {
+	if err := b.hooks.Stop(r.name, graceful); err != nil {
+		return core.Errorf(core.ErrOperationInvalid, "stop %q: %v", r.name, err)
 	}
 	leases := r.leases
-	uuidStr := r.uuidStr
-	b.mu.Unlock()
-
-	if err := b.hooks.Stop(name, graceful); err != nil {
-		return core.Errorf(core.ErrOperationInvalid, "stop %q: %v", name, err)
-	}
 	b.mu.Lock()
-	r.active = false
-	r.leases = nil
+	r.active, r.leases, r.managedSave = false, nil, img
 	b.mu.Unlock()
-	b.persistDelete(statestore.KindDomsActive, name)
+	b.persistDelete(statestore.KindDomsActive, r.name)
 	b.detachNICs(leases)
 	evType := events.EventStopped
 	detail := "destroyed"
@@ -448,36 +506,38 @@ func (b *Base) stop(name string, graceful bool) error {
 		detail = "guest shutdown"
 	}
 	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain stopped",
-		slog.String("domain", name), slog.String("detail", detail))
-	b.bus.Emit(events.Event{Type: evType, Domain: name, UUID: uuidStr, Detail: detail})
+		slog.String("domain", r.name), slog.String("detail", detail))
+	b.bus.Emit(events.Event{Type: evType, Domain: r.name, UUID: r.uuidStr, Detail: detail})
 	return nil
 }
 
 // DestroyDomain implements core.DriverConn.
 func (b *Base) DestroyDomain(name string) error {
-	if err := b.beginOp("driver.op.destroy"); err != nil {
-		return err
-	}
-	return b.stop(name, false)
+	return b.stopNamed("driver.op.destroy", name, false)
 }
 
 // ShutdownDomain implements core.DriverConn.
 func (b *Base) ShutdownDomain(name string) error {
-	if err := b.beginOp("driver.op.shutdown"); err != nil {
+	return b.stopNamed("driver.op.shutdown", name, true)
+}
+
+// stopNamed stops the active domain called name under its job.
+func (b *Base) stopNamed(site, name string, graceful bool) error {
+	r, err := b.begin(site, name, wantActive)
+	if err != nil {
 		return err
 	}
-	return b.stop(name, true)
+	defer r.job.Unlock()
+	return b.stop(r, graceful, nil)
 }
 
 // RebootDomain implements core.DriverConn.
 func (b *Base) RebootDomain(name string) error {
-	if err := b.beginOp("driver.op.reboot"); err != nil {
-		return err
-	}
-	r, err := b.activeRecord(name)
+	r, err := b.begin("driver.op.reboot", name, wantActive)
 	if err != nil {
 		return err
 	}
+	defer r.job.Unlock()
 	if err := b.hooks.Reboot(name); err != nil {
 		return core.Errorf(core.ErrOperationInvalid, "reboot %q: %v", name, err)
 	}
@@ -487,13 +547,11 @@ func (b *Base) RebootDomain(name string) error {
 
 // SuspendDomain implements core.DriverConn.
 func (b *Base) SuspendDomain(name string) error {
-	if err := b.beginOp("driver.op.suspend"); err != nil {
-		return err
-	}
-	r, err := b.activeRecord(name)
+	r, err := b.begin("driver.op.suspend", name, wantActive)
 	if err != nil {
 		return err
 	}
+	defer r.job.Unlock()
 	if err := b.hooks.Suspend(name); err != nil {
 		return core.Errorf(core.ErrOperationInvalid, "suspend %q: %v", name, err)
 	}
@@ -503,13 +561,11 @@ func (b *Base) SuspendDomain(name string) error {
 
 // ResumeDomain implements core.DriverConn.
 func (b *Base) ResumeDomain(name string) error {
-	if err := b.beginOp("driver.op.resume"); err != nil {
-		return err
-	}
-	r, err := b.activeRecord(name)
+	r, err := b.begin("driver.op.resume", name, wantActive)
 	if err != nil {
 		return err
 	}
+	defer r.job.Unlock()
 	if err := b.hooks.Resume(name); err != nil {
 		return core.Errorf(core.ErrOperationInvalid, "resume %q: %v", name, err)
 	}
@@ -517,17 +573,36 @@ func (b *Base) ResumeDomain(name string) error {
 	return nil
 }
 
-func (b *Base) activeRecord(name string) (*record, error) {
+// peek looks name up for a read, which takes no job. An active domain
+// returns its record and the number of its run; an inactive one its
+// shut-off info.
+func (b *Base) peek(name string) (*record, uint32, core.DomainInfo, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	r, ok := b.defs[name]
-	if !ok {
-		return nil, core.Errorf(core.ErrNoDomain, "no domain %q", name)
+	switch {
+	case !ok:
+		return nil, 0, core.DomainInfo{}, core.Errorf(core.ErrNoDomain, "no domain %q", name)
+	case r.active:
+		return r, r.starts, core.DomainInfo{}, nil
 	}
-	if !r.active {
-		return nil, core.Errorf(core.ErrOperationInvalid, "domain %q is not active", name)
+	return nil, 0, b.inactiveInfo(r), nil
+}
+
+// settle answers a read whose hook failed with herr on run of r. A stop
+// takes the guest away natively before it commits, so settle waits for
+// the job in flight on r and looks name up again: the read answers
+// from the record, or retries on a run started since. Still in the run
+// the hook failed on, the failure is the hypervisor's, and settle
+// returns herr.
+func (b *Base) settle(r *record, run uint32, name string, herr error) (*record, uint32, core.DomainInfo, error) {
+	r.job.Lock()
+	r.job.Unlock()
+	now, nowRun, off, err := b.peek(name)
+	if now == r && nowRun == run {
+		return nil, 0, off, herr
 	}
-	return r, nil
+	return now, nowRun, off, err
 }
 
 // DomainInfo implements core.DriverConn.
@@ -535,52 +610,46 @@ func (b *Base) DomainInfo(name string) (core.DomainInfo, error) {
 	if err := b.beginOp("driver.op.info"); err != nil {
 		return core.DomainInfo{}, err
 	}
-	b.mu.Lock()
-	r, ok := b.defs[name]
-	b.mu.Unlock()
-	if !ok {
-		return core.DomainInfo{}, core.Errorf(core.ErrNoDomain, "no domain %q", name)
+	r, run, off, err := b.peek(name)
+	for r != nil {
+		info, herr := b.hooks.Info(name)
+		if herr == nil {
+			b.noteState(r, info.State)
+			return info, nil
+		}
+		r, run, off, err = b.settle(r, run, name, core.Errorf(core.ErrInternal, "info %q: %v", name, herr))
 	}
-	if !r.active {
-		return b.inactiveInfo(r), nil
-	}
-	info, err := b.hooks.Info(name)
-	if err != nil {
-		return core.DomainInfo{}, core.Errorf(core.ErrInternal, "info %q: %v", name, err)
-	}
-	b.noteState(name, r, info.State)
-	return info, nil
+	return off, err
 }
 
 // noteState watches observed states for asynchronous guest crashes: the
 // first observation of a crashed state emits the crash event, so
 // monitors subscribing for EventCrashed learn of failures without
 // polling every field themselves.
-func (b *Base) noteState(name string, r *record, st core.DomainState) {
+func (b *Base) noteState(r *record, st core.DomainState) {
 	b.mu.Lock()
-	emit := false
-	if st == core.DomainCrashed && !r.sawCrash {
-		r.sawCrash = true
-		emit = true
-	} else if st != core.DomainCrashed && r.sawCrash {
-		r.sawCrash = false
-	}
-	uuidStr := r.uuidStr
+	crashed := r.crashed(st)
 	b.mu.Unlock()
-	if emit {
-		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "domain crashed", slog.String("domain", name))
-		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: name, UUID: uuidStr})
+	if crashed {
+		b.announceCrash(r)
 	}
 }
 
+// crashed records st as r's observed state and reports a crash not yet
+// announced; the caller holds b.mu.
+func (r *record) crashed(st core.DomainState) bool {
+	first := st == core.DomainCrashed && !r.sawCrash
+	r.sawCrash = st == core.DomainCrashed
+	return first
+}
+
+func (b *Base) announceCrash(r *record) {
+	b.log.LogAttrs(context.TODO(), slog.LevelWarn, "domain crashed", slog.String("domain", r.name))
+	b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: r.name, UUID: r.uuidStr})
+}
+
 func (b *Base) inactiveInfo(r *record) core.DomainInfo {
-	kib := r.def.MemoryKiBOrZero()
-	return core.DomainInfo{
-		State:     core.DomainShutoff,
-		MaxMemKiB: kib,
-		MemKiB:    0,
-		VCPUs:     int(r.def.VCPU.Count),
-	}
+	return core.DomainInfo{State: core.DomainShutoff, MaxMemKiB: r.def.MemoryKiBOrZero(), VCPUs: int(r.def.VCPU.Count)}
 }
 
 // DomainStats implements core.DriverConn.
@@ -588,22 +657,16 @@ func (b *Base) DomainStats(name string) (core.DomainStats, error) {
 	if err := b.beginOp("driver.op.stats"); err != nil {
 		return core.DomainStats{}, err
 	}
-	b.mu.Lock()
-	r, ok := b.defs[name]
-	b.mu.Unlock()
-	if !ok {
-		return core.DomainStats{}, core.Errorf(core.ErrNoDomain, "no domain %q", name)
+	r, run, off, err := b.peek(name)
+	for r != nil {
+		stats, herr := b.hooks.Stats(name)
+		if herr == nil {
+			b.noteState(r, stats.State)
+			return stats, nil
+		}
+		r, run, off, err = b.settle(r, run, name, core.Errorf(core.ErrInternal, "stats %q: %v", name, herr))
 	}
-	if !r.active {
-		info := b.inactiveInfo(r)
-		return core.DomainStats{State: info.State, MaxMemKiB: info.MaxMemKiB, VCPUs: info.VCPUs}, nil
-	}
-	stats, err := b.hooks.Stats(name)
-	if err != nil {
-		return core.DomainStats{}, core.Errorf(core.ErrInternal, "stats %q: %v", name, err)
-	}
-	b.noteState(name, r, stats.State)
-	return stats, nil
+	return core.DomainStats{State: off.State, MaxMemKiB: off.MaxMemKiB, VCPUs: off.VCPUs}, err
 }
 
 // DomainXML implements core.DriverConn.
@@ -613,11 +676,13 @@ func (b *Base) DomainXML(name string) (string, error) {
 	}
 	b.mu.Lock()
 	r, ok := b.defs[name]
-	b.mu.Unlock()
 	if !ok {
+		b.mu.Unlock()
 		return "", core.Errorf(core.ErrNoDomain, "no domain %q", name)
 	}
-	out, err := r.def.Marshal()
+	def := r.def
+	b.mu.Unlock()
+	out, err := def.Marshal()
 	if err != nil {
 		return "", core.Errorf(core.ErrXML, "%v", err)
 	}
@@ -626,12 +691,11 @@ func (b *Base) DomainXML(name string) (string, error) {
 
 // SetDomainMemory implements core.DriverConn.
 func (b *Base) SetDomainMemory(name string, kib uint64) error {
-	if err := b.beginOp("driver.op.setmemory"); err != nil {
+	r, err := b.begin("driver.op.setmemory", name, wantActive)
+	if err != nil {
 		return err
 	}
-	if _, err := b.activeRecord(name); err != nil {
-		return err
-	}
+	defer r.job.Unlock()
 	if err := b.hooks.SetMemory(name, kib); err != nil {
 		return core.Errorf(core.ErrInvalidArg, "set memory %q: %v", name, err)
 	}
@@ -640,12 +704,11 @@ func (b *Base) SetDomainMemory(name string, kib uint64) error {
 
 // SetDomainVCPUs implements core.DriverConn.
 func (b *Base) SetDomainVCPUs(name string, n int) error {
-	if err := b.beginOp("driver.op.setvcpus"); err != nil {
+	r, err := b.begin("driver.op.setvcpus", name, wantActive)
+	if err != nil {
 		return err
 	}
-	if _, err := b.activeRecord(name); err != nil {
-		return err
-	}
+	defer r.job.Unlock()
 	if err := b.hooks.SetVCPUs(name, n); err != nil {
 		return core.Errorf(core.ErrInvalidArg, "set vcpus %q: %v", name, err)
 	}
@@ -654,7 +717,10 @@ func (b *Base) SetDomainVCPUs(name string, n int) error {
 
 // Machine implements core.MachineAccess.
 func (b *Base) Machine(name string) (*hyper.Machine, error) {
-	if _, err := b.activeRecord(name); err != nil {
+	if r, _, _, err := b.peek(name); r == nil {
+		if err == nil {
+			err = core.Errorf(core.ErrOperationInvalid, "domain %q is not active", name)
+		}
 		return nil, err
 	}
 	m, err := b.hooks.Machine(name)
@@ -669,15 +735,10 @@ func (b *Base) Machine(name string) (*hyper.Machine, error) {
 func (b *Base) MarkCrashed(name string) {
 	b.mu.Lock()
 	r, ok := b.defs[name]
-	var uuidStr string
-	if ok {
-		uuidStr = r.uuidStr
-	}
 	b.mu.Unlock()
-	if !ok {
-		return
+	if ok {
+		b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: name, UUID: r.uuidStr})
 	}
-	b.bus.Emit(events.Event{Type: events.EventCrashed, Domain: name, UUID: uuidStr})
 }
 
 // DefToConfig translates a validated definition into a substrate machine

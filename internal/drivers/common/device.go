@@ -3,6 +3,7 @@ package common
 import (
 	"context"
 	"log/slog"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/xmlspec"
@@ -16,30 +17,27 @@ func (b *Base) AttachDevice(domain, deviceXML string) error {
 	if err != nil {
 		return core.Errorf(core.ErrXML, "%v", err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.defs[domain]
-	if !ok {
-		return core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
+		return err
 	}
+	defer r.job.Unlock()
+	def := *r.def // a published definition is immutable: edit a copy
 	switch {
 	case dev.Disk != nil:
-		for _, d := range r.def.Devices.Disks {
-			if d.Target.Dev == dev.Disk.Target.Dev {
-				return core.Errorf(core.ErrDuplicate,
-					"domain %q already has a disk at target %q", domain, dev.Disk.Target.Dev)
-			}
+		target := dev.Disk.Target.Dev
+		if slices.ContainsFunc(def.Devices.Disks, func(d xmlspec.Disk) bool { return d.Target.Dev == target }) {
+			return core.Errorf(core.ErrDuplicate,
+				"domain %q already has a disk at target %q", domain, target)
 		}
-		r.def.Devices.Disks = append(r.def.Devices.Disks, *dev.Disk)
+		def.Devices.Disks = append(slices.Clip(def.Devices.Disks), *dev.Disk)
 	case dev.Interface != nil:
 		nic := dev.Interface
-		if nic.MAC != nil {
-			for _, existing := range r.def.Devices.Interfaces {
-				if existing.MAC != nil && existing.MAC.Address == nic.MAC.Address {
-					return core.Errorf(core.ErrDuplicate,
-						"domain %q already has an interface with MAC %s", domain, nic.MAC.Address)
-				}
-			}
+		if nic.MAC != nil && slices.ContainsFunc(def.Devices.Interfaces, func(n xmlspec.Interface) bool {
+			return n.MAC != nil && n.MAC.Address == nic.MAC.Address
+		}) {
+			return core.Errorf(core.ErrDuplicate,
+				"domain %q already has an interface with MAC %s", domain, nic.MAC.Address)
 		}
 		if r.active && nic.Type == "network" && nic.MAC != nil {
 			if b.nets == nil {
@@ -51,10 +49,13 @@ func (b *Base) AttachDevice(domain, deviceXML string) error {
 			}
 			r.leases = append(r.leases, attachedNIC{network: nic.Source.Network, mac: nic.MAC.Address})
 		}
-		r.def.Devices.Interfaces = append(r.def.Devices.Interfaces, *nic)
+		def.Devices.Interfaces = append(slices.Clip(def.Devices.Interfaces), *nic)
 	default:
 		return core.Errorf(core.ErrInvalidArg, "unsupported device kind %q", dev.Kind())
 	}
+	b.mu.Lock()
+	r.def = &def
+	b.mu.Unlock()
 	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "device attached",
 		slog.String("domain", domain), slog.String("kind", dev.Kind()))
 	return nil
@@ -68,53 +69,43 @@ func (b *Base) DetachDevice(domain, deviceXML string) error {
 	if err != nil {
 		return core.Errorf(core.ErrXML, "%v", err)
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.defs[domain]
-	if !ok {
-		return core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
+		return err
 	}
+	defer r.job.Unlock()
+	def := *r.def // a published definition is immutable: edit a copy
 	switch {
 	case dev.Disk != nil:
-		for i, d := range r.def.Devices.Disks {
-			if d.Target.Dev == dev.Disk.Target.Dev {
-				r.def.Devices.Disks = append(r.def.Devices.Disks[:i], r.def.Devices.Disks[i+1:]...)
-				b.log.LogAttrs(context.TODO(), slog.LevelInfo, "disk detached",
-					slog.String("domain", domain), slog.String("dev", d.Target.Dev))
-				return nil
-			}
+		target := dev.Disk.Target.Dev
+		i := slices.IndexFunc(def.Devices.Disks, func(d xmlspec.Disk) bool { return d.Target.Dev == target })
+		if i == -1 {
+			return core.Errorf(core.ErrInvalidArg, "domain %q has no disk at target %q", domain, target)
 		}
-		return core.Errorf(core.ErrInvalidArg,
-			"domain %q has no disk at target %q", domain, dev.Disk.Target.Dev)
+		def.Devices.Disks = slices.Delete(slices.Clone(def.Devices.Disks), i, i+1)
 	case dev.Interface != nil:
 		if dev.Interface.MAC == nil {
 			return core.Errorf(core.ErrInvalidArg, "interface detach requires a MAC address")
 		}
 		mac := dev.Interface.MAC.Address
-		for i, nic := range r.def.Devices.Interfaces {
-			if nic.MAC == nil || nic.MAC.Address != mac {
-				continue
-			}
-			r.def.Devices.Interfaces = append(r.def.Devices.Interfaces[:i], r.def.Devices.Interfaces[i+1:]...)
-			for j, lease := range r.leases {
-				if lease.mac == mac {
-					if b.nets != nil {
-						if err := b.nets.Detach(lease.network, mac); err != nil {
-							b.log.LogAttrs(context.TODO(), slog.LevelWarn, "detach interface",
-								slog.String("mac", mac), slog.Any("err", err))
-						}
-					}
-					r.leases = append(r.leases[:j], r.leases[j+1:]...)
-					break
-				}
-			}
-			b.log.LogAttrs(context.TODO(), slog.LevelInfo, "interface detached",
-				slog.String("domain", domain), slog.String("mac", mac))
-			return nil
+		i := slices.IndexFunc(def.Devices.Interfaces, func(n xmlspec.Interface) bool {
+			return n.MAC != nil && n.MAC.Address == mac
+		})
+		if i == -1 {
+			return core.Errorf(core.ErrInvalidArg, "domain %q has no interface with MAC %s", domain, mac)
 		}
-		return core.Errorf(core.ErrInvalidArg,
-			"domain %q has no interface with MAC %s", domain, mac)
+		def.Devices.Interfaces = slices.Delete(slices.Clone(def.Devices.Interfaces), i, i+1)
+		if j := slices.IndexFunc(r.leases, func(l attachedNIC) bool { return l.mac == mac }); j != -1 {
+			b.detachNICs(r.leases[j : j+1])
+			r.leases = slices.Delete(r.leases, j, j+1)
+		}
 	default:
 		return core.Errorf(core.ErrInvalidArg, "unsupported device kind %q", dev.Kind())
 	}
+	b.mu.Lock()
+	r.def = &def
+	b.mu.Unlock()
+	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "device detached",
+		slog.String("domain", domain), slog.String("kind", dev.Kind()))
+	return nil
 }

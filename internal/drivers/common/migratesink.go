@@ -39,13 +39,14 @@ func (b *Base) MigratePrepare(domain string, totalPages uint64, streams int) (ui
 		return 0, core.Errorf(core.ErrInvalidArg,
 			"migrate prepare: %d streams outside [1, %d]", streams, core.MaxMigrateStreams)
 	}
-	b.mu.Lock()
-	_, defined := b.defs[domain]
-	b.mu.Unlock()
-	if !defined {
+	// Under the job, so an Undefine, which ends the domain's transfers,
+	// comes wholly before or after.
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
 		return 0, core.Errorf(core.ErrNoDomain,
 			"migrate prepare: no domain %q on destination", domain)
 	}
+	defer r.job.Unlock()
 	b.migMu.Lock()
 	defer b.migMu.Unlock()
 	if b.migrations == nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -11,7 +12,8 @@ import (
 	"repro/internal/xmlspec"
 )
 
-// snapshotRec is one stored snapshot of a domain.
+// snapshotRec is one stored snapshot of a domain, or, without name and
+// description, its managed-save image.
 type snapshotRec struct {
 	name        string
 	description string
@@ -19,13 +21,6 @@ type snapshotRec struct {
 	state       core.DomainState
 	memKiB      uint64
 	vcpus       int
-}
-
-// savedImage is a managed-save image of a stopped domain.
-type savedImage struct {
-	memKiB uint64
-	vcpus  int
-	paused bool
 }
 
 // CreateSnapshot implements core.DriverConn. Snapshotting an active
@@ -41,14 +36,13 @@ func (b *Base) CreateSnapshot(domain, xmlDesc string) (string, error) {
 		}
 		snap = parsed
 	}
-	b.mu.Lock()
-	r, ok := b.defs[domain]
-	b.mu.Unlock()
-	if !ok {
-		return "", core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
+		return "", err
 	}
-
+	defer r.job.Unlock()
 	rec := &snapshotRec{
+		name:        snap.Name,
 		description: snap.Description,
 		created:     time.Now().Unix(),
 		state:       core.DomainShutoff,
@@ -65,25 +59,26 @@ func (b *Base) CreateSnapshot(domain, xmlDesc string) (string, error) {
 		rec.vcpus = info.VCPUs
 	}
 
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	rec.name = snap.Name
 	if rec.name == "" {
 		rec.name = fmt.Sprintf("snap-%d", len(r.snapshots)+1)
-		for b.findSnapshotLocked(r, rec.name) != -1 {
+		for r.snapshot(rec.name) != -1 {
 			rec.name += "x"
 		}
-	} else if b.findSnapshotLocked(r, rec.name) != -1 {
+	} else if r.snapshot(rec.name) != -1 {
 		return "", core.Errorf(core.ErrDuplicate, "domain %q already has snapshot %q", domain, rec.name)
 	}
+	b.mu.Lock()
 	r.snapshots = append(r.snapshots, rec)
+	b.mu.Unlock()
 	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "snapshot created",
 		slog.String("domain", domain), slog.String("snapshot", rec.name),
 		slog.String("state", rec.state.String()))
 	return rec.name, nil
 }
 
-func (b *Base) findSnapshotLocked(r *record, name string) int {
+// snapshot returns the index of r's snapshot called name, or -1; the
+// caller holds b.mu or r's job.
+func (r *record) snapshot(name string) int {
 	for i, s := range r.snapshots {
 		if s.name == name {
 			return i
@@ -110,18 +105,16 @@ func (b *Base) ListSnapshots(domain string) ([]string, error) {
 // SnapshotXML implements core.DriverConn.
 func (b *Base) SnapshotXML(domain, snapshot string) (string, error) {
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	r, ok := b.defs[domain]
 	if !ok {
-		b.mu.Unlock()
 		return "", core.Errorf(core.ErrNoDomain, "no domain %q", domain)
 	}
-	i := b.findSnapshotLocked(r, snapshot)
+	i := r.snapshot(snapshot)
 	if i == -1 {
-		b.mu.Unlock()
 		return "", core.Errorf(core.ErrInvalidArg, "domain %q has no snapshot %q", domain, snapshot)
 	}
 	rec := r.snapshots[i]
-	b.mu.Unlock()
 	doc := &xmlspec.DomainSnapshot{
 		Name:         rec.name,
 		Description:  rec.description,
@@ -140,88 +133,61 @@ func (b *Base) SnapshotXML(domain, snapshot string) (string, error) {
 // is destroyed, then the domain is brought back to the snapshot's
 // lifecycle state and tunables.
 func (b *Base) RevertSnapshot(domain, snapshot string) error {
-	b.mu.Lock()
-	r, ok := b.defs[domain]
-	if !ok {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
+		return err
 	}
-	i := b.findSnapshotLocked(r, snapshot)
+	defer r.job.Unlock()
+	i := r.snapshot(snapshot)
 	if i == -1 {
-		b.mu.Unlock()
 		return core.Errorf(core.ErrInvalidArg, "domain %q has no snapshot %q", domain, snapshot)
 	}
-	rec := *r.snapshots[i]
-	active := r.active
-	b.mu.Unlock()
-
-	if active {
-		if err := b.DestroyDomain(domain); err != nil {
+	rec := r.snapshots[i]
+	if r.active {
+		if err := b.stop(r, false, nil); err != nil {
 			return err
 		}
 	}
-	switch rec.state {
-	case core.DomainRunning, core.DomainPaused:
-		if err := b.CreateDomain(domain); err != nil {
+	// A snapshot of a powered-off domain needs nothing more.
+	if rec.state == core.DomainRunning || rec.state == core.DomainPaused {
+		if err := b.start(r); err != nil {
 			return err
 		}
-		// Restore the snapshot's tunables on the fresh instance.
-		if err := b.hooks.SetMemory(domain, rec.memKiB); err != nil {
-			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "revert: restore memory",
-				slog.String("domain", domain), slog.String("snapshot", snapshot), slog.Any("err", err))
+		if err := b.restore(r, rec); err != nil {
+			return err
 		}
-		if err := b.hooks.SetVCPUs(domain, rec.vcpus); err != nil {
-			b.log.LogAttrs(context.TODO(), slog.LevelWarn, "revert: restore vcpus",
-				slog.String("domain", domain), slog.String("snapshot", snapshot), slog.Any("err", err))
-		}
-		if rec.state == core.DomainPaused {
-			if err := b.SuspendDomain(domain); err != nil {
-				return err
-			}
-		}
-	default:
-		// Snapshot of a powered-off domain: nothing more to do.
 	}
-	b.mu.Lock()
-	uuidStr := r.uuidStr
-	b.mu.Unlock()
 	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain reverted to snapshot",
 		slog.String("domain", domain), slog.String("snapshot", snapshot))
-	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: domain, UUID: uuidStr,
+	b.bus.Emit(events.Event{Type: events.EventStarted, Domain: domain, UUID: r.uuidStr,
 		Detail: "reverted to snapshot " + snapshot})
 	return nil
 }
 
 // DeleteSnapshot implements core.DriverConn.
 func (b *Base) DeleteSnapshot(domain, snapshot string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.defs[domain]
-	if !ok {
-		return core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
+		return err
 	}
-	i := b.findSnapshotLocked(r, snapshot)
+	defer r.job.Unlock()
+	i := r.snapshot(snapshot)
 	if i == -1 {
 		return core.Errorf(core.ErrInvalidArg, "domain %q has no snapshot %q", domain, snapshot)
 	}
-	r.snapshots = append(r.snapshots[:i], r.snapshots[i+1:]...)
+	b.mu.Lock()
+	r.snapshots = slices.Delete(r.snapshots, i, i+1)
+	b.mu.Unlock()
 	return nil
 }
 
 // ManagedSave implements core.DriverConn.
 func (b *Base) ManagedSave(domain string) error {
-	b.mu.Lock()
-	r, ok := b.defs[domain]
-	if !ok {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantActive)
+	if err != nil {
+		return err
 	}
-	if !r.active {
-		b.mu.Unlock()
-		return core.Errorf(core.ErrOperationInvalid, "domain %q is not active", domain)
-	}
-	b.mu.Unlock()
-
+	defer r.job.Unlock()
 	info, err := b.hooks.Info(domain)
 	if err != nil {
 		return core.Errorf(core.ErrInternal, "managed save %q: %v", domain, err)
@@ -230,13 +196,10 @@ func (b *Base) ManagedSave(domain string) error {
 		return core.Errorf(core.ErrOperationInvalid,
 			"domain %q is %s; managed save needs a running or paused domain", domain, info.State)
 	}
-	img := &savedImage{memKiB: info.MemKiB, vcpus: info.VCPUs, paused: info.State == core.DomainPaused}
-	if err := b.stop(domain, false); err != nil {
+	img := &snapshotRec{state: info.State, memKiB: info.MemKiB, vcpus: info.VCPUs}
+	if err := b.stop(r, false, img); err != nil {
 		return err
 	}
-	b.mu.Lock()
-	r.managedSave = img
-	b.mu.Unlock()
 	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain state saved", slog.String("domain", domain))
 	return nil
 }
@@ -254,43 +217,37 @@ func (b *Base) HasManagedSave(domain string) (bool, error) {
 
 // ManagedSaveRemove implements core.DriverConn.
 func (b *Base) ManagedSaveRemove(domain string) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.defs[domain]
-	if !ok {
-		return core.Errorf(core.ErrNoDomain, "no domain %q", domain)
+	r, err := b.begin("", domain, wantAny)
+	if err != nil {
+		return err
 	}
+	defer r.job.Unlock()
 	if r.managedSave == nil {
 		return core.Errorf(core.ErrOperationInvalid, "domain %q has no managed save image", domain)
 	}
+	b.mu.Lock()
 	r.managedSave = nil
+	b.mu.Unlock()
 	return nil
 }
 
-// restoreFromManagedSave applies a pending managed-save image right
-// after a successful start; CreateDomain calls it.
-func (b *Base) restoreFromManagedSave(domain string, r *record) error {
-	b.mu.Lock()
-	img := r.managedSave
-	r.managedSave = nil
-	b.mu.Unlock()
-	if img == nil {
+// restore brings the guest just started for r to the tunables and the
+// state saved in img; the caller holds r's job.
+func (b *Base) restore(r *record, img *snapshotRec) error {
+	if err := b.hooks.SetMemory(r.name, img.memKiB); err != nil {
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "restore memory",
+			slog.String("domain", r.name), slog.Any("err", err))
+	}
+	if err := b.hooks.SetVCPUs(r.name, img.vcpus); err != nil {
+		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "restore vcpus",
+			slog.String("domain", r.name), slog.Any("err", err))
+	}
+	if img.state != core.DomainPaused {
 		return nil
 	}
-	if err := b.hooks.SetMemory(domain, img.memKiB); err != nil {
-		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "restore: memory",
-			slog.String("domain", domain), slog.Any("err", err))
+	if err := b.hooks.Suspend(r.name); err != nil {
+		return core.Errorf(core.ErrInternal, "restore %s: pause: %v", r.name, err)
 	}
-	if err := b.hooks.SetVCPUs(domain, img.vcpus); err != nil {
-		b.log.LogAttrs(context.TODO(), slog.LevelWarn, "restore: vcpus",
-			slog.String("domain", domain), slog.Any("err", err))
-	}
-	if img.paused {
-		if err := b.hooks.Suspend(domain); err != nil {
-			return core.Errorf(core.ErrInternal, "restore %s: pause: %v", domain, err)
-		}
-	}
-	b.log.LogAttrs(context.TODO(), slog.LevelInfo, "domain restored from managed save",
-		slog.String("domain", domain))
+	b.bus.Emit(events.Event{Type: events.EventSuspended, Domain: r.name, UUID: r.uuidStr})
 	return nil
 }

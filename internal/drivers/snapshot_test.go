@@ -1,10 +1,12 @@
 package drivers_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/events"
 )
 
 func TestSnapshotLifecycleAllDrivers(t *testing.T) {
@@ -222,10 +224,20 @@ func TestManagedSavePausedDomain(t *testing.T) {
 	if err := drv.ManagedSave("vm"); err != nil {
 		t.Fatal(err)
 	}
+	col := events.NewCollector()
+	drv.(core.EventSource).EventBus().Subscribe("vm", nil, col.Callback())
 	if err := drv.CreateDomain("vm"); err != nil {
 		t.Fatal(err)
 	}
 	if info, _ := drv.DomainInfo("vm"); info.State != core.DomainPaused {
 		t.Fatalf("restored state %v, want paused", info.State)
+	}
+	// A watcher learns the restored guest is paused, as after a revert.
+	var got []events.Type
+	for _, ev := range col.Events() {
+		got = append(got, ev.Type)
+	}
+	if want := []events.Type{events.EventStarted, events.EventSuspended}; !slices.Equal(got, want) {
+		t.Fatalf("restore events %v, want %v", got, want)
 	}
 }
